@@ -16,7 +16,6 @@ from .freealg import (
     NCPoly,
     NormalizeError,
     NestingError,
-    add,
     app,
     commutator,
     exact_divide,

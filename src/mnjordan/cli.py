@@ -9,7 +9,7 @@ Subcommands::
 
 Exit codes: 0 verified (or hypotheses unmet, reported); 1 failed replay or a
 hypothesis-satisfying counterexample; 2 verified with assumptions; 3 bad
-input, I/O trouble, or a size bound.
+input (usage errors included), I/O trouble, or a size bound.
 """
 
 from __future__ import annotations
@@ -164,8 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--m", type=int, required=True)
     r.add_argument("--max-size", type=int, default=finring.PAIR_SCAN_BOUND)
     r.add_argument("--max-solutions", type=int, default=finring.MAX_SOLUTIONS)
-    r.add_argument("--jobs", type=int, default=1, help="accepted for symmetry; "
-                   "the checks are single-process")
     r.add_argument("--format", choices=("text", "json"), default="text")
     r.set_defaults(func=cmd_ring)
 
@@ -178,14 +176,19 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n", type=int, required=True, help="the law weight n")
     s.add_argument("--max-size", type=int, default=finring.PAIR_SCAN_BOUND)
     s.add_argument("--max-solutions", type=int, default=finring.MAX_SOLUTIONS)
-    s.add_argument("--jobs", type=int, default=1)
     s.add_argument("--format", choices=("text", "json"), default="text")
     s.set_defaults(func=cmd_search)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code == 0:  # --help
+            raise
+        # argparse exits 2 on a usage error, which here means EXIT_ASSUMPTIONS
+        return EXIT_ERROR
     return args.func(args)
 
 

@@ -6,10 +6,11 @@ tuples.  Additive maps are integer matrices M with M[i][j] * d_j == 0 mod
 d_i, acting columnwise on residue tuples.
 
 The four defining laws (weighted Jordan centralizer / derivation and their
-generalized versions) are linear in the unknown map(s) once the ring element
-is fixed, so imposing a law at every ring element is a finite linear system
-over the mixed-modulus group of matrix entries.  solve_identity builds that
-system and solves it exactly, prime by prime.
+generalized versions, stated in :mod:`mnjordan.laws`) are linear in the
+unknown map(s) once the ring element is fixed, so imposing a law at every
+ring element is a finite linear system over the mixed-modulus group of
+matrix entries.  solve_identity builds that system and solves it exactly,
+prime by prime.
 """
 
 from __future__ import annotations
@@ -17,19 +18,20 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import intsolve
+from .laws import TABLE, TWO_SIDED, Law
 
 PAIR_SCAN_BOUND = 10_000       # |R| limit for quadratic element scans
 TRIPLE_SCAN_BOUND = 2_000      # |R| limit for the primeness scan
 SOLVE_BOUND = 100_000          # |R| limit for building the linear system
 MAX_SOLUTIONS = 10**6          # enumeration cutoff for solution sets
 
-LAWS = ("centralizer", "gen-centralizer", "derivation", "gen-derivation")
+LAWS = tuple(TABLE)
 
 Element = Tuple[int, ...]
 
@@ -335,19 +337,15 @@ class LawSpec:
             raise ValueError("the weights m, n must be positive")
 
     @property
+    def rule(self) -> Law:
+        return TABLE[self.law]
+
+    @property
     def pair(self) -> bool:
-        return self.law.startswith("gen-")
+        return self.rule.generalized
 
     def torsion_product(self) -> int:
-        m, n = self.m, self.n
-        if self.law == "centralizer":
-            return m * n * (m + n)
-        if self.law == "gen-centralizer":
-            # the replayed proof consumes {2, m, n, m+n, m+2n}, and m+2n is
-            # needed: on F_p[t] with p | m+2n, T = d/dt and T0 = 0 satisfy
-            # the law, yet T(t*t) = 2t != T(t)*t (see the README)
-            return m * n * (m + n) * (m + 2 * n)
-        return m * n * (m + n) * abs(m - n)
+        return self.rule.torsion_product(self.m, self.n)
 
 
 def _law_row_blocks(R: FinRing, spec: LawSpec) -> Tuple[np.ndarray, np.ndarray]:
@@ -358,7 +356,6 @@ def _law_row_blocks(R: FinRing, spec: LawSpec) -> Tuple[np.ndarray, np.ndarray]:
     row_mods[r].
     """
     k = R.k
-    m, n = spec.m, spec.n
     X = R.element_array()
     C = R.constants
     eye = np.eye(k, dtype=np.int64)
@@ -372,30 +369,14 @@ def _law_row_blocks(R: FinRing, spec: LawSpec) -> Tuple[np.ndarray, np.ndarray]:
     def flat(block: np.ndarray) -> np.ndarray:
         return block.reshape(X.shape[0] * k, k * k)
 
-    if spec.law == "centralizer":
-        rows = flat((m + n) * of_x2 - m * mx_x - n * x_mx)
-    elif spec.law == "derivation":
-        rows = flat((m + n) * of_x2 - 2 * m * mx_x - 2 * n * x_mx)
-    elif spec.law == "gen-centralizer":
-        main = flat((m + n) * of_x2 - m * mx_x)
-        base = flat(-n * x_mx)
-        base_law = flat((m + n) * of_x2 - m * mx_x - n * x_mx)
-        rows = np.vstack(
-            [
-                np.hstack([main, base]),
-                np.hstack([np.zeros_like(base_law), base_law]),
-            ]
-        )
-    else:  # gen-derivation
-        main = flat((m + n) * of_x2 - 2 * m * mx_x)
-        base = flat(-2 * n * x_mx)
-        base_law = flat((m + n) * of_x2 - 2 * m * mx_x - 2 * n * x_mx)
-        rows = np.vstack(
-            [
-                np.hstack([main, base]),
-                np.hstack([np.zeros_like(base_law), base_law]),
-            ]
-        )
+    a, b, c = spec.rule.coefficients(spec.m, spec.n)
+    main = flat(a * of_x2 + b * mx_x)
+    base = flat(c * x_mx)
+    if spec.pair:
+        # the law on (M, M0), and the plain law on M0 alone
+        rows = np.block([[main, base], [np.zeros_like(main), main + base]])
+    else:
+        rows = main + base
     reps = rows.shape[0] // k
     row_mods = np.tile(R._mods, reps)
     return rows, row_mods
@@ -427,16 +408,13 @@ class SolutionSet:
     n_maps: int
     slot_mods: np.ndarray
     count: int
-    generators: List[Tuple[Tuple[int, ...], int]]
     explicit: Optional[List[Tuple[int, ...]]]
-    meta: Dict[str, object] = field(default_factory=dict)
 
     def maps(self) -> List:
         """Solutions as AddMap objects (pairs for generalized laws)."""
         if self.explicit is None:
             raise RingSizeError(
-                f"solution set has {self.count} elements; only generators "
-                f"are available"
+                f"solution set has {self.count} elements; only the count is kept"
             )
         k = self.ring.k
         out = []
@@ -448,12 +426,6 @@ class SolutionSet:
             maps = [AddMap(self.ring, M) for M in mats]
             out.append(maps[0] if self.n_maps == 1 else tuple(maps))
         return out
-
-    def contains(self, vec: Sequence[int]) -> bool:
-        v = tuple(int(a) % int(d) for a, d in zip(vec, self.slot_mods))
-        if self.explicit is not None:
-            return v in set(self.explicit)
-        raise RingSizeError("membership needs the explicit enumeration")
 
 
 def _vector_of_maps(maps: Sequence[AddMap]) -> Tuple[int, ...]:
@@ -487,7 +459,6 @@ def solve_identity(
             primes[q] = max(primes.get(q, 0), e)
 
     per_prime = []
-    meta: Dict[str, object] = {"primes": {}}
     count = 1
     for q, e in sorted(primes.items()):
         slots_q = [s for s in range(n_slots) if slot_mods[s] % q == 0]
@@ -498,9 +469,9 @@ def solve_identity(
             count_q = q ** basis.shape[0]
             elements_q = None
             if count_q <= max_solutions:
-                elements_q = _span_gf(basis, q)
-            gens_q = [(tuple(int(v) for v in b), q) for b in basis]
-            meta["primes"][str(q)] = {"exponent": 1, "nullity": int(basis.shape[0])}
+                elements_q = intsolve.enumerate_group(
+                    [(b.tolist(), q) for b in basis], q, len(slots_q), max_solutions
+                )
         else:
             M = q**e
             scale = np.array([M // (q ** _vq(int(mq), q)) for mq in row_mods[keep]],
@@ -517,14 +488,11 @@ def solve_identity(
                 seen.add(proj)
             elements_q = sorted(seen)
             count_q = len(elements_q)
-            gens_q = [(g, o) for (gvec, o) in gens for g in [tuple(gvec)]]
-            meta["primes"][str(q)] = {"exponent": e, "kernel": len(raw)}
-        per_prime.append((q, e, slots_q, gens_q, elements_q, count_q))
+        per_prime.append((q, slots_q, elements_q))
         count *= count_q
 
-    generators = _lift_generators(per_prime, slot_mods)
     explicit = None
-    if count <= max_solutions and all(p[4] is not None for p in per_prime):
+    if count <= max_solutions and all(p[2] is not None for p in per_prime):
         explicit = _combine_primes(per_prime, slot_mods, n_slots)
     return SolutionSet(
         ring=R,
@@ -532,9 +500,7 @@ def solve_identity(
         n_maps=n_maps,
         slot_mods=slot_mods,
         count=count,
-        generators=generators,
         explicit=explicit,
-        meta=meta,
     )
 
 
@@ -546,33 +512,9 @@ def _vq(n: int, q: int) -> int:
     return v
 
 
-def _span_gf(basis: np.ndarray, q: int) -> List[Tuple[int, ...]]:
-    dim, width = basis.shape
-    out = [np.zeros(width, dtype=np.int64)]
-    for b in basis:
-        out = [(v + c * b) % q for v in out for c in range(q)]
-    return [tuple(int(x) for x in v) for v in out]
-
-
-def _lift_generators(per_prime, slot_mods) -> List[Tuple[Tuple[int, ...], int]]:
-    gens = []
-    n_slots = len(slot_mods)
-    for q, e, slots_q, gens_q, _, _ in per_prime:
-        for gvec, order in gens_q:
-            full = [0] * n_slots
-            for a, s in enumerate(slots_q):
-                d = int(slot_mods[s])
-                qe = q ** _vq(d, q)
-                rest = d // qe
-                # CRT lift: congruent to gvec[a] mod q^e-part, 0 elsewhere
-                full[s] = (gvec[a] * rest * pow(rest, -1, qe)) % d
-            gens.append((tuple(full), order))
-    return gens
-
-
 def _combine_primes(per_prime, slot_mods, n_slots) -> List[Tuple[int, ...]]:
     lists = []
-    for q, e, slots_q, _, elements_q, _ in per_prime:
+    for q, slots_q, elements_q in per_prime:
         lifted = []
         for u in elements_q:
             full = [0] * n_slots
@@ -580,6 +522,7 @@ def _combine_primes(per_prime, slot_mods, n_slots) -> List[Tuple[int, ...]]:
                 d = int(slot_mods[s])
                 qe = q ** _vq(d, q)
                 rest = d // qe
+                # CRT lift: congruent to u[a] mod the q-part of d, 0 elsewhere
                 full[s] = (u[a] * rest * pow(rest, -1, qe)) % d
             lifted.append(tuple(full))
         lists.append(lifted)
@@ -656,26 +599,7 @@ def _law_residual(R: FinRing, spec: LawSpec, maps: Sequence[AddMap]) -> bool:
 
 # -- the xyx expansion, checked numerically -------------------------------------------
 
-LEMMA_TEXTS = {
-    "centralizer": (
-        "2*(m+n)^2*T[x*y*x] - m*n*T[x]*x*y - m*(2*m+n)*T[x]*y*x + m*n*T[y]*x^2"
-        " - 2*m*n*x*T[y]*x + m*n*x^2*T[y] - n*(m+2*n)*x*y*T[x] - m*n*y*x*T[x]"
-    ),
-    "gen-centralizer": (
-        "2*(m+n)^2*T[x*y*x] - m*n*T[x]*x*y - m*(2*m+n)*T[x]*y*x + m*n*T[y]*x^2"
-        " - 2*m*n*x*T0[y]*x + m*n*x^2*T0[y] - n*(m+2*n)*x*y*T0[x] - m*n*y*x*T0[x]"
-    ),
-    "derivation": (
-        "(m+n)^2*F[x*y*x] - m*(n-m)*F[x]*x*y - m*(m-n)*F[y]*x^2 - n*(n-m)*x^2*D[y]"
-        " - n*(m-n)*y*x*D[x] - m*(3*m+n)*F[x]*y*x - 4*m*n*x*D[y]*x"
-        " - n*(3*n+m)*x*y*D[x]"
-    ),
-    "gen-derivation": (
-        "(m+n)^2*F[x*y*x] - m*(n-m)*F[x]*x*y - m*(m-n)*F[y]*x^2 - n*(n-m)*x^2*D[y]"
-        " - n*(m-n)*y*x*D[x] - m*(3*m+n)*F[x]*y*x - 4*m*n*x*D[y]*x"
-        " - n*(3*n+m)*x*y*D[x]"
-    ),
-}
+LEMMA_TEXTS = {name: law.lemma() for name, law in TABLE.items()}
 
 
 class PairEvaluator:
@@ -745,18 +669,6 @@ class PairEvaluator:
         )
 
 
-def evaluate_identity_on_pairs(
-    R: FinRing,
-    poly,
-    maps: Dict[str, AddMap],
-    m: int,
-    n: int,
-    pair_bound: int = 3000,
-) -> Optional[Tuple[Element, Element]]:
-    """Evaluate an NCPoly identity at every (x, y); None or first violation."""
-    return PairEvaluator(R, pair_bound).first_violation(poly, maps, m, n)
-
-
 def cross_check_lemma(
     R: FinRing,
     spec: LawSpec,
@@ -776,12 +688,10 @@ def cross_check_lemma(
         raise ValueError("map arity does not match the law")
     if not _law_residual(R, spec, map_list):
         raise ValueError("the given maps do not satisfy the defining law")
-    if spec.law.endswith("derivation"):
-        bound = {"F": map_list[0], "D": map_list[-1]}
-    else:
-        bound = {"T": map_list[0], "T0": map_list[-1]}
+    main, base = spec.rule.symbols
+    bound = {main: map_list[0], base: map_list[-1]}
     poly = parse_poly(LEMMA_TEXTS[spec.law])
-    violation = evaluate_identity_on_pairs(R, poly, bound, spec.m, spec.n, pair_bound)
+    violation = PairEvaluator(R, pair_bound).first_violation(poly, bound, spec.m, spec.n)
     return violation is None
 
 
@@ -815,38 +725,22 @@ class TheoremReport:
 
 
 def _conclusion_violations(R: FinRing, spec: LawSpec, sols: SolutionSet) -> List[dict]:
+    law = spec.rule
     out = []
     for entry in sols.maps():
-        if spec.law == "centralizer":
-            T = entry
-            if not verify_two_sided(R, T, exhaustive=False):
-                out.append({"map": T.matrix.tolist(), "reason": "not two-sided"})
-        elif spec.law == "gen-centralizer":
-            T, T0 = entry
-            if T != T0:
-                out.append(
-                    {"map": T.matrix.tolist(), "base": T0.matrix.tolist(),
-                     "reason": "T differs from its base map"}
-                )
-            elif not verify_two_sided(R, T, exhaustive=False):
-                out.append({"map": T.matrix.tolist(), "reason": "not two-sided"})
-        elif spec.law == "derivation":
-            D = entry
-            if not verify_derivation(R, D, exhaustive=False):
-                out.append({"map": D.matrix.tolist(), "reason": "not a derivation"})
-            elif not maps_into_center(R, D):
-                out.append({"map": D.matrix.tolist(), "reason": "values not central"})
-        else:
-            F, D = entry
-            if F != D:
-                out.append(
-                    {"map": F.matrix.tolist(), "base": D.matrix.tolist(),
-                     "reason": "F differs from its base map"}
-                )
-            elif not verify_derivation(R, F, exhaustive=False):
-                out.append({"map": F.matrix.tolist(), "reason": "not a derivation"})
-            elif not maps_into_center(R, F):
-                out.append({"map": F.matrix.tolist(), "reason": "values not central"})
+        M, M0 = entry if law.generalized else (entry, entry)
+        if M != M0:
+            out.append(
+                {"map": M.matrix.tolist(), "base": M0.matrix.tolist(),
+                 "reason": f"{law.symbols[0]} differs from its base map"}
+            )
+        elif law.conclusion == TWO_SIDED:
+            if not verify_two_sided(R, M, exhaustive=False):
+                out.append({"map": M.matrix.tolist(), "reason": "not two-sided"})
+        elif not verify_derivation(R, M, exhaustive=False):
+            out.append({"map": M.matrix.tolist(), "reason": "not a derivation"})
+        elif not maps_into_center(R, M):
+            out.append({"map": M.matrix.tolist(), "reason": "values not central"})
     return out
 
 
@@ -857,9 +751,9 @@ def check_theorem(
     scan_bound: int = PAIR_SCAN_BOUND,
 ) -> TheoremReport:
     """Evaluate the theorem hypotheses and verify its conclusion exhaustively."""
-    if spec.law.endswith("derivation") and spec.m == spec.n:
-        raise ValueError("the derivation theorems need distinct weights m and n")
     product = spec.torsion_product()
+    if product == 0:  # |m-n| is in the derivation budgets
+        raise ValueError("the derivation theorems need distinct weights m and n")
     hyp: Dict[str, object] = {"torsion_product": product}
     try:
         hyp["semiprime"] = is_semiprime(R, scan_bound)

@@ -193,14 +193,6 @@ def app(sym: str, arg: NCPoly) -> NCPoly:
 # -- ring operations -----------------------------------------------------------
 
 
-def add(p: NCPoly, q: NCPoly) -> NCPoly:
-    return p + q
-
-
-def negate(p: NCPoly) -> NCPoly:
-    return -p
-
-
 def scale(c: ScalarPoly, p: NCPoly) -> NCPoly:
     if not c:
         return NCPoly.zero()

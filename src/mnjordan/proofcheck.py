@@ -54,6 +54,7 @@ from .freealg import (
     RULE_TWO_SIDED,
     NCPoly,
 )
+from .laws import TABLE
 from .parsing import ParseError, Witness, parse_monomial, parse_poly, parse_scalar, parse_witnesses
 from .scalars import ExactDivisionError, ScalarPoly
 
@@ -94,12 +95,7 @@ EXTERNAL_THEOREMS = {
                             "the center",
 }
 
-LAW_TEMPLATES = {
-    "centralizer": "(m+n)*{M}[x^2] - m*{M}[x]*x - n*x*{M}[x]",
-    "gen-centralizer": "(m+n)*{M}[x^2] - m*{M}[x]*x - n*x*{M0}[x]",
-    "derivation": "(m+n)*{M}[x^2] - 2*m*{M}[x]*x - 2*n*x*{M}[x]",
-    "gen-derivation": "(m+n)*{M}[x^2] - 2*m*{M}[x]*x - 2*n*x*{M0}[x]",
-}
+LAW_TEMPLATES = {name: law.template() for name, law in TABLE.items()}
 
 
 @dataclass
@@ -486,9 +482,9 @@ def _define_body(env: _Env, args: Dict[str, str]) -> Tuple[NCPoly, str]:
         body = parse_poly(f"{f}[x] - {t}[x] + {t0}[x]")
         return freealg.normalize(body, env.rules), f"define:diff:{f}={t}-{t0}"
     law = args.get("law")
-    if law not in LAW_TEMPLATES:
+    if law not in TABLE:
         raise CheckError(f"unknown law {law!r}")
-    if law.startswith("gen-"):
+    if TABLE[law].generalized:
         names = [s.strip() for s in args.get("maps", "").split(",")]
         if len(names) != 2:
             raise CheckError("generalized laws need maps=<M>,<M0>")

@@ -99,3 +99,29 @@ def test_exit_codes_depend_only_on_the_verdict(capsys, tmp_path):
     first = run(capsys, "prove", path)
     second = run(capsys, "prove", path)
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ring", "--kind", "Mat", "--p", "7", "--law", "bogus", "--m", "1", "--n", "1"],
+        ["ring", "--kind", "Mat", "--p", "7", "--m", "1", "--n", "1"],
+        ["ring", "--kind", "Mat", "--p", "7", "--law", "centralizer", "--m", "x", "--n", "1"],
+        ["prove"],
+        ["ring", "--kind", "Mat", "--p", "7", "--law", "centralizer", "--m", "1", "--n", "2",
+         "--jobs", "2"],
+    ],
+    ids=["unknown-law", "missing-law", "non-integer-weight", "bare-prove", "removed-jobs"],
+)
+def test_usage_errors_exit_3(capsys, argv):
+    # argparse's own status 2 would read as "verified with assumptions"
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_ERROR
+    assert out == "" and "usage:" in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ring", "--help"])
+    assert exc.value.code == 0
+    assert "--law" in capsys.readouterr().out

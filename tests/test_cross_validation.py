@@ -7,6 +7,9 @@ actual solution on a concrete finite ring and evaluating at every pair of
 elements must therefore produce zero, for every step of the certificate.
 """
 
+import math
+import random
+
 import numpy as np
 import pytest
 
@@ -72,3 +75,46 @@ def test_a_wrong_map_breaks_mid_proof_identities():
         if ev.first_violation(poly, bound, 1, 1) is not None:
             broken += 1
     assert broken > 0
+
+
+def _random_add_map(R, rng):
+    # entry (i, j) must be a multiple of d_i / gcd(d_i, d_j)
+    M = [[rng.randrange(0, di, di // math.gcd(di, dj)) for dj in R.moduli] for di in R.moduli]
+    return fr.AddMap(R, M)
+
+
+def test_both_engines_state_the_same_law():
+    """The solver's law rows and the proof checker's law text agree on maps.
+
+    For generalized laws the solver also imposes the plain law on the base
+    map, so the text side checks that too.
+    """
+    rng = random.Random(7)
+    rings = [fr.MatRing(2, 3), fr.DirectProduct(fr.Zn(4), fr.Zn(2)), fr.Zn(6)]
+    agree = holds = 0
+    for R in rings:
+        ev = fr.PairEvaluator(R)
+        for law in fr.LAWS:
+            generalized = law.startswith("gen-")
+            for m, n in [(1, 1), (1, 2), (2, 1), (2, 3)]:
+                spec = fr.LawSpec(law, m, n)
+                texts = [pc.LAW_TEMPLATES[law].format(M="T", M0="T0")]
+                if generalized:
+                    plain = law.removeprefix("gen-")
+                    texts.append(pc.LAW_TEMPLATES[plain].format(M="T0"))
+                polys = [parse_poly(t) for t in texts]
+                candidates = [
+                    entry if generalized else (entry,)
+                    for entry in fr.solve_identity(R, spec).maps()[:3]
+                ]
+                for _ in range(3):
+                    candidates.append(tuple(_random_add_map(R, rng)
+                                            for _ in range(2 if generalized else 1)))
+                for maps in candidates:
+                    bound = {"T": maps[0], "T0": maps[-1]}
+                    by_text = all(ev.first_violation(p, bound, m, n) is None for p in polys)
+                    by_rows = fr._law_residual(R, spec, list(maps))
+                    assert by_text == by_rows, (R.name, law, m, n, maps)
+                    agree += 1
+                    holds += by_rows
+    assert agree == 267 and 0 < holds < agree

@@ -1,0 +1,18 @@
+"""Every demo runs to completion against the source tree."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_demos_run():
+    demos = sorted((ROOT / "demos").glob("*.py"))
+    assert len(demos) >= 4
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for demo in demos:
+        proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, (demo.name, proc.stderr)
