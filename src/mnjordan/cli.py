@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--p", type=int, help="base modulus for --kind Mat")
     r.add_argument("--law", required=True, choices=finring.LAWS)
     r.add_argument("--m", type=int, required=True)
-    r.add_argument("--max-size", type=int, default=finring.PAIR_SCAN_BOUND)
+    r.add_argument("--max-size", type=int, default=finring.SCAN_BOUND)
     r.add_argument("--max-solutions", type=int, default=finring.MAX_SOLUTIONS)
     r.add_argument("--format", choices=("text", "json"), default="text")
     r.set_defaults(func=cmd_ring)
@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--law", required=True, choices=finring.LAWS)
     s.add_argument("--m", type=int, required=True)
     s.add_argument("--n", type=int, required=True, help="the law weight n")
-    s.add_argument("--max-size", type=int, default=finring.PAIR_SCAN_BOUND)
+    s.add_argument("--max-size", type=int, default=finring.SCAN_BOUND)
     s.add_argument("--max-solutions", type=int, default=finring.MAX_SOLUTIONS)
     s.add_argument("--format", choices=("text", "json"), default="text")
     s.set_defaults(func=cmd_search)

@@ -7,14 +7,16 @@ d_i, acting columnwise on residue tuples.
 
 The four defining laws (weighted Jordan centralizer / derivation and their
 generalized versions, stated in :mod:`mnjordan.laws`) are linear in the
-unknown map(s) once the ring element is fixed, so imposing a law at every
-ring element is a finite linear system over the mixed-modulus group of
-matrix entries.  solve_identity builds that system and solves it exactly,
-prime by prime.
+unknown map(s) once the ring element is fixed, and quadratic in the ring
+element, so imposing a law at the k(k+1)/2 polarization points e_i and
+e_i + e_j is a finite linear system over the mixed-modulus group of matrix
+entries that is equivalent to imposing it everywhere.  solve_identity
+builds that system and solves it exactly, prime by prime.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -26,9 +28,8 @@ import numpy as np
 from . import intsolve
 from .laws import TABLE, TWO_SIDED, Law
 
-PAIR_SCAN_BOUND = 10_000       # |R| limit for quadratic element scans
+SCAN_BOUND = 10**6             # |R| limit for the element scans
 TRIPLE_SCAN_BOUND = 2_000      # |R| limit for the primeness scan
-SOLVE_BOUND = 100_000          # |R| limit for building the linear system
 MAX_SOLUTIONS = 10**6          # enumeration cutoff for solution sets
 
 LAWS = tuple(TABLE)
@@ -55,6 +56,7 @@ class FinRing:
         self.constants %= self._mods
         self.name = name or f"ring{self.moduli}"
         self._elements: Optional[np.ndarray] = None
+        self._pairs: Optional["PairEvaluator"] = None
         self._validate()
 
     # -- construction checks -------------------------------------------------
@@ -126,6 +128,12 @@ class FinRing:
             idx = idx * d + (v % d)
         return idx
 
+    def pair_evaluator(self) -> "PairEvaluator":
+        """The ring's PairEvaluator, built on first use."""
+        if self._pairs is None:
+            self._pairs = PairEvaluator(self)
+        return self._pairs
+
     def mul_rows(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Row-by-row products of two (n, k) arrays of elements."""
         return np.einsum("ri,rj,ijt->rt", A, B, self.constants) % self._mods
@@ -193,13 +201,16 @@ def from_spec(spec: Union[dict, str]) -> FinRing:
 # -- hypothesis predicates ---------------------------------------------------------
 
 
-def is_semiprime(R: FinRing, bound: int = PAIR_SCAN_BOUND) -> bool:
-    """No nonzero a with a*x*a == 0 for every x (exhaustive)."""
+def is_semiprime(R: FinRing, bound: int = SCAN_BOUND) -> bool:
+    """No nonzero a with a*x*a == 0 for every x.
+
+    a*x*a is additive in x, so x ranges over the basis; a ranges over every
+    nonzero element.
+    """
     if R.order > bound:
         raise RingSizeError(f"|R| = {R.order} exceeds the scan bound {bound}")
-    E = R.element_array()
-    cand = E[1:]
-    for x in E:
+    cand = R.element_array()[1:]
+    for x in np.eye(R.k, dtype=np.int64):
         if cand.shape[0] == 0:
             return True
         ax = np.einsum("ci,j,ijt->ct", cand, x, R.constants) % R._mods
@@ -209,13 +220,18 @@ def is_semiprime(R: FinRing, bound: int = PAIR_SCAN_BOUND) -> bool:
 
 
 def is_prime(R: FinRing, bound: int = TRIPLE_SCAN_BOUND) -> bool:
-    """No nonzero a, b with a*x*b == 0 for every x (exhaustive)."""
+    """No nonzero a, b with a*x*b == 0 for every x.
+
+    a*x*b is additive in x, so x ranges over the basis; a and b range over
+    every nonzero element.
+    """
     if R.order > bound:
         raise RingSizeError(f"|R| = {R.order} exceeds the scan bound {bound}")
     E = R.element_array()
+    basis = np.eye(R.k, dtype=np.int64)
     for a in E[1:]:
         cand = E[1:]
-        for x in E:
+        for x in basis:
             if cand.shape[0] == 0:
                 break
             ax = np.einsum("i,j,ijt->t", a, x, R.constants) % R._mods
@@ -239,14 +255,16 @@ def is_torsion_free(R: FinRing, t: int, verify_bound: int = 1000) -> bool:
     return free
 
 
-def center(R: FinRing, bound: int = PAIR_SCAN_BOUND) -> List[Element]:
+def center(R: FinRing, bound: int = SCAN_BOUND) -> List[Element]:
     """All z commuting with every element (equivalently, with the basis)."""
     if R.order > bound:
         raise RingSizeError(f"|R| = {R.order} exceeds the scan bound {bound}")
     E = R.element_array()
-    ze = np.einsum("zj,jit->zit", E, R.constants) % R._mods  # z * e_i
-    ez = np.einsum("zj,ijt->zit", E, R.constants) % R._mods  # e_i * z
-    mask = np.all(ze == ez, axis=(1, 2))
+    mask = np.ones(E.shape[0], dtype=bool)
+    for i in range(R.k):  # one basis element at a time keeps memory at |R|*k
+        ze = (E @ R.constants[:, i, :]) % R._mods  # z * e_i
+        ez = (E @ R.constants[i, :, :]) % R._mods  # e_i * z
+        mask &= np.all(ze == ez, axis=1)
     return [tuple(int(v) for v in row) for row in E[mask]]
 
 
@@ -349,16 +367,23 @@ class LawSpec:
 
 
 def _law_row_blocks(R: FinRing, spec: LawSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """Equation rows for the law imposed at every ring element.
+    """Equation rows for the law imposed at the polarization points.
+
+    Each law is a quadratic form L(x) = B(x, x) with B biadditive, so
+    L(sum c_i e_i) = sum c_i^2 L(e_i) + sum_{i<j} c_i c_j [L(e_i+e_j) -
+    L(e_i) - L(e_j)] with integer c_i: the law holds at every element
+    exactly when it holds at the k basis elements e_i and the k(k-1)/2 sums
+    e_i + e_j, on any mixed-modulus group.
 
     Returns (rows, row_mods): rows has shape (Q, n_maps*k*k) with slot
     ordering (map, i, j); row r states sum_s rows[r, s]*u_s == 0 modulo
     row_mods[r].
     """
     k = R.k
-    X = R.element_array()
-    C = R.constants
     eye = np.eye(k, dtype=np.int64)
+    i, j = np.triu_indices(k, 1)
+    X = np.vstack([eye, eye[i] + eye[j]])
+    C = R.constants
     X2 = np.einsum("ri,rj,ijt->rt", X, X, C) % R._mods
     EX = np.einsum("rj,ijt->rit", X, C)  # e_i * x
     XE = np.einsum("rj,jit->rit", X, C)  # x * e_i
@@ -436,11 +461,8 @@ def solve_identity(
     R: FinRing,
     spec: LawSpec,
     max_solutions: int = MAX_SOLUTIONS,
-    size_bound: int = SOLVE_BOUND,
 ) -> SolutionSet:
     """All additive maps (or pairs) satisfying the law at every element."""
-    if R.order > size_bound:
-        raise RingSizeError(f"|R| = {R.order} exceeds the solver bound {size_bound}")
     n_maps = 2 if spec.pair else 1
     k = R.k
     n_slots = n_maps * k * k
@@ -602,6 +624,14 @@ def _law_residual(R: FinRing, spec: LawSpec, maps: Sequence[AddMap]) -> bool:
 LEMMA_TEXTS = {name: law.lemma() for name, law in TABLE.items()}
 
 
+@functools.lru_cache(maxsize=None)
+def _lemma_poly(law: str):
+    """The parsed xyx lemma of a law, parsed once per law."""
+    from .parsing import parse_poly
+
+    return parse_poly(LEMMA_TEXTS[law])
+
+
 class PairEvaluator:
     """Evaluate polynomial identities at every pair (x, y) of ring elements.
 
@@ -673,15 +703,12 @@ def cross_check_lemma(
     R: FinRing,
     spec: LawSpec,
     maps: Union[AddMap, Tuple[AddMap, AddMap]],
-    pair_bound: int = 3000,
 ) -> bool:
     """Check the xyx-expansion identity at every pair for given solutions.
 
     Precondition: the maps satisfy the defining law (raises otherwise).
     This validates numerically the expansion the proof checker uses.
     """
-    from .parsing import parse_poly
-
     pair = isinstance(maps, tuple)
     map_list = list(maps) if pair else [maps]
     if pair != spec.pair:
@@ -690,8 +717,9 @@ def cross_check_lemma(
         raise ValueError("the given maps do not satisfy the defining law")
     main, base = spec.rule.symbols
     bound = {main: map_list[0], base: map_list[-1]}
-    poly = parse_poly(LEMMA_TEXTS[spec.law])
-    violation = PairEvaluator(R, pair_bound).first_violation(poly, bound, spec.m, spec.n)
+    violation = R.pair_evaluator().first_violation(
+        _lemma_poly(spec.law), bound, spec.m, spec.n
+    )
     return violation is None
 
 
@@ -748,7 +776,7 @@ def check_theorem(
     R: FinRing,
     spec: LawSpec,
     max_solutions: int = MAX_SOLUTIONS,
-    scan_bound: int = PAIR_SCAN_BOUND,
+    scan_bound: int = SCAN_BOUND,
 ) -> TheoremReport:
     """Evaluate the theorem hypotheses and verify its conclusion exhaustively."""
     product = spec.torsion_product()

@@ -20,7 +20,7 @@ from mnjordan.parsing import parse_poly as P
 from mnjordan.parsing import parse_scalar as S
 from mnjordan.scalars import ExactDivisionError
 from tests.test_finring import shipped_rings
-from tests.util import mutate_script, shipped_script
+from tests.util import all_element_law_rows, mutate_script, shipped_script
 
 
 def report(criterion, ok, detail):
@@ -279,7 +279,7 @@ def test_criterion_6_solver_oracle_equivalence():
         for law in fr.LAWS:
             for (m, n) in [(1, 1), (1, 2)]:
                 spec = fr.LawSpec(law, m, n)
-                rows, mods = fr._law_row_blocks(R, spec)
+                rows, mods = all_element_law_rows(R, spec)
                 vecs = vectors[2 if spec.pair else 1]
                 residuals = (rows @ vecs.T) % mods[:, None]
                 brute = {

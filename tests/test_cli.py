@@ -58,6 +58,19 @@ def test_ring_verified(capsys):
     assert "conclusion-verified" in out
 
 
+def test_ring_above_the_old_scan_bound(capsys):
+    # |Mat2(Z11)| = 14641: the semiprime scan used to give up above 10^4
+    code, out, _ = run(
+        capsys, "ring", "--kind", "Mat", "--k", "2", "--p", "11",
+        "--law", "centralizer", "--m", "1", "--n", "1", "--format", "json",
+    )
+    assert code == cli.EXIT_OK
+    payload = json.loads(out)
+    assert payload["hypotheses"]["semiprime"] is True
+    assert payload["solution_count"] == 11
+    assert payload["verdict"] == "conclusion-verified"
+
+
 def test_ring_zn_overloaded_n(capsys):
     code, out, _ = run(
         capsys, "ring", "--kind", "Zn", "--n", "4",

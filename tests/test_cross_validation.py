@@ -7,7 +7,6 @@ actual solution on a concrete finite ring and evaluating at every pair of
 elements must therefore produce zero, for every step of the certificate.
 """
 
-import math
 import random
 
 import numpy as np
@@ -16,7 +15,7 @@ import pytest
 from mnjordan import finring as fr
 from mnjordan import proofcheck as pc
 from mnjordan.parsing import parse_poly
-from tests.util import shipped_script
+from tests.util import random_add_map, shipped_script
 
 
 def test_centralizer_script_identities_hold_on_a_finite_model():
@@ -77,12 +76,6 @@ def test_a_wrong_map_breaks_mid_proof_identities():
     assert broken > 0
 
 
-def _random_add_map(R, rng):
-    # entry (i, j) must be a multiple of d_i / gcd(d_i, d_j)
-    M = [[rng.randrange(0, di, di // math.gcd(di, dj)) for dj in R.moduli] for di in R.moduli]
-    return fr.AddMap(R, M)
-
-
 def test_both_engines_state_the_same_law():
     """The solver's law rows and the proof checker's law text agree on maps.
 
@@ -108,7 +101,7 @@ def test_both_engines_state_the_same_law():
                     for entry in fr.solve_identity(R, spec).maps()[:3]
                 ]
                 for _ in range(3):
-                    candidates.append(tuple(_random_add_map(R, rng)
+                    candidates.append(tuple(random_add_map(R, rng)
                                             for _ in range(2 if generalized else 1)))
                 for maps in candidates:
                     bound = {"T": maps[0], "T0": maps[-1]}

@@ -1,12 +1,20 @@
 import itertools
 import json
 import math
+import random
 from importlib import resources
 
 import numpy as np
 import pytest
 
 from mnjordan import finring as fr
+from tests.util import (
+    all_element_law_rows,
+    all_element_residual,
+    all_x_is_prime,
+    all_x_is_semiprime,
+    random_add_map,
+)
 
 
 def shipped_rings():
@@ -19,13 +27,14 @@ def shipped_rings():
 
 
 def oracle_solutions(R, spec):
-    """Brute force over every additive map (or pair), filtering by the law."""
+    """Brute force over every additive map (or pair), filtering by the law
+    imposed at every element."""
     maps = fr.all_add_maps(R)
     out = set()
     pool = itertools.product(maps, maps) if spec.pair else maps
     for entry in pool:
         group = list(entry) if spec.pair else [entry]
-        if fr._law_residual(R, spec, group):
+        if all_element_residual(R, spec, group):
             out.add(tuple(fr._vector_of_maps(group)))
     return out
 
@@ -99,9 +108,35 @@ def test_center():
     assert len(fr.center(zero_ring)) == 4
 
 
+def upper_triangular(p):
+    """Upper-triangular 2x2 matrices over Z_p on the basis e11, e12, e22."""
+    mult = np.zeros((3, 3, 3), dtype=np.int64)
+    mult[0, 0, 0] = mult[0, 1, 1] = mult[1, 2, 1] = mult[2, 2, 2] = 1
+    return fr.FromTable([p] * 3, mult, name=f"UT2(Z{p})")
+
+
+def test_basis_scans_match_all_x_scans():
+    rings = [fr.Zn(n) for n in range(2, 31)]
+    rings += [fr.DirectProduct(fr.Zn(a), fr.Zn(b)) for a in range(2, 7) for b in range(a, 7)]
+    rings += shipped_rings()
+    rings += [fr.MatRing(2, p) for p in (2, 3, 4)]
+    rings += [
+        fr.DirectProduct(fr.Zn(8), fr.Zn(4)),
+        fr.DirectProduct(fr.Zn(9), fr.Zn(3)),
+        fr.DirectProduct(fr.Zn(4), fr.Zn(4), fr.Zn(4)),
+    ]
+    for R in rings:
+        assert fr.is_semiprime(R) == all_x_is_semiprime(R), R.name
+        assert fr.is_prime(R) == all_x_is_prime(R), R.name
+    for p in (2, 3):  # e12 * R * e12 = 0
+        R = upper_triangular(p)
+        assert not fr.is_semiprime(R) and not all_x_is_semiprime(R)
+        assert not fr.is_prime(R) and not all_x_is_prime(R)
+
+
 def test_size_bounds_raise():
     with pytest.raises(fr.RingSizeError):
-        fr.is_semiprime(fr.MatRing(2, 11))
+        fr.is_semiprime(fr.MatRing(3, 5))  # 5^9 > SCAN_BOUND
     with pytest.raises(fr.RingSizeError):
         fr.is_prime(fr.MatRing(2, 7))
 
@@ -144,6 +179,29 @@ def test_solver_prime_power_moduli():
             spec = fr.LawSpec(law, 1, 2)
             sols = fr.solve_identity(R, spec)
             assert set(sols.explicit) == oracle_solutions(R, spec), (R.name, law)
+
+
+def test_polarized_rows_agree_with_all_element_rows():
+    rng = random.Random(11)
+    rings = [
+        fr.MatRing(2, 3),
+        fr.DirectProduct(fr.Zn(4), fr.Zn(2)),
+        fr.DirectProduct(fr.Zn(8), fr.Zn(4)),
+        fr.DirectProduct(fr.Zn(9), fr.Zn(3)),
+        fr.Zn(6),
+    ]
+    for R in rings:
+        for law in fr.LAWS:
+            for m, n in [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2)]:
+                spec = fr.LawSpec(law, m, n)
+                rows, mods = all_element_law_rows(R, spec)
+                sols = np.array(fr.solve_identity(R, spec).explicit, dtype=np.int64)
+                assert np.all((rows @ sols.T) % mods[:, None] == 0), (R.name, law, m, n)
+                for _ in range(3):
+                    maps = [random_add_map(R, rng) for _ in range(2 if spec.pair else 1)]
+                    assert fr._law_residual(R, spec, maps) == all_element_residual(
+                        R, spec, maps
+                    ), (R.name, law, m, n)
 
 
 def test_solution_sets_are_groups():

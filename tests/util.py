@@ -1,7 +1,11 @@
 """Shared helpers for the test suite."""
 
+import math
 from importlib import resources
 
+import numpy as np
+
+from mnjordan import finring as fr
 from mnjordan import freealg as fa
 from mnjordan.parsing import parse_poly
 from mnjordan.scalars import ScalarPoly
@@ -38,3 +42,79 @@ def mutate_script(text: str, rng, label: str | None = None):
     bumped = poly + fa.NCPoly.word(word, ScalarPoly.const(1))
     lines[i] = f"{head} => {bumped.to_text()}"
     return "\n".join(lines) + "\n", step_label
+
+
+# -- all-element oracles for the finite-ring solver and scans ------------------
+
+
+def all_element_law_rows(R, spec):
+    """The law's equation rows imposed at every ring element, not only at the
+    polarization points the solver uses; same layout as
+    ``finring._law_row_blocks``."""
+    k = R.k
+    X = R.element_array()
+    C = R.constants
+    eye = np.eye(k, dtype=np.int64)
+    X2 = np.einsum("ri,rj,ijt->rt", X, X, C) % R._mods
+    EX = np.einsum("rj,ijt->rit", X, C)  # e_i * x
+    XE = np.einsum("rj,jit->rit", X, C)  # x * e_i
+    of_x2 = np.einsum("ti,rj->rtij", eye, X2)      # coeff of M(x^2)
+    mx_x = np.einsum("rj,rit->rtij", X, EX)        # coeff of M(x)*x
+    x_mx = np.einsum("rj,rit->rtij", X, XE)        # coeff of x*M(x)
+
+    def flat(block):
+        return block.reshape(X.shape[0] * k, k * k)
+
+    a, b, c = spec.rule.coefficients(spec.m, spec.n)
+    main = flat(a * of_x2 + b * mx_x)
+    base = flat(c * x_mx)
+    if spec.pair:
+        # the law on (M, M0), and the plain law on M0 alone
+        rows = np.block([[main, base], [np.zeros_like(main), main + base]])
+    else:
+        rows = main + base
+    reps = rows.shape[0] // k
+    row_mods = np.tile(R._mods, reps)
+    return rows, row_mods
+
+
+def all_element_residual(R, spec, maps) -> bool:
+    """True when the maps satisfy the law at every ring element."""
+    rows, row_mods = all_element_law_rows(R, spec)
+    vec = np.array([v for M in maps for v in M.matrix.ravel()], dtype=np.int64)
+    return bool(np.all((rows @ vec) % row_mods == 0))
+
+
+def all_x_is_semiprime(R) -> bool:
+    """No nonzero a with a*x*a == 0, x running over every element."""
+    E = R.element_array()
+    cand = E[1:]
+    for x in E:
+        if cand.shape[0] == 0:
+            return True
+        ax = np.einsum("ci,j,ijt->ct", cand, x, R.constants) % R._mods
+        axa = np.einsum("ct,ci,tiu->cu", ax, cand, R.constants) % R._mods
+        cand = cand[~np.any(axa != 0, axis=1)]
+    return cand.shape[0] == 0
+
+
+def all_x_is_prime(R) -> bool:
+    """No nonzero a, b with a*x*b == 0, x running over every element."""
+    E = R.element_array()
+    for a in E[1:]:
+        cand = E[1:]
+        for x in E:
+            if cand.shape[0] == 0:
+                break
+            ax = np.einsum("i,j,ijt->t", a, x, R.constants) % R._mods
+            axb = np.einsum("t,ci,tiu->cu", ax, cand, R.constants) % R._mods
+            cand = cand[np.all(axb == 0, axis=1)]
+        if cand.shape[0]:
+            return False
+    return True
+
+
+def random_add_map(R, rng):
+    # entry (i, j) must be a multiple of d_i / gcd(d_i, d_j)
+    M = [[rng.randrange(0, di, di // math.gcd(di, dj)) for dj in R.moduli] for di in R.moduli]
+    return fr.AddMap(R, M)
