@@ -26,6 +26,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import intsolve
+from .freealg import Gen, word_gen_degree
 from .laws import TABLE, TWO_SIDED, Law
 
 SCAN_BOUND = 10**6             # |R| limit for the element scans
@@ -638,6 +639,19 @@ class PairEvaluator:
     Products and map applications become integer-array gathers over index
     tables, so one instance amortizes the table construction across many
     identities and maps.
+
+    The maps are additive and the product is biadditive, so a monomial of
+    y-degree d is, for fixed x, the diagonal of a d-additive map in y.  An
+    identity P of y-degree at most D is therefore, for fixed x, a polynomial
+    map of degree at most D on the additive group: writing y = sum c_i e_i
+    with integers c_i >= 0, Newton interpolation on Z^k gives
+    P(x, y) = sum_{|a| <= D} C(c, a) * Delta^a P(x, 0), and each difference
+    Delta^a P(x, 0) is an integer combination of the values at the points
+    sum b_i e_i with b <= a.  So P(x, .) vanishes everywhere exactly when it
+    vanishes at the points sum c_i e_i with c_i >= 0 and sum c_i <= D,
+    reduced mod the moduli, on any mixed-modulus group.  first_violation
+    scans every x against those points, then scans the first bad x against
+    every y.
     """
 
     def __init__(self, R: FinRing, pair_bound: int = 3000):
@@ -651,52 +665,72 @@ class PairEvaluator:
         self._radix = np.array(
             [math.prod(R.moduli[i + 1 :]) for i in range(R.k)], dtype=np.int64
         )
-        self.mul_table = np.empty((num, num), dtype=np.int64)
-        for a in range(num):
-            prods = np.einsum("i,rj,ijt->rt", E[a], E, R.constants) % R._mods
-            self.mul_table[a] = prods @ self._radix
-        self._xs = np.repeat(np.arange(num, dtype=np.int64), num)
-        self._ys = np.tile(np.arange(num, dtype=np.int64), num)
+        # coordinate t of a*b is E[a] @ C[:, :, t] @ E[b]: one |R| x |R|
+        # product per coordinate keeps memory at O(|R|^2)
+        self.mul_table = np.zeros((num, num), dtype=np.int64)
+        for t, (d, r) in enumerate(zip(R.moduli, self._radix)):
+            self.mul_table += ((E @ R.constants[:, :, t]) @ E.T % d) * r
 
     def map_table(self, M: AddMap) -> np.ndarray:
         return M.apply_rows(self.E) @ self._radix
 
-    def first_violation(
-        self, poly, maps: Dict[str, AddMap], m: int, n: int
-    ) -> Optional[Tuple[Element, Element]]:
-        from .freealg import Gen
-
+    def _points(self, degree: int) -> np.ndarray:
+        """Indices of the points sum c_i e_i, c_i >= 0, sum c_i <= degree;
+        every element when there would be at least |R| of them."""
         R = self.ring
-        tables = {sym: self.map_table(M) for sym, M in maps.items()}
-        base = {"x": self._xs, "y": self._ys}
+        if math.comb(R.k + degree, degree) >= self.num:
+            return np.arange(self.num)
+        points = {0}
+        for d in range(1, degree + 1):
+            for combo in itertools.combinations_with_replacement(range(R.k), d):
+                c = np.bincount(combo, minlength=R.k) % R._mods
+                points.add(int(c @ self._radix))
+        return np.array(sorted(points))
+
+    def _violations(self, terms, tables, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Boolean (len(xs), len(ys)) array: where the terms do not sum to 0."""
+        base = {"x": xs[:, None], "y": ys[None, :]}
+        memo: Dict[tuple, np.ndarray] = {}
 
         def eval_word(word) -> np.ndarray:
-            acc = None
-            for atom in word:
+            # x-only subwords stay (len(xs), 1); each prefix is gathered once
+            if word not in memo:
+                head = eval_word(word[:-1]) if len(word) > 1 else None
+                atom = word[-1]
                 if isinstance(atom, Gen):
                     idx = base[atom.name]
                 else:
                     if atom.sym not in tables:
                         raise ValueError(f"no concrete map bound to {atom.sym}")
                     idx = tables[atom.sym][eval_word(atom.arg)]
-                acc = idx if acc is None else self.mul_table[acc, idx]
-            return acc
+                memo[word] = idx if head is None else self.mul_table[head, idx]
+            return memo[word]
 
-        total = np.zeros((self.num * self.num, R.k), dtype=np.int64)
+        total = np.zeros((xs.size, ys.size, self.ring.k), dtype=np.int64)
+        for word, c in terms:
+            total += c * self.E[eval_word(word)]
+        return np.any(total % self.ring._mods != 0, axis=2)
+
+    def first_violation(
+        self, poly, maps: Dict[str, AddMap], m: int, n: int
+    ) -> Optional[Tuple[Element, Element]]:
+        """The first pair (x, y), x-major in element order, where poly is
+        nonzero; None when it vanishes at every pair."""
+        R = self.ring
+        tables = {sym: self.map_table(M) for sym, M in maps.items()}
+        terms = []
         for word, coeff in poly.terms.items():
             c = coeff.evaluate(m, n)
-            if all(c % d == 0 for d in R.moduli):
-                continue
-            total += c * self.E[eval_word(word)]
-        total %= R._mods
-        bad = np.nonzero(np.any(total != 0, axis=1))[0]
-        if bad.size == 0:
+            if any(c % d for d in R.moduli):
+                terms.append((word, c))
+        degree = max((word_gen_degree(w, "y") for w, _ in terms), default=0)
+        every = np.arange(self.num)
+        bad = self._violations(terms, tables, every, self._points(degree)).any(axis=1)
+        if not bad.any():
             return None
-        b = int(bad[0])
-        return (
-            tuple(int(v) for v in self.E[b // self.num]),
-            tuple(int(v) for v in self.E[b % self.num]),
-        )
+        x = int(np.argmax(bad))
+        y = int(np.argmax(self._violations(terms, tables, every[x : x + 1], every)[0]))
+        return tuple(int(v) for v in self.E[x]), tuple(int(v) for v in self.E[y])
 
 
 def cross_check_lemma(

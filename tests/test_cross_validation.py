@@ -15,7 +15,13 @@ import pytest
 from mnjordan import finring as fr
 from mnjordan import proofcheck as pc
 from mnjordan.parsing import parse_poly
-from tests.util import random_add_map, shipped_script
+from tests.util import (
+    all_pairs_first_violation,
+    all_pairs_mul_table,
+    random_add_map,
+    shipped_script,
+    upper_triangular,
+)
 
 
 def test_centralizer_script_identities_hold_on_a_finite_model():
@@ -111,3 +117,73 @@ def test_both_engines_state_the_same_law():
                     agree += 1
                     holds += by_rows
     assert agree == 267 and 0 < holds < agree
+
+
+def test_mul_table_matches_einsum_rows():
+    rings = [
+        fr.MatRing(2, 3),
+        fr.DirectProduct(fr.Zn(8), fr.Zn(4)),
+        fr.DirectProduct(fr.Zn(9), fr.Zn(3)),
+        fr.DirectProduct(fr.Zn(5), fr.MatRing(2, 3)),
+        upper_triangular(2),
+    ]
+    for R in rings:
+        assert np.array_equal(fr.PairEvaluator(R).mul_table, all_pairs_mul_table(R)), R.name
+
+
+def _claims(script_name):
+    script = pc.parse_script(shipped_script(script_name))
+    polys = [parse_poly(step.claimed_text) for step in script.steps]
+    return [p for p in polys if not p.is_zero()]
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_first_violation_matches_all_pairs_oracle():
+    """The polarization-point scan returns what the all-pairs scan returns.
+
+    Every claim of both scripts and every xyx lemma is evaluated under both
+    symbol sets, so a lemma in the other set's symbols checks the unbound-map
+    error too.
+    """
+    m, n = 1, 2
+    rng = random.Random(11)
+    lemmas = [parse_poly(text) for text in fr.LEMMA_TEXTS.values()]
+    symbol_sets = [  # (law, script, (main, base, main - base))
+        ("gen-centralizer", "theorem_centralizer.steps", ("T", "T0", "F")),
+        ("gen-derivation", "theorem_derivation.steps", ("F", "D", "Fc")),
+    ]
+    rings = [
+        fr.MatRing(2, 3),
+        fr.DirectProduct(fr.Zn(4), fr.Zn(2)),
+        fr.DirectProduct(fr.Zn(8), fr.Zn(4)),
+        fr.DirectProduct(fr.Zn(9), fr.Zn(3)),
+        fr.Zn(6),
+        upper_triangular(2),
+    ]
+    calls = violations = errors = 0
+    for R in rings:
+        ev = fr.PairEvaluator(R)
+        table = all_pairs_mul_table(R)
+        for law, script, (main, base, diff) in symbol_sets:
+            polys = _claims(script) + lemmas
+            sols = [s for s in fr.solve_identity(R, fr.LawSpec(law, m, n)).maps()
+                    if s[0].matrix.any() or s[1].matrix.any()]
+            pairs = sols[:2] + [(random_add_map(R, rng), random_add_map(R, rng))
+                                for _ in range(3)]
+            for M, M0 in pairs:
+                bound = {main: M, base: M0, diff: fr.AddMap(R, M.matrix - M0.matrix)}
+                for poly in polys:
+                    got = _outcome(lambda: ev.first_violation(poly, bound, m, n))
+                    want = _outcome(lambda: all_pairs_first_violation(
+                        R, poly, bound, m, n, mul_table=table))
+                    assert got == want, (R.name, law, str(poly), bound)
+                    calls += 1
+                    violations += isinstance(got, tuple)
+                    errors += isinstance(got, str)
+    assert calls > 1500 and 0 < errors and 0 < violations < calls - errors

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from mnjordan import finring as fr
+from mnjordan.parsing import parse_poly
 from tests.util import (
     all_element_law_rows,
     all_element_residual,
     all_x_is_prime,
     all_x_is_semiprime,
     random_add_map,
+    upper_triangular,
 )
 
 
@@ -108,13 +110,6 @@ def test_center():
     assert len(fr.center(zero_ring)) == 4
 
 
-def upper_triangular(p):
-    """Upper-triangular 2x2 matrices over Z_p on the basis e11, e12, e22."""
-    mult = np.zeros((3, 3, 3), dtype=np.int64)
-    mult[0, 0, 0] = mult[0, 1, 1] = mult[1, 2, 1] = mult[2, 2, 2] = 1
-    return fr.FromTable([p] * 3, mult, name=f"UT2(Z{p})")
-
-
 def test_basis_scans_match_all_x_scans():
     rings = [fr.Zn(n) for n in range(2, 31)]
     rings += [fr.DirectProduct(fr.Zn(a), fr.Zn(b)) for a in range(2, 7) for b in range(a, 7)]
@@ -139,6 +134,10 @@ def test_size_bounds_raise():
         fr.is_semiprime(fr.MatRing(3, 5))  # 5^9 > SCAN_BOUND
     with pytest.raises(fr.RingSizeError):
         fr.is_prime(fr.MatRing(2, 7))
+    R = fr.MatRing(2, 11)  # 11^4 > the pair bound
+    with pytest.raises(fr.RingSizeError):
+        fr.PairEvaluator(R)
+    assert R._elements is None  # refused before building anything
 
 
 # -- additive maps ----------------------------------------------------------------
@@ -308,8 +307,15 @@ def test_lemma_holds_for_z5_solutions():
 
 def test_lemma_precondition_rejects_non_solutions():
     Z5 = fr.Zn(5)
-    with pytest.raises(ValueError):
-        fr.cross_check_lemma(Z5, fr.LawSpec("derivation", 1, 2), fr.AddMap.identity(Z5))
+    one, zero = fr.AddMap.identity(Z5), fr.AddMap.zero(Z5)
+    with pytest.raises(ValueError, match="do not satisfy the defining law"):
+        fr.cross_check_lemma(Z5, fr.LawSpec("derivation", 1, 2), one)
+    with pytest.raises(ValueError, match="do not satisfy the defining law"):
+        fr.cross_check_lemma(Z5, fr.LawSpec("gen-derivation", 1, 2), (one, zero))
+    with pytest.raises(ValueError, match="arity"):
+        fr.cross_check_lemma(Z5, fr.LawSpec("centralizer", 1, 1), (one, one))
+    with pytest.raises(ValueError, match="arity"):
+        fr.cross_check_lemma(Z5, fr.LawSpec("gen-centralizer", 1, 1), one)
 
 
 def test_lemma_gen_derivation_on_small_matrix_ring():
@@ -318,6 +324,34 @@ def test_lemma_gen_derivation_on_small_matrix_ring():
     sols = fr.solve_identity(R, spec)
     for pair in sols.maps():
         assert fr.cross_check_lemma(R, spec, pair)
+
+
+# -- pair evaluation ------------------------------------------------------------------
+
+
+def test_first_violation_reaches_every_polarization_point():
+    # y^2 - y vanishes at y = 0 and y = e1 on Z4 and first fails at y = 2*e1
+    Z4 = fr.Zn(4)
+    assert fr.PairEvaluator(Z4).first_violation(parse_poly("x*y^2 - x*y"), {}, 1, 1) == (
+        (1,), (2,))
+    # with T swapping the two factors, e_i * T(e_i) = 0, so the only bad y
+    # is e1 + e2
+    R = fr.DirectProduct(fr.Zn(2), fr.Zn(2))
+    T = fr.AddMap(R, [[0, 1], [1, 0]])
+    assert fr.PairEvaluator(R).first_violation(parse_poly("x*y*T[y]"), {"T": T}, 1, 1) == (
+        (0, 1), (1, 1))
+
+
+def test_first_violation_binds_only_the_terms_it_evaluates():
+    ev = fr.PairEvaluator(fr.Zn(3))
+    with pytest.raises(ValueError, match="^no concrete map bound to T$"):
+        ev.first_violation(parse_poly("x*T[y]"), {}, 1, 1)
+    # 3 == 0 in Z3: the term is skipped, and x*y - y*x vanishes
+    assert ev.first_violation(parse_poly("3*x*T[y] + x*y - y*x"), {}, 1, 1) is None
+    ev = fr.PairEvaluator(fr.DirectProduct(fr.Zn(2), fr.Zn(3)))
+    assert ev.first_violation(parse_poly("(m+5)*x*T[y]"), {}, 1, 1) is None
+    with pytest.raises(ValueError, match="^no concrete map bound to T$"):
+        ev.first_violation(parse_poly("2*x*T[y]"), {}, 1, 1)
 
 
 # -- theorem reports -------------------------------------------------------------------

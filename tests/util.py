@@ -118,3 +118,65 @@ def random_add_map(R, rng):
     # entry (i, j) must be a multiple of d_i / gcd(d_i, d_j)
     M = [[rng.randrange(0, di, di // math.gcd(di, dj)) for dj in R.moduli] for di in R.moduli]
     return fr.AddMap(R, M)
+
+
+def upper_triangular(p):
+    """Upper-triangular 2x2 matrices over Z_p on the basis e11, e12, e22."""
+    mult = np.zeros((3, 3, 3), dtype=np.int64)
+    mult[0, 0, 0] = mult[0, 1, 1] = mult[1, 2, 1] = mult[2, 2, 2] = 1
+    return fr.FromTable([p] * 3, mult, name=f"UT2(Z{p})")
+
+
+# -- all-pairs oracle for PairEvaluator -----------------------------------------
+
+
+def all_pairs_mul_table(R):
+    """Index table of every product a*b, built one einsum row per a."""
+    E = R.element_array()
+    num = E.shape[0]
+    radix = np.array([math.prod(R.moduli[i + 1 :]) for i in range(R.k)], dtype=np.int64)
+    mul_table = np.empty((num, num), dtype=np.int64)
+    for a in range(num):
+        prods = np.einsum("i,rj,ijt->rt", E[a], E, R.constants) % R._mods
+        mul_table[a] = prods @ radix
+    return mul_table
+
+
+def all_pairs_first_violation(R, poly, maps, m, n, mul_table=None):
+    """PairEvaluator.first_violation evaluated at all |R|^2 pairs at once."""
+    E = R.element_array()
+    num = E.shape[0]
+    radix = np.array([math.prod(R.moduli[i + 1 :]) for i in range(R.k)], dtype=np.int64)
+    if mul_table is None:
+        mul_table = all_pairs_mul_table(R)
+    tables = {sym: M.apply_rows(E) @ radix for sym, M in maps.items()}
+    base = {"x": np.repeat(np.arange(num, dtype=np.int64), num),
+            "y": np.tile(np.arange(num, dtype=np.int64), num)}
+
+    def eval_word(word) -> np.ndarray:
+        acc = None
+        for atom in word:
+            if isinstance(atom, fa.Gen):
+                idx = base[atom.name]
+            else:
+                if atom.sym not in tables:
+                    raise ValueError(f"no concrete map bound to {atom.sym}")
+                idx = tables[atom.sym][eval_word(atom.arg)]
+            acc = idx if acc is None else mul_table[acc, idx]
+        return acc
+
+    total = np.zeros((num * num, R.k), dtype=np.int64)
+    for word, coeff in poly.terms.items():
+        c = coeff.evaluate(m, n)
+        if all(c % d == 0 for d in R.moduli):
+            continue
+        total += c * E[eval_word(word)]
+    total %= R._mods
+    bad = np.nonzero(np.any(total != 0, axis=1))[0]
+    if bad.size == 0:
+        return None
+    b = int(bad[0])
+    return (
+        tuple(int(v) for v in E[b // num]),
+        tuple(int(v) for v in E[b % num]),
+    )
