@@ -9,6 +9,9 @@ The package has two engines:
 * :mod:`mnjordan.finring` solves the defining functional identities for all
   additive maps on concrete finite rings and verifies the theorems'
   conclusions exhaustively.
+
+The package root re-exports the replay engine only; import
+``mnjordan.finring`` for the finite-ring one, which needs numpy.
 """
 
 from .scalars import ExactDivisionError, ScalarPoly
@@ -29,27 +32,5 @@ from .freealg import (
 )
 from .parsing import ParseError, parse_poly, parse_scalar
 from .proofcheck import AuditReport, ProofScript, parse_script, replay, replay_text
-from .finring import (
-    AddMap,
-    DirectProduct,
-    FinRing,
-    FromTable,
-    LawSpec,
-    MatRing,
-    SolutionSet,
-    Zn,
-    center,
-    check_theorem,
-    cross_check_lemma,
-    from_spec,
-    is_prime,
-    is_semiprime,
-    is_torsion_free,
-    maps_into_center,
-    search_family,
-    solve_identity,
-    verify_derivation,
-    verify_two_sided,
-)
 
 __version__ = "0.1.0"

@@ -10,6 +10,9 @@ Subcommands::
 Exit codes: 0 verified (or hypotheses unmet, reported); 1 failed replay or a
 hypothesis-satisfying counterexample; 2 verified with assumptions; 3 bad
 input (usage errors included), I/O trouble, or a size bound.
+
+Only ``ring`` and ``search`` import :mod:`mnjordan.finring` (and numpy with
+it), so ``prove`` starts without them.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ import json
 import sys
 from importlib import resources
 
-from . import finring, proofcheck
+from . import proofcheck
+from .laws import TABLE
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -66,6 +70,8 @@ def _ring_from_args(args) -> tuple:
     ``--n`` is overloaded the way the examples use it: with ``--kind Zn`` the
     first occurrence is the modulus and the second the weight of the law.
     """
+    from . import finring
+
     ns = args.n_values or []
     if args.spec:
         if len(ns) != 1:
@@ -84,13 +90,20 @@ def _ring_from_args(args) -> tuple:
     raise finring.RingConstructionError("give --spec FILE or --kind Zn|Mat")
 
 
+def _bounds(args) -> dict:
+    """The size bounds given on the command line; finring's defaults apply
+    to the others (the parser is built without importing finring)."""
+    given = {"max_solutions": args.max_solutions, "scan_bound": args.max_size}
+    return {key: value for key, value in given.items() if value is not None}
+
+
 def cmd_ring(args) -> int:
+    from . import finring
+
     try:
         ring, weight_n = _ring_from_args(args)
         spec = finring.LawSpec(args.law, args.m, weight_n)
-        report = finring.check_theorem(
-            ring, spec, max_solutions=args.max_solutions, scan_bound=args.max_size
-        )
+        report = finring.check_theorem(ring, spec, **_bounds(args))
     except (finring.RingConstructionError, finring.RingSizeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -110,6 +123,8 @@ def cmd_ring(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from . import finring
+
     try:
         if args.family == "zn":
             rings = finring.family_zn(args.max_n)
@@ -122,9 +137,7 @@ def cmd_search(args) -> int:
             print(f"unknown family {args.family!r}", file=sys.stderr)
             return EXIT_ERROR
         spec = finring.LawSpec(args.law, args.m, args.n)
-        rows = finring.search_family(
-            rings, spec, max_solutions=args.max_solutions, scan_bound=args.max_size
-        )
+        rows = finring.search_family(rings, spec, **_bounds(args))
     except (finring.RingConstructionError, finring.RingSizeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -160,10 +173,10 @@ def build_parser() -> argparse.ArgumentParser:
                    "otherwise the law weight")
     r.add_argument("--k", type=int, default=2, help="matrix size for --kind Mat")
     r.add_argument("--p", type=int, help="base modulus for --kind Mat")
-    r.add_argument("--law", required=True, choices=finring.LAWS)
+    r.add_argument("--law", required=True, choices=tuple(TABLE))
     r.add_argument("--m", type=int, required=True)
-    r.add_argument("--max-size", type=int, default=finring.SCAN_BOUND)
-    r.add_argument("--max-solutions", type=int, default=finring.MAX_SOLUTIONS)
+    r.add_argument("--max-size", type=int)
+    r.add_argument("--max-solutions", type=int)
     r.add_argument("--format", choices=("text", "json"), default="text")
     r.set_defaults(func=cmd_ring)
 
@@ -171,11 +184,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--family", required=True, choices=("zn", "mat2", "products"))
     s.add_argument("--max-n", type=int, default=12)
     s.add_argument("--primes", help="comma list for --family mat2")
-    s.add_argument("--law", required=True, choices=finring.LAWS)
+    s.add_argument("--law", required=True, choices=tuple(TABLE))
     s.add_argument("--m", type=int, required=True)
     s.add_argument("--n", type=int, required=True, help="the law weight n")
-    s.add_argument("--max-size", type=int, default=finring.SCAN_BOUND)
-    s.add_argument("--max-solutions", type=int, default=finring.MAX_SOLUTIONS)
+    s.add_argument("--max-size", type=int)
+    s.add_argument("--max-solutions", type=int)
     s.add_argument("--format", choices=("text", "json"), default="text")
     s.set_defaults(func=cmd_search)
     return parser

@@ -187,16 +187,44 @@ def from_spec(spec: Union[dict, str]) -> FinRing:
     if isinstance(spec, str):
         with open(spec) as fh:
             spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise RingConstructionError(f"a ring spec is a JSON object, not {type(spec).__name__}")
     if "kind" in spec:
         kind = spec["kind"]
         if kind == "Zn":
-            return Zn(int(spec["n"]))
+            return Zn(_spec_field(spec, "n", int))
         if kind == "Mat":
-            return MatRing(int(spec.get("k", 2)), int(spec["p"]))
+            return MatRing(_spec_field(spec, "k", int, 2), _spec_field(spec, "p", int))
         if kind == "product":
-            return DirectProduct(*(from_spec(sub) for sub in spec["of"]))
+            return DirectProduct(*(from_spec(sub) for sub in _spec_field(spec, "of", list)))
         raise RingConstructionError(f"unknown ring kind {kind!r}")
-    return FromTable(spec["moduli"], spec["mult"], name=spec.get("name", ""))
+    moduli, mult = _spec_field(spec, "moduli", list), _spec_field(spec, "mult", list)
+    if not _nested_ints(moduli, 1):
+        raise RingConstructionError("ring spec field 'moduli' must be a list of integers")
+    if not _nested_ints(mult, 3):
+        raise RingConstructionError(
+            "ring spec field 'mult' must be a list of lists of lists of integers"
+        )
+    return FromTable(moduli, mult, name=_spec_field(spec, "name", str, ""))
+
+
+def _nested_ints(value, depth: int) -> bool:
+    if depth == 0:
+        return isinstance(value, int)
+    return isinstance(value, list) and all(_nested_ints(v, depth - 1) for v in value)
+
+
+def _spec_field(spec: dict, key: str, kind: type, default=None):
+    if key not in spec:
+        if default is None:
+            raise RingConstructionError(f"ring spec has no {key!r}")
+        return default
+    value = spec[key]
+    if not isinstance(value, kind):
+        raise RingConstructionError(
+            f"ring spec field {key!r} must be {kind.__name__}, not {type(value).__name__}"
+        )
+    return value
 
 
 # -- hypothesis predicates ---------------------------------------------------------

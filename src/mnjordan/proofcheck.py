@@ -14,6 +14,14 @@ is exactly the computed one (after normalization under the currently
 licensed rewrite rules).  No search happens anywhere: the script carries
 every witness.
 
+The claim is first compared, as a string, with the printed normal form of
+the computed polynomial (``poly_to_text``); only when the texts differ is it
+parsed and normalized, to accept an equal claim spelled differently or to
+report the difference.  This is sound because printing round-trips:
+``normalize(parse_poly(poly_to_text(p)), rules) == p`` for every ``p``
+normalized under ``rules``.  ``assume`` steps and the two license steps have
+no computed polynomial and always parse their claim.
+
 Step kinds
 ----------
 
@@ -55,7 +63,15 @@ from .freealg import (
     NCPoly,
 )
 from .laws import TABLE
-from .parsing import ParseError, Witness, parse_monomial, parse_poly, parse_scalar, parse_witnesses
+from .parsing import (
+    ParseError,
+    Witness,
+    parse_monomial,
+    parse_poly,
+    parse_scalar,
+    parse_witnesses,
+    poly_to_text,
+)
 from .scalars import ExactDivisionError, ScalarPoly
 
 
@@ -69,6 +85,16 @@ class ScriptError(ValueError):
 
 class CheckError(ValueError):
     """A step failed verification."""
+
+
+# what a failing step raises; replay reports each as that step's FAIL
+STEP_ERRORS = (
+    CheckError,
+    ParseError,
+    ExactDivisionError,
+    freealg.NormalizeError,
+    freealg.NestingError,
+)
 
 
 STEP_KINDS = {
@@ -95,6 +121,12 @@ EXTERNAL_THEOREMS = {
                             "the center",
 }
 
+# license theorem -> (rewrite rule it licenses, law of the cited define, map kind)
+LICENSES = {
+    "t0-two-sided": (RULE_TWO_SIDED, "centralizer", "two-sided-centralizer"),
+    "d-central-derivation": (RULE_CENTRAL_DERIVATION, "derivation", "central-derivation"),
+}
+
 LAW_TEMPLATES = {name: law.template() for name, law in TABLE.items()}
 
 
@@ -113,6 +145,7 @@ class Step:
     args: Dict[str, str]
     claimed_text: str
     line: int
+    witnesses: List[Witness] = field(default_factory=list)  # combine only
 
 
 @dataclass
@@ -249,23 +282,17 @@ def parse_script(text: str, name: str = "<script>") -> ProofScript:
     return script
 
 
-def _references(step: Step) -> List[str]:
-    refs = []
-    if "use" in step.args:
-        refs.append(step.args["use"])
-    if step.kind == "combine":
-        for w in parse_witnesses(step.args.get("", "")):
-            refs.append(w.label)
-    return refs
-
-
 def _check_references(script: ProofScript) -> None:
+    """Every citation must follow its target; parses each combine's witnesses."""
     seen = set()
     for step in script.steps:
-        try:
-            refs = _references(step)
-        except ParseError as exc:
-            raise ScriptError(f"bad combine witnesses: {exc}", step.line) from None
+        refs = [step.args["use"]] if "use" in step.args else []
+        if step.kind == "combine":
+            try:
+                step.witnesses = parse_witnesses(step.args.get("", ""))
+            except ParseError as exc:
+                raise ScriptError(f"bad combine witnesses: {exc}", step.line) from None
+            refs += [w.label for w in step.witnesses]
         for ref in refs:
             if ref not in seen:
                 raise ScriptError(
@@ -325,13 +352,52 @@ def _budget_factor_check(factor: ScalarPoly, budget: List[ScalarPoly]) -> None:
                 continue
 
 
-def check_step(env: _Env, step: Step) -> Tuple[Identity, StepRecord]:
+def _parse_claim(step: Step, rules: FrozenSet[str]) -> NCPoly:
     try:
-        claimed = freealg.normalize(parse_poly(step.claimed_text), env.rules)
+        return freealg.normalize(parse_poly(step.claimed_text), rules)
     except (ParseError, freealg.NormalizeError) as exc:
         raise CheckError(f"bad claimed polynomial: {exc}") from None
+
+
+def check_step(env: _Env, step: Step) -> Tuple[Identity, StepRecord]:
     record = StepRecord(step.label, step.kind, "ok")
     hypotheses: set = set()
+    if step.kind == "assume" or (step.kind == "external" and step.args.get("") in LICENSES):
+        claimed = _parse_claim(step, env.rules)
+        if step.kind == "assume":
+            record.assumed = True
+            record.axioms.append("assumption")
+            hypotheses.add("assumption")
+        else:
+            name = step.args[""]
+            record.axioms.append(name)
+            hypotheses.add(f"external:{name}")
+            rule, law, map_kind = LICENSES[name]
+            _require_license_input(env, step.args, law, map_kind)
+            if not claimed.is_zero():
+                raise CheckError("license steps claim 0")
+            env.rules = env.rules | {rule}
+        return Identity(step.label, claimed, f"step:{step.kind}", frozenset(hypotheses)), record
+
+    try:
+        computed, what, provenance = _compute(env, step, record, hypotheses)
+    except STEP_ERRORS:
+        _parse_claim(step, env.rules)  # a malformed claim is reported first
+        raise
+    # normalize(parse(poly_to_text(p))) == p for every normalized p, so a
+    # claim that reads exactly as the printed result needs no parsing
+    if step.claimed_text != poly_to_text(computed):
+        _require_match(_parse_claim(step, env.rules), computed, what)
+    if step.kind == "polarize":
+        # keeping only the doubled even part silently halves, which needs
+        # 2-torsion freeness
+        _budget_factor_check(ScalarPoly.const(2), env.budget)
+    return Identity(step.label, computed, provenance, frozenset(hypotheses)), record
+
+
+def _compute(env: _Env, step: Step, record: StepRecord, hypotheses: set) -> Tuple[NCPoly, str, str]:
+    """The polynomial a step must claim, the label of a mismatch, and the
+    provenance of the identity it emits."""
     kind = step.kind
     args = step.args
 
@@ -343,8 +409,7 @@ def check_step(env: _Env, step: Step) -> Tuple[Identity, StepRecord]:
 
     if kind == "define":
         computed, provenance = _define_body(env, args)
-        _require_match(claimed, computed, "definition instance mismatch")
-        return Identity(step.label, claimed, provenance), record
+        return computed, "definition instance mismatch", provenance
 
     if kind == "substitute":
         g = args.get("gen", "")
@@ -353,17 +418,14 @@ def check_step(env: _Env, step: Step) -> Tuple[Identity, StepRecord]:
             raise CheckError("substitute needs with=<polynomial>")
         repl = parse_poly(with_text)
         computed = freealg.normalize(freealg.substitute(cited(), g, repl), env.rules)
-        _require_match(claimed, computed, "substitution result mismatch")
+        what = "substitution result mismatch"
 
     elif kind == "polarize":
         g = args.get("gen", "")
         computed = freealg.normalize(freealg.polarize_even(cited(), g), env.rules)
-        _require_match(claimed, computed, "even-part mismatch")
-        # keeping only the doubled even part silently halves, which needs
-        # 2-torsion freeness
+        what = "even-part mismatch"
         record.factors.append("2")
         hypotheses.add("factor:2")
-        _budget_factor_check(ScalarPoly.const(2), env.budget)
 
     elif kind in ("mulleft", "mulright"):
         term = args.get("by")
@@ -374,19 +436,14 @@ def check_step(env: _Env, step: Step) -> Tuple[Identity, StepRecord]:
         base = cited()
         product = freealg.mul(factor, base) if kind == "mulleft" else freealg.mul(base, factor)
         computed = freealg.normalize(product, env.rules)
-        _require_match(claimed, computed, "product mismatch")
+        what = "product mismatch"
 
     elif kind == "combine":
-        try:
-            witnesses = parse_witnesses(args.get("", ""))
-        except ParseError as exc:
-            raise CheckError(f"bad witness list: {exc}") from None
         total = NCPoly.zero()
-        for w in witnesses:
-            part = _witness_value(env, w)
-            total = total + part
+        for w in step.witnesses:
+            total = total + _witness_value(env, w)
         computed = freealg.normalize(total, env.rules)
-        _require_match(claimed, computed, "combination mismatch")
+        what = "combination mismatch"
 
     elif kind == "cancel":
         factor_text = args.get("factor")
@@ -399,7 +456,7 @@ def check_step(env: _Env, step: Step) -> Tuple[Identity, StepRecord]:
         except ExactDivisionError as exc:
             raise CheckError(f"torsion cancellation is not exact: {exc}") from None
         computed = freealg.normalize(computed, env.rules)
-        _require_match(claimed, computed, "quotient mismatch")
+        what = "quotient mismatch"
         record.factors.append(str(factor))
         hypotheses.add(f"factor:{factor}")
 
@@ -415,7 +472,7 @@ def check_step(env: _Env, step: Step) -> Tuple[Identity, StepRecord]:
         shape = freealg.normalize(a * gpoly * b + b * gpoly * c, env.rules)
         _require_match(cited(), shape, "cited identity is not of the a*g*b + b*g*c shape")
         computed = freealg.normalize((a + c) * gpoly * b, env.rules)
-        _require_match(claimed, computed, "emitted identity mismatch")
+        what = "emitted identity mismatch"
         record.axioms.append("pattern-lemma[semiprime]")
         hypotheses.add("semiprime")
 
@@ -427,50 +484,34 @@ def check_step(env: _Env, step: Step) -> Tuple[Identity, StepRecord]:
         gpoly = freealg.gen(g)
         shape = freealg.normalize(wpoly * gpoly * wpoly, env.rules)
         _require_match(cited(), shape, "cited identity is not of the W*g*W shape")
-        _require_match(claimed, wpoly, "emitted identity mismatch")
+        computed, what = wpoly, "emitted identity mismatch"
         record.axioms.append("semiprime-squash")
         hypotheses.add("semiprime")
 
     elif kind == "external":
         name = args.get("", "")
-        if name not in EXTERNAL_THEOREMS:
+        if name != "commuting":  # the licenses are handled by check_step
             raise CheckError(f"unknown external theorem {name!r}")
         record.axioms.append(name)
         hypotheses.add(f"external:{name}")
-        if name == "commuting":
-            sym = args.get("map", "")
-            if sym not in MAP_KINDS:
-                raise CheckError(f"commuting needs map=<symbol>, got {sym!r}")
-            mx = freealg.app(sym, freealg.gen("x"))
-            x = freealg.gen("x")
-            double = freealg.commutator(freealg.commutator(mx, x), x)
-            _require_match(
-                cited(),
-                freealg.normalize(double, env.rules),
-                "cited identity is not the double commutator [[M(x),x],x]",
-            )
-            computed = freealg.normalize(freealg.commutator(mx, x), env.rules)
-            _require_match(claimed, computed, "emitted identity mismatch")
-        elif name == "t0-two-sided":
-            _require_license_input(env, args, "centralizer", "two-sided-centralizer")
-            if not claimed.is_zero():
-                raise CheckError("license steps claim 0")
-            env.rules = env.rules | {RULE_TWO_SIDED}
-        else:  # d-central-derivation
-            _require_license_input(env, args, "derivation", "central-derivation")
-            if not claimed.is_zero():
-                raise CheckError("license steps claim 0")
-            env.rules = env.rules | {RULE_CENTRAL_DERIVATION}
-
-    elif kind == "assume":
-        record.assumed = True
-        record.axioms.append("assumption")
-        hypotheses.add("assumption")
+        sym = args.get("map", "")
+        if sym not in MAP_KINDS:
+            raise CheckError(f"commuting needs map=<symbol>, got {sym!r}")
+        mx = freealg.app(sym, freealg.gen("x"))
+        x = freealg.gen("x")
+        double = freealg.commutator(freealg.commutator(mx, x), x)
+        _require_match(
+            cited(),
+            freealg.normalize(double, env.rules),
+            "cited identity is not the double commutator [[M(x),x],x]",
+        )
+        computed = freealg.normalize(freealg.commutator(mx, x), env.rules)
+        what = "emitted identity mismatch"
 
     else:  # pragma: no cover - kinds are validated at parse time
         raise CheckError(f"unhandled kind {kind}")
 
-    return Identity(step.label, claimed, f"step:{kind}", frozenset(hypotheses)), record
+    return computed, what, f"step:{kind}"
 
 
 def _define_body(env: _Env, args: Dict[str, str]) -> Tuple[NCPoly, str]:
@@ -538,13 +579,7 @@ def replay(script: ProofScript) -> AuditReport:
     for step in script.steps:
         try:
             ident, record = check_step(env, step)
-        except (
-            CheckError,
-            ParseError,
-            ExactDivisionError,
-            freealg.NormalizeError,
-            freealg.NestingError,
-        ) as exc:
+        except STEP_ERRORS as exc:
             record = StepRecord(step.label, step.kind, "FAIL", detail=str(exc))
             records.append(record)
             overall = "FAILED"

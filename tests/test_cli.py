@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -88,6 +92,48 @@ def test_ring_malformed_spec(capsys, tmp_path):
     )
     assert code == cli.EXIT_ERROR
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "[1, 2]",
+        '"Zn"',
+        '{"moduli": [2]}',
+        '{"mult": [[[1]]]}',
+        '{"kind": "Zn"}',
+        '{"kind": "Mat", "k": 2}',
+        '{"kind": "product"}',
+        '{"kind": "Zn", "n": [6]}',
+        '{"kind": "Mat", "k": "2", "p": 7}',
+        '{"kind": "product", "of": 5}',
+        '{"kind": "product", "of": [3]}',
+        '{"moduli": 2, "mult": [[[1]]]}',
+        '{"moduli": [[2]], "mult": [[[1]]]}',
+        '{"moduli": [2], "mult": [[[null]]]}',
+        '{"moduli": [2], "mult": [[[1.5]]]}',
+    ],
+    ids=["list", "string", "no-mult", "no-moduli", "no-n", "no-p", "no-of", "n-list",
+         "k-string", "of-int", "of-entry-int", "moduli-int", "moduli-nested", "mult-null",
+         "mult-float"],
+)
+def test_ring_spec_shapes_exit_3(capsys, tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(spec)
+    code, out, err = run(
+        capsys, "ring", "--spec", str(path), "--law", "centralizer", "--m", "1", "--n", "1"
+    )
+    assert code == cli.EXIT_ERROR
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
+def test_prove_imports_no_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, mnjordan.cli, mnjordan.proofcheck; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_search_family(capsys):

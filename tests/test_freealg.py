@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from mnjordan import freealg as fa
 from mnjordan.parsing import parse_poly as P
+from mnjordan.parsing import poly_to_text
 from mnjordan.parsing import parse_scalar as S
 from mnjordan.scalars import ExactDivisionError
 
@@ -185,3 +186,27 @@ def test_degree_bookkeeping(p, g):
 
     for word in p.terms:
         assert fa.word_gen_degree(word, g) == brute_count(word, g)
+
+
+# map arguments beyond bare generators, and the nesting D[x*T[x]] that the
+# derivation rules reject
+ROUND_TRIP_POOL = ATOM_POOL + ["T[x*y]", "T0[x^2*y]", "D[y*x]", "F[x*T[y]]", "Fc[x]", "D[x*T[x]]"]
+RULE_SETS = {
+    "none": fa.NO_RULES,
+    "two-sided": frozenset({fa.RULE_TWO_SIDED}),
+    "central-derivation": frozenset({fa.RULE_CENTRAL_DERIVATION}),
+    "all": fa.ALL_RULES,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(sorted(RULE_SETS)))
+def test_printed_normal_form_round_trips(seed, rule_set):
+    # proofcheck accepts a claim that reads exactly as the printed computed
+    # polynomial without parsing it; this is what makes that sound
+    rules = RULE_SETS[rule_set]
+    try:
+        p = N(random_poly(random.Random(seed), pool=ROUND_TRIP_POOL), rules)
+    except fa.NormalizeError:
+        return
+    assert N(P(poly_to_text(p)), rules) == p

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -251,3 +252,107 @@ def test_corrupting_a_script_fails_at_that_step():
     report = pc.replay_text(mutated)
     assert report.overall == "FAILED"
     assert report.failed_step == label
+
+
+# -- claims compared as printed text, parsed only on a mismatch -----------------
+
+SCRIPTS = ("theorem_centralizer.steps", "theorem_derivation.steps")
+
+
+def _report(text, name):
+    report = pc.replay_text(text, name)
+    payload = report.to_json()
+    del payload["seconds"]
+    return report.to_text(), payload
+
+
+def _with_claim(text, label, claim):
+    """The script with the claim of step ``label`` replaced."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        if line.startswith(f"step {label} "):
+            head = line.split("=>", 1)[0].rstrip()
+            lines[i] = f"{head} => {claim}"
+            return "\n".join(lines) + "\n"
+    raise AssertionError(f"no step {label}")
+
+
+def _variants(name):
+    """(description, script text) pairs: the script, one doubled term per
+    step, and malformed claims."""
+    text = shipped_script(name)
+    steps = [s for s in pc.parse_script(text).steps if s.kind != "assume"]
+    out = [("unmodified", text)]
+    for step in steps:
+        poly = P(step.claimed_text)
+        if poly.is_zero():  # the license claims: no term to double
+            continue
+        word, coeff = poly.sorted_terms()[0]
+        doubled = poly + fa.NCPoly.word(word, coeff)
+        out.append((f"{step.label} doubled", _with_claim(text, step.label, doubled.to_text())))
+    # whitespace inside a token of a claim written in printed form: equal to
+    # the printed text once whitespace is folded, yet malformed
+    printed = [s for s in steps if P(s.claimed_text).to_text() == s.claimed_text]
+    for kind, token in (("number", r"\d\d"), ("T0", r"T0\["), ("Fc", r"Fc\[")):
+        for step in printed:
+            found = re.search(token, step.claimed_text)
+            if found:
+                cut = found.start() + 1
+                broken = step.claimed_text[:cut] + " " + step.claimed_text[cut:]
+                out.append((f"{step.label} split {kind}", _with_claim(text, step.label, broken)))
+                break
+    last = steps[-1]
+    for desc, claim in (("unbalanced", last.claimed_text + "*T[x"),
+                        ("unknown symbol", "G[x]*" + last.claimed_text)):
+        out.append((f"{last.label} {desc}", _with_claim(text, last.label, claim)))
+    return out
+
+
+def test_text_match_and_parse_paths_give_identical_reports(monkeypatch):
+    variants = [(name, desc, text) for name in SCRIPTS for desc, text in _variants(name)]
+    fast = {(name, desc): _report(text, name) for name, desc, text in variants}
+    # no printed text equals None, so every claim takes the parse path
+    monkeypatch.setattr(pc, "poly_to_text", lambda poly: None)
+    for name, desc, text in variants:
+        assert _report(text, name) == fast[name, desc], (name, desc)
+    malformed = ("split number", "split T0", "split Fc", "unbalanced", "unknown symbol")
+    for (name, desc), (_, payload) in fast.items():
+        if desc == "unmodified":
+            assert payload["overall"] == "VERIFIED-WITH-ASSUMPTIONS", name
+        elif desc.endswith(malformed):
+            assert payload["error"].startswith("bad claimed polynomial"), (name, desc)
+        else:
+            assert payload["failed_step"] == desc.split()[0], (name, desc)
+    found = {m for _, desc in fast for m in malformed if desc.endswith(m)}
+    assert found == set(malformed)
+
+
+def test_malformed_claim_is_reported_before_a_failing_computation(monkeypatch):
+    text = shipped_script("theorem_centralizer.steps")
+    # the factor lies outside the budget and the claim does not parse
+    text = text.replace("cancel use=e5_raw factor=m*n =>", "cancel use=e5_raw factor=7*m*n =>")
+    text = _with_claim(text, "e5", "(-m - n)*T0[x^3*y")
+    fast = _report(text, "broken")
+    assert fast[1]["failed_step"] == "e5"
+    assert fast[1]["error"].startswith("bad claimed polynomial")
+    monkeypatch.setattr(pc, "poly_to_text", lambda poly: None)
+    assert _report(text, "broken") == fast
+
+
+def test_only_claims_that_differ_from_the_printed_form_are_parsed(monkeypatch):
+    parsed = []
+    parse_claim = pc._parse_claim
+
+    def record(step, rules):
+        parsed.append(step.label)
+        return parse_claim(step, rules)
+
+    monkeypatch.setattr(pc, "_parse_claim", record)
+    for name in SCRIPTS:
+        parsed.clear()
+        report = pc.replay_text(shipped_script(name), name)
+        assert report.overall == "VERIFIED-WITH-ASSUMPTIONS"
+        # the law line is spelled "(m+n)", the printer writes "(m + n)";
+        # license and assume steps have no computed polynomial
+        kinds = {s.label: s.kind for s in pc.parse_script(shipped_script(name)).steps}
+        assert sorted(kinds[label] for label in parsed) == ["assume", "define", "external"]
