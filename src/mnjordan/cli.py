@@ -18,6 +18,7 @@ it), so ``prove`` starts without them.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from importlib import resources
@@ -91,10 +92,9 @@ def _ring_from_args(args) -> tuple:
 
 
 def _bounds(args) -> dict:
-    """The size bounds given on the command line; finring's defaults apply
-    to the others (the parser is built without importing finring)."""
-    given = {"max_solutions": args.max_solutions, "scan_bound": args.max_size}
-    return {key: value for key, value in given.items() if value is not None}
+    """The scan bound, when given on the command line; finring's default
+    applies otherwise (the parser is built without importing finring)."""
+    return {} if args.max_size is None else {"scan_bound": args.max_size}
 
 
 def cmd_ring(args) -> int:
@@ -114,10 +114,11 @@ def cmd_ring(args) -> int:
         for key, val in report.hypotheses.items():
             print(f"  {key}: {val}")
         print(f"  solutions: {report.solution_count}")
+        print(f"  violations: {report.violation_count}")
         print(f"  verdict: {report.verdict}")
-        for v in report.violations[:5]:
-            print(f"  violation: {v}")
-    if report.applicable and report.violations:
+        for v in report.violations:
+            print(f"  example: {v}")
+    if report.applicable and report.violation_count:
         return EXIT_FAILED
     return EXIT_OK
 
@@ -152,7 +153,10 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it costs
+    more than a parse, and a process may call main() many times."""
     parser = argparse.ArgumentParser(
         prog="mnjordan",
         description="replay equational proof certificates and verify the "
@@ -176,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--law", required=True, choices=tuple(TABLE))
     r.add_argument("--m", type=int, required=True)
     r.add_argument("--max-size", type=int)
-    r.add_argument("--max-solutions", type=int)
     r.add_argument("--format", choices=("text", "json"), default="text")
     r.set_defaults(func=cmd_ring)
 
@@ -188,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--m", type=int, required=True)
     s.add_argument("--n", type=int, required=True, help="the law weight n")
     s.add_argument("--max-size", type=int)
-    s.add_argument("--max-solutions", type=int)
     s.add_argument("--format", choices=("text", "json"), default="text")
     s.set_defaults(func=cmd_search)
     return parser

@@ -11,7 +11,10 @@ unknown map(s) once the ring element is fixed, and quadratic in the ring
 element, so imposing a law at the k(k+1)/2 polarization points e_i and
 e_i + e_j is a finite linear system over the mixed-modulus group of matrix
 entries that is equivalent to imposing it everywhere.  solve_identity
-builds that system and solves it exactly, prime by prime.
+builds that system and solves it exactly, prime by prime, as independent
+generators of the solution group S.  Each theorem's conclusion is linear in
+the maps too, so the solutions that meet it form a subgroup C, and the
+verdict needs only the two orders |S| and |S & C|; no verdict enumerates S.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .laws import TABLE, TWO_SIDED, Law
 
 SCAN_BOUND = 10**6             # |R| limit for the element scans
 TRIPLE_SCAN_BOUND = 2_000      # |R| limit for the primeness scan
-MAX_SOLUTIONS = 10**6          # enumeration cutoff for solution sets
+MAX_SOLUTIONS = 10**6          # bound on SolutionSet.maps(); no verdict reads it
 
 LAWS = tuple(TABLE)
 
@@ -49,10 +52,19 @@ class RingSizeError(ValueError):
 class FinRing:
     def __init__(self, moduli: Sequence[int], constants, name: str = ""):
         self.moduli = tuple(int(d) for d in moduli)
+        if not self.moduli:
+            raise RingConstructionError("a ring needs at least one additive generator")
         if any(d < 2 for d in self.moduli):
             raise RingConstructionError("additive moduli must be at least 2")
+        if any(d >= 2**63 for d in self.moduli):
+            raise RingConstructionError("additive moduli must fit in a signed 64-bit integer")
         k = len(self.moduli)
-        self.constants = np.array(constants, dtype=np.int64).reshape(k, k, k)
+        try:
+            self.constants = np.array(constants, dtype=np.int64).reshape(k, k, k)
+        except OverflowError:
+            raise RingConstructionError(
+                "structure constants must fit in a signed 64-bit integer"
+            ) from None
         self._mods = np.array(self.moduli, dtype=np.int64)
         self.constants %= self._mods
         self.name = name or f"ring{self.moduli}"
@@ -152,6 +164,8 @@ def Zn(n: int) -> FinRing:
 
 def MatRing(k: int, n: int) -> FinRing:
     """k x k matrices over Z_n with the matrix-unit basis E_ab."""
+    if k < 1:
+        raise RingConstructionError(f"the matrix size k must be at least 1, not {k}")
     kk = k * k
     constants = np.zeros((kk, kk, kk), dtype=np.int64)
     for a in range(k):
@@ -351,23 +365,6 @@ class AddMap:
         return f"AddMap({self.matrix.tolist()})"
 
 
-def all_add_maps(R: FinRing) -> List[AddMap]:
-    """Every additive endomorphism; feasible only for tiny rings."""
-    choices: List[List[int]] = []
-    for i in range(R.k):
-        for j in range(R.k):
-            di, dj = R.moduli[i], R.moduli[j]
-            step = di // math.gcd(di, dj)
-            choices.append(list(range(0, di, step)))
-    total = math.prod(len(c) for c in choices)
-    if total > MAX_SOLUTIONS:
-        raise RingSizeError(f"{total} additive maps is too many to enumerate")
-    out = []
-    for combo in itertools.product(*choices):
-        out.append(AddMap(R, np.array(combo, dtype=np.int64).reshape(R.k, R.k)))
-    return out
-
-
 # -- the defining laws ---------------------------------------------------------------
 
 
@@ -457,19 +454,35 @@ def _hom_rows(R: FinRing, n_maps: int) -> Tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class SolutionSet:
+    """The solutions of a law as a group: independent generators, each a
+    slot vector (ordering (map, i, j), as in _law_row_blocks) with its
+    order.  Every solution is a unique combination sum c_g * g with
+    0 <= c_g < order_g, so ``count`` is exact without enumeration."""
+
     ring: FinRing
     spec: LawSpec
     n_maps: int
     slot_mods: np.ndarray
-    count: int
-    explicit: Optional[List[Tuple[int, ...]]]
+    generators: List[Tuple[np.ndarray, int]]
+
+    @property
+    def count(self) -> int:
+        return math.prod(order for _, order in self.generators)
+
+    @functools.cached_property
+    def explicit(self) -> List[Tuple[int, ...]]:
+        """Every solution as a slot vector, in lexicographic order."""
+        if self.count > MAX_SOLUTIONS:
+            raise RingSizeError(
+                f"solution set has {self.count} elements, above the enumeration "
+                f"bound {MAX_SOLUTIONS}"
+            )
+        return sorted(intsolve.enumerate_group(
+            self.generators, self.slot_mods, len(self.slot_mods), MAX_SOLUTIONS
+        ))
 
     def maps(self) -> List:
         """Solutions as AddMap objects (pairs for generalized laws)."""
-        if self.explicit is None:
-            raise RingSizeError(
-                f"solution set has {self.count} elements; only the count is kept"
-            )
         k = self.ring.k
         out = []
         for vec in self.explicit:
@@ -486,107 +499,85 @@ def _vector_of_maps(maps: Sequence[AddMap]) -> Tuple[int, ...]:
     return tuple(int(v) for M in maps for v in M.matrix.ravel())
 
 
-def solve_identity(
-    R: FinRing,
-    spec: LawSpec,
-    max_solutions: int = MAX_SOLUTIONS,
-) -> SolutionSet:
+def solve_identity(R: FinRing, spec: LawSpec) -> SolutionSet:
     """All additive maps (or pairs) satisfying the law at every element."""
     n_maps = 2 if spec.pair else 1
-    k = R.k
-    n_slots = n_maps * k * k
     law_rows, law_mods = _law_row_blocks(R, spec)
     hom_rows, hom_mods = _hom_rows(R, n_maps)
-    rows = np.vstack([law_rows, hom_rows]) if hom_rows.size else law_rows
-    row_mods = np.concatenate([law_mods, hom_mods])
-    slot_mods = np.array(
-        [R.moduli[i] for _ in range(n_maps) for i in range(k) for _ in range(k)],
-        dtype=np.int64,
+    slot_mods = np.tile(np.repeat(R._mods, R.k), n_maps)
+    generators = intsolve.kernel(
+        np.vstack([law_rows, hom_rows]), np.concatenate([law_mods, hom_mods]), slot_mods
     )
-
-    primes: Dict[int, int] = {}
-    for d in R.moduli:
-        for q, e in intsolve.factorize(d).items():
-            primes[q] = max(primes.get(q, 0), e)
-
-    per_prime = []
-    count = 1
-    for q, e in sorted(primes.items()):
-        slots_q = [s for s in range(n_slots) if slot_mods[s] % q == 0]
-        keep = row_mods % q == 0
-        sub = rows[np.ix_(keep, slots_q)]
-        if e == 1:
-            basis = intsolve.gf_nullspace(sub, q)
-            count_q = q ** basis.shape[0]
-            elements_q = None
-            if count_q <= max_solutions:
-                elements_q = intsolve.enumerate_group(
-                    [(b.tolist(), q) for b in basis], q, len(slots_q), max_solutions
-                )
-        else:
-            M = q**e
-            scale = np.array([M // (q ** _vq(int(mq), q)) for mq in row_mods[keep]],
-                             dtype=np.int64)
-            scaled = (sub * scale[:, None]) % M
-            gens = intsolve.kernel_mod(scaled.tolist(), M, len(slots_q))
-            raw = intsolve.enumerate_group(gens, M, len(slots_q), max_solutions * 64)
-            seen = set()
-            for u in raw:
-                proj = tuple(
-                    int(u[a]) % (q ** _vq(int(slot_mods[s]), q))
-                    for a, s in enumerate(slots_q)
-                )
-                seen.add(proj)
-            elements_q = sorted(seen)
-            count_q = len(elements_q)
-        per_prime.append((q, slots_q, elements_q))
-        count *= count_q
-
-    explicit = None
-    if count <= max_solutions and all(p[2] is not None for p in per_prime):
-        explicit = _combine_primes(per_prime, slot_mods, n_slots)
     return SolutionSet(
-        ring=R,
-        spec=spec,
-        n_maps=n_maps,
-        slot_mods=slot_mods,
-        count=count,
-        explicit=explicit,
+        ring=R, spec=spec, n_maps=n_maps, slot_mods=slot_mods, generators=generators
     )
-
-
-def _vq(n: int, q: int) -> int:
-    v = 0
-    while n % q == 0 and n:
-        n //= q
-        v += 1
-    return v
-
-
-def _combine_primes(per_prime, slot_mods, n_slots) -> List[Tuple[int, ...]]:
-    lists = []
-    for q, slots_q, elements_q in per_prime:
-        lifted = []
-        for u in elements_q:
-            full = [0] * n_slots
-            for a, s in enumerate(slots_q):
-                d = int(slot_mods[s])
-                qe = q ** _vq(d, q)
-                rest = d // qe
-                # CRT lift: congruent to u[a] mod the q-part of d, 0 elsewhere
-                full[s] = (u[a] * rest * pow(rest, -1, qe)) % d
-            lifted.append(tuple(full))
-        lists.append(lifted)
-    out = []
-    for combo in itertools.product(*lists):
-        acc = [0] * n_slots
-        for vec in combo:
-            acc = [(a + b) % int(d) for a, b, d in zip(acc, vec, slot_mods)]
-        out.append(tuple(acc))
-    return sorted(set(out))
 
 
 # -- conclusion checks ---------------------------------------------------------------
+#
+# Each conclusion is a set of equation rows on the flattened matrix of a map:
+# both sides are biadditive in (x, y), so imposing it on basis pairs is the
+# same as imposing it everywhere.  Product rows are ordered (i, j, t) and row
+# (i, j, t) is coordinate t, read modulo d_t.
+
+
+def _product_operators(R: FinRing) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The linear maps M -> M(e_i e_j), M(e_i) e_j, e_i M(e_j), each a
+    (k^3, k^2) integer matrix acting on M flattened row-major."""
+    k, C = R.k, R.constants
+    eye = np.eye(k, dtype=np.int64)
+    ops = (
+        np.einsum("ta,ijb->ijtab", eye, C),  # sum_b M[t, b] C[i, j, b]
+        np.einsum("bi,ajt->ijtab", eye, C),  # sum_a M[a, i] C[a, j, t]
+        np.einsum("bj,iat->ijtab", eye, C),  # sum_a M[a, j] C[i, a, t]
+    )
+    return tuple(op.reshape(k**3, k * k) for op in ops)
+
+
+def _two_sided_rows(R: FinRing) -> np.ndarray:
+    """T(e_i e_j) - T(e_i) e_j and T(e_i e_j) - e_i T(e_j)."""
+    of_xy, mx_y, x_my = _product_operators(R)
+    return np.vstack([of_xy - mx_y, of_xy - x_my])
+
+
+def _derivation_rows(R: FinRing) -> np.ndarray:
+    """D(e_i e_j) - D(e_i) e_j - e_i D(e_j)."""
+    of_xy, mx_y, x_my = _product_operators(R)
+    return of_xy - mx_y - x_my
+
+
+def _central_rows(R: FinRing) -> np.ndarray:
+    """Row (i, j, t): D(e_j) e_i - e_i D(e_j)."""
+    k = R.k
+    _, mx_y, x_my = _product_operators(R)
+    return mx_y.reshape(k, k, k, k * k).transpose(1, 0, 2, 3).reshape(k**3, k * k) - x_my
+
+
+def _product_mods(R: FinRing, rows: np.ndarray) -> np.ndarray:
+    return np.tile(R._mods, rows.shape[0] // R.k)
+
+
+def _vanishes(R: FinRing, rows: np.ndarray, M: AddMap) -> bool:
+    return not np.any(rows @ M.matrix.ravel() % _product_mods(R, rows))
+
+
+def _conclusion_blocks(R: FinRing, law: Law) -> List[Tuple[str, np.ndarray, np.ndarray]]:
+    """The law's conclusion as (reason, rows, row moduli) blocks on the slot
+    vector, in the order their reasons are reported."""
+    k = R.k
+    if law.conclusion == TWO_SIDED:
+        blocks = [("not two-sided", _two_sided_rows(R))]
+    else:
+        blocks = [("not a derivation", _derivation_rows(R)),
+                  ("values not central", _central_rows(R))]
+    blocks = [(reason, rows, _product_mods(R, rows)) for reason, rows in blocks]
+    if not law.generalized:
+        return blocks
+    eye = np.eye(k * k, dtype=np.int64)
+    return [(f"{law.symbols[0]} differs from its base map", np.hstack([eye, -eye]),
+             np.repeat(R._mods, k))] + [
+        (reason, np.hstack([rows, np.zeros_like(rows)]), mods) for reason, rows, mods in blocks
+    ]
 
 
 def verify_two_sided(R: FinRing, T: AddMap, exhaustive: Optional[bool] = None) -> bool:
@@ -597,11 +588,7 @@ def verify_two_sided(R: FinRing, T: AddMap, exhaustive: Optional[bool] = None) -
     checked.  With exhaustive=True (or by default on small rings) the full
     pair scan is run as well.
     """
-    C, M = R.constants, T.matrix
-    t_of_xy = np.einsum("ts,ijs->ijt", M, C) % R._mods
-    tx_y = np.einsum("si,sjt->ijt", M, C) % R._mods
-    x_ty = np.einsum("sj,ist->ijt", M, C) % R._mods
-    ok = bool(np.all(t_of_xy == tx_y) and np.all(t_of_xy == x_ty))
+    ok = _vanishes(R, _two_sided_rows(R), T)
     if exhaustive or (exhaustive is None and R.order <= 200):
         ok2 = all(
             T(R.mul(x, y)) == R.mul(T(x), y) == R.mul(x, T(y))
@@ -614,11 +601,7 @@ def verify_two_sided(R: FinRing, T: AddMap, exhaustive: Optional[bool] = None) -
 
 def verify_derivation(R: FinRing, D: AddMap, exhaustive: Optional[bool] = None) -> bool:
     """D(xy) = D(x)y + xD(y) for all x, y (checked on basis pairs)."""
-    C, M = R.constants, D.matrix
-    d_of_xy = np.einsum("ts,ijs->ijt", M, C)
-    dx_y = np.einsum("si,sjt->ijt", M, C)
-    x_dy = np.einsum("sj,ist->ijt", M, C)
-    ok = bool(np.all((d_of_xy - dx_y - x_dy) % R._mods == 0))
+    ok = _vanishes(R, _derivation_rows(R), D)
     if exhaustive or (exhaustive is None and R.order <= 200):
         ok2 = all(
             D(R.mul(x, y)) == R.add(R.mul(D(x), y), R.mul(x, D(y)))
@@ -631,14 +614,7 @@ def verify_derivation(R: FinRing, D: AddMap, exhaustive: Optional[bool] = None) 
 
 def maps_into_center(R: FinRing, D: AddMap) -> bool:
     """Every value D(x) commutes with every ring element."""
-    k = R.k
-    for j in range(k):
-        v = np.array(D(R.basis(j)), dtype=np.int64)
-        ve = np.einsum("j,jit->it", v, R.constants) % R._mods
-        ev = np.einsum("j,ijt->it", v, R.constants) % R._mods
-        if not np.array_equal(ve, ev):
-            return False
-    return True
+    return _vanishes(R, _central_rows(R), D)
 
 
 def _law_residual(R: FinRing, spec: LawSpec, maps: Sequence[AddMap]) -> bool:
@@ -797,7 +773,8 @@ class TheoremReport:
     hypotheses: Dict[str, object]
     applicable: bool
     solution_count: int
-    violations: List[dict]
+    violation_count: int    # solutions that break the conclusion
+    violations: List[dict]  # at most one: the first generator among them
     verdict: str
 
     def to_json(self) -> dict:
@@ -809,38 +786,45 @@ class TheoremReport:
             "hypotheses": self.hypotheses,
             "applicable": self.applicable,
             "solution_count": self.solution_count,
+            "violation_count": self.violation_count,
             "violations": self.violations,
             "verdict": self.verdict,
         }
 
 
-def _conclusion_violations(R: FinRing, spec: LawSpec, sols: SolutionSet) -> List[dict]:
-    law = spec.rule
-    out = []
-    for entry in sols.maps():
-        M, M0 = entry if law.generalized else (entry, entry)
-        if M != M0:
-            out.append(
-                {"map": M.matrix.tolist(), "base": M0.matrix.tolist(),
-                 "reason": f"{law.symbols[0]} differs from its base map"}
-            )
-        elif law.conclusion == TWO_SIDED:
-            if not verify_two_sided(R, M, exhaustive=False):
-                out.append({"map": M.matrix.tolist(), "reason": "not two-sided"})
-        elif not verify_derivation(R, M, exhaustive=False):
-            out.append({"map": M.matrix.tolist(), "reason": "not a derivation"})
-        elif not maps_into_center(R, M):
-            out.append({"map": M.matrix.tolist(), "reason": "values not central"})
-    return out
+def _conclusion_violations(R: FinRing, spec: LawSpec, sols: SolutionSet
+                           ) -> Tuple[int, List[dict]]:
+    """How many solutions break the conclusion, and one that does.
+
+    The solutions that meet the conclusion form a subgroup S & C, the kernel
+    of the conclusion rows restricted to the generators of S, so the count
+    is |S| - |S & C|.  The example is the first generator outside C, with
+    the first reason it fails.
+    """
+    if not sols.generators:
+        return 0, []
+    blocks = _conclusion_blocks(R, spec.rule)
+    rows = np.vstack([b[1] for b in blocks])
+    mods = np.concatenate([b[2] for b in blocks])
+    G = np.array([g for g, _ in sols.generators], dtype=np.int64)
+    on_gens = rows @ G.T % mods[:, None]
+    outside = np.nonzero(on_gens.any(axis=0))[0]
+    if outside.size == 0:
+        return 0, []
+    kept = intsolve.kernel(on_gens, mods, [order for _, order in sols.generators])
+    vec = G[outside[0]]
+    reason = next(r for r, rows_r, mods_r in blocks if np.any(rows_r @ vec % mods_r))
+    k2 = R.k * R.k
+    example = {"map": vec[:k2].reshape(R.k, R.k).tolist()}
+    if spec.pair and reason == blocks[0][0]:
+        example["base"] = vec[k2:].reshape(R.k, R.k).tolist()
+    example["reason"] = reason
+    return sols.count - math.prod(order for _, order in kept), [example]
 
 
-def check_theorem(
-    R: FinRing,
-    spec: LawSpec,
-    max_solutions: int = MAX_SOLUTIONS,
-    scan_bound: int = SCAN_BOUND,
-) -> TheoremReport:
-    """Evaluate the theorem hypotheses and verify its conclusion exhaustively."""
+def check_theorem(R: FinRing, spec: LawSpec, scan_bound: int = SCAN_BOUND) -> TheoremReport:
+    """Evaluate the theorem hypotheses and decide its conclusion on every
+    solution."""
     product = spec.torsion_product()
     if product == 0:  # |m-n| is in the derivation budgets
         raise ValueError("the derivation theorems need distinct weights m and n")
@@ -851,14 +835,14 @@ def check_theorem(
         hyp["semiprime"] = None
     hyp["torsion_free"] = is_torsion_free(R, product) if product > 1 else True
     applicable = bool(hyp["semiprime"]) and bool(hyp["torsion_free"])
-    sols = solve_identity(R, spec, max_solutions=max_solutions)
-    violations = _conclusion_violations(R, spec, sols) if sols.explicit is not None else []
+    sols = solve_identity(R, spec)
+    violation_count, violations = _conclusion_violations(R, spec, sols)
     if applicable:
-        verdict = "conclusion-verified" if not violations else "COUNTEREXAMPLE"
+        verdict = "conclusion-verified" if not violation_count else "COUNTEREXAMPLE"
     else:
         verdict = (
             "hypotheses-not-met; conclusion holds anyway"
-            if not violations
+            if not violation_count
             else "hypotheses-not-met; conclusion fails"
         )
     return TheoremReport(
@@ -869,6 +853,7 @@ def check_theorem(
         hypotheses=hyp,
         applicable=applicable,
         solution_count=sols.count,
+        violation_count=violation_count,
         violations=violations,
         verdict=verdict,
     )

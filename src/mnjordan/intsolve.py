@@ -1,16 +1,19 @@
 """Kernels of integer linear systems over mixed-modulus abelian groups.
 
-The functional-identity solver reduces to: find all u in Z_{d(0)} x ... x
-Z_{d(N-1)} with sum_s A[r,s] * u[s] == 0 (mod M[r]) for every row r.  The
-system is split by primes.  A prime appearing to the first power everywhere
-is handled by vectorized Gaussian elimination over GF(q); prime powers go
+The functional-identity solver reduces to: find the group of u in Z_{d(0)} x
+... x Z_{d(N-1)} with sum_s A[r,s] * u[s] == 0 (mod M[r]) for every row r.
+``kernel`` splits the system by primes and returns independent generators
+with their orders, so the group's order is the product of the orders and
+nothing is enumerated.  A prime appearing to the first power everywhere is
+handled by vectorized Gaussian elimination over GF(q); prime powers go
 through an exact Hermite/Smith reduction over the integers (only small
 systems ever take that path here).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+import math
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -200,22 +203,94 @@ def kernel_mod(rows: Sequence[Sequence[int]], modulus: int, n_cols: int
     return gens
 
 
-def enumerate_group(gens: List[Tuple[List[int], int]], modulus: int, n_cols: int,
+def enumerate_group(gens: Sequence[Tuple[Sequence[int], int]],
+                    modulus: Union[int, Sequence[int]], n_cols: int,
                     limit: int) -> List[Tuple[int, ...]]:
-    """All elements generated by independent (vector, order) pairs."""
-    total = 1
-    for _, order in gens:
-        total *= order
+    """All elements generated by independent (vector, order) pairs.
+
+    ``modulus`` is one modulus for every coordinate, or one per coordinate.
+    """
+    total = math.prod(order for _, order in gens)
     if total > limit:
         raise OverflowError(f"kernel has {total} elements, above the limit {limit}")
-    elems = [tuple([0] * n_cols)]
+    mods = np.broadcast_to(np.asarray(modulus, dtype=np.int64), (n_cols,))
+    elems = np.zeros((1, n_cols), dtype=np.int64)
     for vec, order in gens:
-        new = []
-        for base in elems:
-            acc = list(base)
-            new.append(base)
-            for _ in range(order - 1):
-                acc = [(a + b) % modulus for a, b in zip(acc, vec)]
-                new.append(tuple(acc))
-        elems = new
-    return elems
+        steps = np.arange(order, dtype=np.int64)[:, None] * np.asarray(vec, dtype=np.int64) % mods
+        elems = ((elems[:, None, :] + steps[None, :, :]) % mods).reshape(-1, n_cols)
+    return [tuple(int(v) for v in row) for row in elems]
+
+
+def _valuation(n: int, q: int) -> int:
+    v = 0
+    while n % q == 0:
+        n //= q
+        v += 1
+    return v
+
+
+def kernel(rows, row_mods: Sequence[int], col_mods: Sequence[int]
+           ) -> List[Tuple[np.ndarray, int]]:
+    """Independent generators of {u in prod_s Z_{col_mods[s]} : rows @ u ==
+    0 mod row_mods[r] for every r}, as (vector, order) pairs.
+
+    Every kernel element is a unique combination sum c_g * g with 0 <= c_g <
+    order_g, so the kernel has prod(order_g) elements.  Each row must be well
+    defined on the group: rows[r, s] * col_mods[s] == 0 mod row_mods[r].
+
+    The group is the direct sum of its q-parts.  On the q-part, coordinate s
+    is Z_{q^v_s} and row r is an equation modulo q^w_r; with e the largest
+    exponent it is solved over Z_{q^e}, where Z_{q^v} embeds as
+    q^{e-v} Z_{q^e}: u_s = q^{e-v_s} x_s turns row r into the row
+    rows[r, s] * q^{v_s - w_r} modulo q^e, and the relations q^v_s * u_s ==
+    0 cut the embedded subgroup out.  The generators are then lifted back
+    by the Chinese remainder theorem.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    row_mods = np.asarray(row_mods, dtype=np.int64)
+    col_mods = [int(d) for d in col_mods]
+    primes = sorted({q for d in set(col_mods) for q in factorize(d)})
+    gens: List[Tuple[np.ndarray, int]] = []
+    for q in primes:
+        cols = [s for s, d in enumerate(col_mods) if d % q == 0]
+        v = [_valuation(col_mods[s], q) for s in cols]
+        keep = np.nonzero(row_mods % q == 0)[0]
+        w = np.array([_valuation(int(d), q) for d in row_mods[keep]], dtype=np.int64)
+        sub = rows[np.ix_(keep, cols)] % (q**w)[:, None]
+        live = np.any(sub != 0, axis=1)  # rows that vanish on the q-part go
+        sub, w = sub[live], w[live]
+        e = max(v + w.tolist())
+        if e == 1:
+            local = [(b, q) for b in gf_nullspace(sub, q)]
+        else:
+            local = _prime_power_kernel(sub, w.tolist(), v, q, e)
+        # CRT: the q-part of Z_d is (d / q^v) Z_d, and x maps to x * lam
+        # with lam == 1 mod q^v and lam == 0 mod d / q^v
+        lam = np.array([(col_mods[s] // q**vs) * pow(col_mods[s] // q**vs, -1, q**vs)
+                        for s, vs in zip(cols, v)], dtype=np.int64)
+        mods = np.array([col_mods[s] for s in cols], dtype=np.int64)
+        for vec, order in local:
+            full = np.zeros(len(col_mods), dtype=np.int64)
+            full[cols] = np.asarray(vec, dtype=np.int64) * lam % mods
+            gens.append((full, order))
+    return gens
+
+
+def _prime_power_kernel(sub: np.ndarray, w: List[int], v: List[int], q: int, e: int
+                        ) -> List[Tuple[List[int], int]]:
+    """kernel() on the q-part: coordinates Z_{q^v_s}, rows (reduced, none
+    zero) modulo q^w_r."""
+    M = q**e
+    scaled = []
+    for row, wr in zip(sub.tolist(), w):
+        out = []
+        for a, vs in zip(row, v):
+            num = a * q**vs
+            if num % q**wr:
+                raise ValueError("a row is not well defined on the coordinate group")
+            out.append(num // q**wr % M)
+        scaled.append(out)
+    n = len(v)
+    scaled += [[q**vs if j == s else 0 for j in range(n)] for s, vs in enumerate(v) if vs < e]
+    return [([u // q ** (e - vs) for u, vs in zip(vec, v)], order)
+            for vec, order in kernel_mod(scaled, M, n)]

@@ -20,7 +20,7 @@ from mnjordan.parsing import parse_poly as P
 from mnjordan.parsing import parse_scalar as S
 from mnjordan.scalars import ExactDivisionError
 from tests.test_finring import shipped_rings
-from tests.util import all_element_law_rows, mutate_script, shipped_script
+from tests.util import all_add_maps, all_element_law_rows, mutate_script, shipped_script
 
 
 def report(criterion, ok, detail):
@@ -267,7 +267,7 @@ def test_criterion_6_solver_oracle_equivalence():
     assert {tuple(sorted(R.moduli)) for R in rings} == target_groups
     checked = 0
     for R in rings:
-        maps = fr.all_add_maps(R)
+        maps = all_add_maps(R)
         vectors = {
             1: np.array([M.matrix.ravel() for M in maps], dtype=np.int64),
         }

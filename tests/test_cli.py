@@ -75,6 +75,34 @@ def test_ring_above_the_old_scan_bound(capsys):
     assert payload["verdict"] == "conclusion-verified"
 
 
+def test_ring_counts_violations_without_enumerating(capsys):
+    path = Path(__file__).resolve().parents[1] / "src" / "mnjordan" / "rings" / "z2z2_zero.json"
+    code, out, _ = run(
+        capsys, "ring", "--spec", str(path), "--law", "gen-centralizer", "--m", "1", "--n", "2",
+        "--format", "json",
+    )
+    assert code == cli.EXIT_OK
+    payload = json.loads(out)
+    assert payload["solution_count"] == 256 and payload["violation_count"] == 240
+    assert payload["verdict"] == "hypotheses-not-met; conclusion fails"
+    assert len(payload["violations"]) == 1
+
+
+def test_ring_prime_power_above_the_enumeration_bound(capsys, tmp_path):
+    # 2^27 solutions: the enumerating solver raised OverflowError here
+    spec = tmp_path / "z8z8z4.json"
+    spec.write_text(json.dumps({"kind": "product", "of": [
+        {"kind": "Zn", "n": 8}, {"kind": "Zn", "n": 8}, {"kind": "Zn", "n": 4}]}))
+    code, out, err = run(
+        capsys, "ring", "--spec", str(spec), "--law", "gen-derivation", "--m", "1", "--n", "3",
+        "--format", "json",
+    )
+    assert code == cli.EXIT_OK and "Traceback" not in err
+    payload = json.loads(out)
+    assert payload["solution_count"] == 134217728
+    assert payload["verdict"] == "hypotheses-not-met; conclusion fails"
+
+
 def test_ring_zn_overloaded_n(capsys):
     code, out, _ = run(
         capsys, "ring", "--kind", "Zn", "--n", "4",
@@ -112,10 +140,17 @@ def test_ring_malformed_spec(capsys, tmp_path):
         '{"moduli": [[2]], "mult": [[[1]]]}',
         '{"moduli": [2], "mult": [[[null]]]}',
         '{"moduli": [2], "mult": [[[1.5]]]}',
+        '{"kind": "Mat", "k": -1, "p": 7}',
+        '{"kind": "Mat", "k": 0, "p": 7}',
+        '{"kind": "product", "of": []}',
+        '{"moduli": [99999999999999999999], "mult": [[[1]]]}',
+        '{"kind": "Zn", "n": 99999999999999999999}',
+        '{"moduli": [2], "mult": [[[99999999999999999999]]]}',
     ],
     ids=["list", "string", "no-mult", "no-moduli", "no-n", "no-p", "no-of", "n-list",
          "k-string", "of-int", "of-entry-int", "moduli-int", "moduli-nested", "mult-null",
-         "mult-float"],
+         "mult-float", "k-negative", "k-zero", "of-empty", "moduli-above-int64",
+         "n-above-int64", "mult-above-int64"],
 )
 def test_ring_spec_shapes_exit_3(capsys, tmp_path, spec):
     path = tmp_path / "spec.json"
@@ -169,8 +204,11 @@ def test_exit_codes_depend_only_on_the_verdict(capsys, tmp_path):
         ["prove"],
         ["ring", "--kind", "Mat", "--p", "7", "--law", "centralizer", "--m", "1", "--n", "2",
          "--jobs", "2"],
+        ["ring", "--kind", "Mat", "--p", "7", "--law", "centralizer", "--m", "1", "--n", "2",
+         "--max-solutions", "1"],
     ],
-    ids=["unknown-law", "missing-law", "non-integer-weight", "bare-prove", "removed-jobs"],
+    ids=["unknown-law", "missing-law", "non-integer-weight", "bare-prove", "removed-jobs",
+         "removed-max-solutions"],
 )
 def test_usage_errors_exit_3(capsys, argv):
     # argparse's own status 2 would read as "verified with assumptions"

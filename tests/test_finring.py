@@ -10,10 +10,13 @@ import pytest
 from mnjordan import finring as fr
 from mnjordan.parsing import parse_poly
 from tests.util import (
+    all_add_maps,
     all_element_law_rows,
     all_element_residual,
     all_x_is_prime,
     all_x_is_semiprime,
+    enumerated_solutions,
+    per_map_violations,
     random_add_map,
     upper_triangular,
 )
@@ -31,7 +34,7 @@ def shipped_rings():
 def oracle_solutions(R, spec):
     """Brute force over every additive map (or pair), filtering by the law
     imposed at every element."""
-    maps = fr.all_add_maps(R)
+    maps = all_add_maps(R)
     out = set()
     pool = itertools.product(maps, maps) if spec.pair else maps
     for entry in pool:
@@ -285,7 +288,7 @@ def test_inner_derivation():
 
 def test_tensor_checks_agree_with_exhaustive_scan():
     R = fr.from_spec({"kind": "product", "of": [{"kind": "Zn", "n": 2}, {"kind": "Zn", "n": 3}]})
-    for M in fr.all_add_maps(R):
+    for M in all_add_maps(R):
         assert fr.verify_two_sided(R, M, exhaustive=True) == fr.verify_two_sided(
             R, M, exhaustive=False
         )
@@ -355,6 +358,47 @@ def test_first_violation_binds_only_the_terms_it_evaluates():
 
 
 # -- theorem reports -------------------------------------------------------------------
+
+
+def test_counts_match_the_enumerating_oracle():
+    # solution and violation counts come from two group orders; the oracle
+    # enumerates every solution and checks the conclusion map by map
+    rings = [fr.Zn(n) for n in range(2, 13)]
+    rings += [fr.DirectProduct(fr.Zn(a), fr.Zn(b)) for a in range(2, 7) for b in range(a, 7)]
+    rings += [fr.MatRing(2, p) for p in (2, 3, 5)] + shipped_rings()
+    rings += [fr.DirectProduct(fr.Zn(8), fr.Zn(4)), fr.DirectProduct(fr.Zn(9), fr.Zn(3))]
+    cases = [(R, law, m, n) for R in rings for law in fr.LAWS
+             for m, n in [(1, 2), (2, 1), (2, 3), (3, 2)]]
+    # 3 | m - n: inner derivations of Mat2(Z3) solve the derivation laws, so
+    # "values not central" is the reason there
+    cases += [(fr.MatRing(2, 3), law, 1, 4) for law in ("derivation", "gen-derivation")]
+    compared = 0
+    for R, law, m, n in cases:
+        spec = fr.LawSpec(law, m, n)
+        solutions = enumerated_solutions(R, spec)
+        if solutions is None:
+            continue
+        report = fr.check_theorem(R, spec)
+        bad = per_map_violations(R, spec, solutions)
+        case = (R.name, law, m, n)
+        assert report.solution_count == len(solutions), case
+        assert report.violation_count == len(bad), case
+        holds = "conclusion-verified" if report.applicable else (
+            "hypotheses-not-met; conclusion holds anyway")
+        fails = "COUNTEREXAMPLE" if report.applicable else (
+            "hypotheses-not-met; conclusion fails")
+        assert report.verdict == (fails if bad else holds), case
+        # the example is a solution that breaks the conclusion, for
+        # the reason the per-map check gives
+        assert len(report.violations) == min(1, len(bad)), case
+        for example in report.violations:
+            flat = [v for row in example["map"] for v in row]
+            if spec.pair:
+                flat += [v for row in example.get("base", example["map"]) for v in row]
+            assert tuple(flat) in set(solutions), case
+            assert per_map_violations(R, spec, [flat])[0][2] == example["reason"], case
+        compared += 1
+    assert compared == len(cases)
 
 
 def test_check_theorem_examples():

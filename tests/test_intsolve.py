@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -67,3 +68,22 @@ def test_enumerate_group_limit():
     gens = [((1, 0), 10**4), ((0, 1), 10**4)]
     with pytest.raises(OverflowError):
         intsolve.enumerate_group(gens, 10**4, 2, 1000)
+
+
+def test_kernel_matches_brute_force_on_mixed_moduli():
+    rng = random.Random(7)
+    for _ in range(60):
+        col_mods = [rng.choice([2, 3, 4, 6, 8, 9, 12]) for _ in range(rng.randint(1, 3))]
+        row_mods = [rng.choice([2, 3, 4, 6, 8, 9, 12]) for _ in range(rng.randint(0, 3))]
+        # entry (r, s) must be a multiple of M_r / gcd(M_r, d_s) to be well defined
+        rows = [[rng.randrange(0, mr, mr // math.gcd(mr, d)) for d in col_mods]
+                for mr in row_mods]
+        gens = intsolve.kernel(np.array(rows, dtype=np.int64).reshape(len(rows), len(col_mods)),
+                               row_mods, col_mods)
+        elems = intsolve.enumerate_group(gens, col_mods, len(col_mods), 10**6)
+        brute = {
+            u for u in itertools.product(*(range(d) for d in col_mods))
+            if all(sum(a * x for a, x in zip(row, u)) % mr == 0 for row, mr in zip(rows, row_mods))
+        }
+        assert len(elems) == len(set(elems)) == math.prod(o for _, o in gens)
+        assert set(elems) == brute, (rows, row_mods, col_mods)

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import itertools
 import math
 from importlib import resources
 
@@ -7,6 +8,7 @@ import numpy as np
 
 from mnjordan import finring as fr
 from mnjordan import freealg as fa
+from mnjordan import intsolve
 from mnjordan.parsing import parse_poly
 from mnjordan.scalars import ScalarPoly
 
@@ -180,3 +182,126 @@ def all_pairs_first_violation(R, poly, maps, m, n, mul_table=None):
         tuple(int(v) for v in E[b // num]),
         tuple(int(v) for v in E[b % num]),
     )
+
+
+# -- enumerating oracle for the solver and the conclusion count ------------------
+
+
+def all_add_maps(R, limit=10**6):
+    """Every additive endomorphism; feasible only for tiny rings."""
+    choices = []
+    for i in range(R.k):
+        for j in range(R.k):
+            di, dj = R.moduli[i], R.moduli[j]
+            step = di // math.gcd(di, dj)
+            choices.append(list(range(0, di, step)))
+    total = math.prod(len(c) for c in choices)
+    if total > limit:
+        raise fr.RingSizeError(f"{total} additive maps is too many to enumerate")
+    out = []
+    for combo in itertools.product(*choices):
+        out.append(fr.AddMap(R, np.array(combo, dtype=np.int64).reshape(R.k, R.k)))
+    return out
+
+
+def _vq(n, q):
+    v = 0
+    while n % q == 0 and n:
+        n //= q
+        v += 1
+    return v
+
+
+def enumerated_solutions(R, spec, max_solutions=10**6):
+    """Every solution as a slot vector, sorted, or None above max_solutions.
+
+    The solver's former path: each prime power's kernel is enumerated over
+    Z_{q^e} and projected element by element onto the slot moduli, and the
+    primes are combined by CRT.
+    """
+    n_maps = 2 if spec.pair else 1
+    k = R.k
+    n_slots = n_maps * k * k
+    law_rows, law_mods = fr._law_row_blocks(R, spec)
+    hom_rows, hom_mods = fr._hom_rows(R, n_maps)
+    rows = np.vstack([law_rows, hom_rows]) if hom_rows.size else law_rows
+    row_mods = np.concatenate([law_mods, hom_mods])
+    slot_mods = [R.moduli[i] for _ in range(n_maps) for i in range(k) for _ in range(k)]
+    primes = {}
+    for d in R.moduli:
+        for q, e in intsolve.factorize(d).items():
+            primes[q] = max(primes.get(q, 0), e)
+    per_prime = []
+    try:
+        for q, e in sorted(primes.items()):
+            slots_q = [s for s in range(n_slots) if slot_mods[s] % q == 0]
+            keep = row_mods % q == 0
+            sub = rows[np.ix_(keep, slots_q)]
+            if e == 1:
+                basis = intsolve.gf_nullspace(sub, q)
+                elements_q = intsolve.enumerate_group(
+                    [(b.tolist(), q) for b in basis], q, len(slots_q), max_solutions
+                )
+            else:
+                M = q**e
+                scale = np.array([M // q ** _vq(int(mq), q) for mq in row_mods[keep]],
+                                 dtype=np.int64)
+                scaled = (sub * scale[:, None]) % M
+                gens = intsolve.kernel_mod(scaled.tolist(), M, len(slots_q))
+                raw = intsolve.enumerate_group(gens, M, len(slots_q), max_solutions * 64)
+                elements_q = sorted({
+                    tuple(int(u[a]) % q ** _vq(slot_mods[s], q) for a, s in enumerate(slots_q))
+                    for u in raw
+                })
+            per_prime.append((q, slots_q, elements_q))
+    except OverflowError:
+        return None
+    if math.prod(len(p[2]) for p in per_prime) > max_solutions:
+        return None
+    lists = []
+    for q, slots_q, elements_q in per_prime:
+        lifted = []
+        for u in elements_q:
+            full = [0] * n_slots
+            for a, s in enumerate(slots_q):
+                d = slot_mods[s]
+                qe = q ** _vq(d, q)
+                rest = d // qe
+                # CRT lift: congruent to u[a] mod the q-part of d, 0 elsewhere
+                full[s] = (u[a] * rest * pow(rest, -1, qe)) % d
+            lifted.append(tuple(full))
+        lists.append(lifted)
+    out = set()
+    for combo in itertools.product(*lists):
+        out.add(tuple(sum(col) % d for col, d in zip(zip(*combo), slot_mods)))
+    return sorted(out)
+
+
+def per_map_violations(R, spec, solutions):
+    """The conclusion checked on each solution by the einsum tensors of the
+    basis-pair identities; one (map, base, reason) per failing solution."""
+    C, mods = R.constants, R._mods
+    k2 = R.k * R.k
+    law = spec.rule
+    out = []
+    for vec in solutions:
+        M = np.array(vec[:k2], dtype=np.int64).reshape(R.k, R.k)
+        M0 = np.array(vec[-k2:], dtype=np.int64).reshape(R.k, R.k)
+        m_of_xy = np.einsum("ts,ijs->ijt", M, C)
+        mx_y = np.einsum("si,sjt->ijt", M, C)
+        x_my = np.einsum("sj,ist->ijt", M, C)
+        if not np.array_equal(M, M0):
+            reason = f"{law.symbols[0]} differs from its base map"
+        elif law.conclusion == fr.TWO_SIDED:
+            if np.any((m_of_xy - mx_y) % mods) or np.any((m_of_xy - x_my) % mods):
+                reason = "not two-sided"
+            else:
+                continue
+        elif np.any((m_of_xy - mx_y - x_my) % mods):
+            reason = "not a derivation"
+        elif np.any((np.einsum("sj,sit->jit", M, C) - np.einsum("sj,ist->jit", M, C)) % mods):
+            reason = "values not central"
+        else:
+            continue
+        out.append((M.tolist(), M0.tolist(), reason))
+    return out
