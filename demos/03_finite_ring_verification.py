@@ -26,7 +26,7 @@ spec = fr.LawSpec("gen-centralizer", 1, 2)
 sols = fr.solve_identity(R, spec)
 print(f"{sols.count} solution pairs (T, T0)")
 for T, T0 in sols.maps():
-    assert T == T0 and fr.verify_two_sided(R, T, exhaustive=False)
+    assert T == T0 and fr.verify_two_sided(R, T)
 print("every pair has T = T0 and T two-sided: the theorem's conclusion")
 
 print("\n== the xyx expansion, cross-checked numerically ==")

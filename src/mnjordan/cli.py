@@ -91,20 +91,14 @@ def _ring_from_args(args) -> tuple:
     raise finring.RingConstructionError("give --spec FILE or --kind Zn|Mat")
 
 
-def _bounds(args) -> dict:
-    """The scan bound, when given on the command line; finring's default
-    applies otherwise (the parser is built without importing finring)."""
-    return {} if args.max_size is None else {"scan_bound": args.max_size}
-
-
 def cmd_ring(args) -> int:
     from . import finring
 
     try:
         ring, weight_n = _ring_from_args(args)
         spec = finring.LawSpec(args.law, args.m, weight_n)
-        report = finring.check_theorem(ring, spec, **_bounds(args))
-    except (finring.RingConstructionError, finring.RingSizeError, ValueError, OSError) as exc:
+        report = finring.check_theorem(ring, spec)
+    except (ValueError, OSError) as exc:  # RingConstructionError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     if args.format == "json":
@@ -138,8 +132,8 @@ def cmd_search(args) -> int:
             print(f"unknown family {args.family!r}", file=sys.stderr)
             return EXIT_ERROR
         spec = finring.LawSpec(args.law, args.m, args.n)
-        rows = finring.search_family(rings, spec, **_bounds(args))
-    except (finring.RingConstructionError, finring.RingSizeError, ValueError) as exc:
+        rows = finring.search_family(rings, spec)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     if args.format == "json":
@@ -179,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--p", type=int, help="base modulus for --kind Mat")
     r.add_argument("--law", required=True, choices=tuple(TABLE))
     r.add_argument("--m", type=int, required=True)
-    r.add_argument("--max-size", type=int)
     r.add_argument("--format", choices=("text", "json"), default="text")
     r.set_defaults(func=cmd_ring)
 
@@ -190,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--law", required=True, choices=tuple(TABLE))
     s.add_argument("--m", type=int, required=True)
     s.add_argument("--n", type=int, required=True, help="the law weight n")
-    s.add_argument("--max-size", type=int)
     s.add_argument("--format", choices=("text", "json"), default="text")
     s.set_defaults(func=cmd_search)
     return parser

@@ -32,9 +32,7 @@ from . import intsolve
 from .freealg import Gen, word_gen_degree
 from .laws import TABLE, TWO_SIDED, Law
 
-SCAN_BOUND = 10**6             # |R| limit for the element scans
-TRIPLE_SCAN_BOUND = 2_000      # |R| limit for the primeness scan
-MAX_SOLUTIONS = 10**6          # bound on SolutionSet.maps(); no verdict reads it
+MAX_SOLUTIONS = 10**6          # bound on SolutionSet.maps() and center(); no verdict reads it
 
 LAWS = tuple(TABLE)
 
@@ -46,7 +44,7 @@ class RingConstructionError(ValueError):
 
 
 class RingSizeError(ValueError):
-    """An exhaustive operation was asked about a ring above its size bound."""
+    """An enumeration or a pair scan was asked for above its size bound."""
 
 
 class FinRing:
@@ -56,9 +54,15 @@ class FinRing:
             raise RingConstructionError("a ring needs at least one additive generator")
         if any(d < 2 for d in self.moduli):
             raise RingConstructionError("additive moduli must be at least 2")
-        if any(d >= 2**63 for d in self.moduli):
-            raise RingConstructionError("additive moduli must fit in a signed 64-bit integer")
         k = len(self.moduli)
+        # The widest int64 sum over ring data is a conclusion row applied to
+        # a map: at most 3k products of two residues.  The other sums (the
+        # validation, mul, AddMap, the GF(p) systems) have at most k.
+        if 3 * k * (max(self.moduli) - 1) ** 2 >= 2**63:
+            raise RingConstructionError(
+                f"a modulus of {max(self.moduli)} with k = {k} generators overflows "
+                "64-bit arithmetic (3k(d - 1)^2 must stay below 2^63)"
+            )
         try:
             self.constants = np.array(constants, dtype=np.int64).reshape(k, k, k)
         except OverflowError:
@@ -75,25 +79,21 @@ class FinRing:
     # -- construction checks -------------------------------------------------
 
     def _validate(self) -> None:
-        k = self.k
-        for i in range(k):
-            for j in range(k):
-                prod = self.constants[i, j]
-                if np.any((self.moduli[i] * prod) % self._mods) or np.any(
-                    (self.moduli[j] * prod) % self._mods
-                ):
-                    raise RingConstructionError(
-                        f"product e{i}*e{j} is incompatible with the moduli"
-                    )
-        for i in range(k):
-            for j in range(k):
-                for l in range(k):
-                    left = self.mul(tuple(self.constants[i, j]), self.basis(l))
-                    right = self.mul(self.basis(i), tuple(self.constants[j, l]))
-                    if left != right:
-                        raise RingConstructionError(
-                            f"associativity fails on basis triple (e{i}, e{j}, e{l})"
-                        )
+        C, mods = self.constants, self._mods
+        # e_i has order d_i, so d_i * (e_i e_j) and d_j * (e_i e_j) vanish
+        bad = np.any((mods[:, None, None] * C) % mods, axis=2) | np.any(
+            (mods[None, :, None] * C) % mods, axis=2)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise RingConstructionError(f"product e{i}*e{j} is incompatible with the moduli")
+        left = np.einsum("ijt,tlu->ijlu", C, C) % mods    # (e_i e_j) e_l
+        right = np.einsum("jlt,itu->ijlu", C, C) % mods   # e_i (e_j e_l)
+        bad = np.any(left != right, axis=3)
+        if bad.any():
+            i, j, l = np.argwhere(bad)[0]
+            raise RingConstructionError(
+                f"associativity fails on basis triple (e{i}, e{j}, e{l})"
+            )
 
     # -- basic structure -------------------------------------------------------
 
@@ -121,9 +121,10 @@ class FinRing:
         return tuple((c * x) % d for x, d in zip(a, self.moduli))
 
     def mul(self, a: Element, b: Element) -> Element:
-        acc = np.einsum("i,j,ijt->t", np.array(a, dtype=np.int64),
-                        np.array(b, dtype=np.int64), self.constants)
-        return tuple(int(v) for v in acc % self._mods)
+        # reduce after each contraction so every sum has at most k terms
+        a_times = np.tensordot(np.array(a, dtype=np.int64), self.constants, 1) % self._mods
+        acc = np.array(b, dtype=np.int64) @ a_times % self._mods
+        return tuple(int(v) for v in acc)
 
     def elements(self) -> List[Element]:
         return [tuple(int(v) for v in row) for row in self.element_array()]
@@ -146,10 +147,6 @@ class FinRing:
         if self._pairs is None:
             self._pairs = PairEvaluator(self)
         return self._pairs
-
-    def mul_rows(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """Row-by-row products of two (n, k) arrays of elements."""
-        return np.einsum("ri,rj,ijt->rt", A, B, self.constants) % self._mods
 
     def __repr__(self) -> str:
         return f"FinRing({self.name}, order={self.order})"
@@ -244,71 +241,146 @@ def _spec_field(spec: dict, key: str, kind: type, default=None):
 # -- hypothesis predicates ---------------------------------------------------------
 
 
-def is_semiprime(R: FinRing, bound: int = SCAN_BOUND) -> bool:
-    """No nonzero a with a*x*a == 0 for every x.
+def _prime_parts(R: FinRing) -> Optional[List[Tuple[int, np.ndarray]]]:
+    """The p-parts of R as F_p-algebras: (p, structure constants mod p) for
+    each prime p dividing a modulus; None when a modulus has a square factor.
 
-    a*x*a is additive in x, so x ranges over the basis; a ranges over every
-    nonzero element.
+    With squarefree moduli the p-torsion of R is an ideal A_p with basis
+    f_i = s_i e_i, s_i = d_i / p, over the i with p | d_i; R is the direct
+    sum of its p-parts as rings.  f_a f_b = s_a s_b e_a e_b has e_t
+    coordinate x = s_a s_b C[a, b, t] mod d_t, a multiple s_t y of s_t, and
+    its f_t coefficient is y = x / s_t, which is x * s_t^-1 mod p.
     """
-    if R.order > bound:
-        raise RingSizeError(f"|R| = {R.order} exceeds the scan bound {bound}")
-    cand = R.element_array()[1:]
-    for x in np.eye(R.k, dtype=np.int64):
-        if cand.shape[0] == 0:
-            return True
-        ax = np.einsum("ci,j,ijt->ct", cand, x, R.constants) % R._mods
-        axa = np.einsum("ct,ci,tiu->cu", ax, cand, R.constants) % R._mods
-        cand = cand[~np.any(axa != 0, axis=1)]
-    return cand.shape[0] == 0
+    factors = [intsolve.factorize(d) for d in R.moduli]
+    if any(e > 1 for f in factors for e in f.values()):
+        return None
+    parts = []
+    for p in sorted({q for f in factors for q in f}):
+        idx = [i for i, d in enumerate(R.moduli) if d % p == 0]
+        s = np.array([R.moduli[i] // p % p for i in idx], dtype=np.int64)
+        s_inv = np.array([pow(int(v), -1, p) for v in s], dtype=np.int64)
+        c = R.constants[np.ix_(idx, idx, idx)] % p
+        c = c * s[:, None, None] % p * s[None, :, None] % p * s_inv % p
+        parts.append((p, c))
+    return parts
 
 
-def is_prime(R: FinRing, bound: int = TRIPLE_SCAN_BOUND) -> bool:
-    """No nonzero a, b with a*x*b == 0 for every x.
+def _commutator_rows(C: np.ndarray) -> np.ndarray:
+    """Row (i, t), column a: coordinate t of e_a e_i - e_i e_a, so z
+    commutes with every basis element exactly when the rows vanish on z."""
+    k = C.shape[0]
+    return (C.transpose(1, 2, 0) - C.transpose(0, 2, 1)).reshape(k * k, k)
 
-    a*x*b is additive in x, so x ranges over the basis; a and b range over
-    every nonzero element.
+
+def _is_separable(c: np.ndarray, p: int) -> bool:
+    """Whether the F_p-algebra with structure constants c (f_a f_b =
+    sum_t c[a, b, t] f_t) has an identity u and a separability element
+    e = sum E_ab f_a (x) f_b: sum E_ab f_a f_b = u and f_i e = e f_i.
+
+    Homogenized with a scalar lam (u f_i = f_i u = lam f_i, mu(e) = u), the
+    conditions are one linear system in (u, E, lam); it has a solution with
+    lam = 1 exactly when some nullspace vector has lam != 0.  Row (i, x, y)
+    of the commuting block compares the f_x (x) f_y coefficients of f_i e,
+    sum_a c[i, a, x] E_ay, and of e f_i, sum_b c[b, i, y] E_xb.
     """
-    if R.order > bound:
-        raise RingSizeError(f"|R| = {R.order} exceeds the scan bound {bound}")
-    E = R.element_array()
-    basis = np.eye(R.k, dtype=np.int64)
-    for a in E[1:]:
-        cand = E[1:]
-        for x in basis:
-            if cand.shape[0] == 0:
-                break
-            ax = np.einsum("i,j,ijt->t", a, x, R.constants) % R._mods
-            axb = np.einsum("t,ci,tiu->cu", ax, cand, R.constants) % R._mods
-            cand = cand[np.all(axb == 0, axis=1)]
-        if cand.shape[0]:
-            return False
-    return True
+    d = c.shape[0]
+    dd = d * d
+    eye = np.eye(d, dtype=np.int64)
+    A = np.zeros((2 * dd + d + d**3, d + dd + 1), dtype=np.int64)  # columns u, E, lam
+    A[:dd, :d] = c.transpose(1, 2, 0).reshape(dd, d)          # u f_i = lam f_i
+    A[dd:2 * dd, :d] = c.transpose(0, 2, 1).reshape(dd, d)    # f_i u = lam f_i
+    A[:2 * dd, -1] = np.tile(-eye.ravel(), 2)
+    A[2 * dd:2 * dd + d, :d] = -eye                           # mu(e) = u
+    A[2 * dd:2 * dd + d, d:-1] = c.reshape(dd, d).T
+    A[2 * dd + d:, d:-1] = (np.einsum("iax,yb->ixyab", c, eye)  # f_i e = e f_i
+                            - np.einsum("xa,biy->ixyab", eye, c)).reshape(d**3, dd)
+    null = intsolve.gf_nullspace(A, p)
+    return bool(np.any(null[:, -1]))
 
 
-def is_torsion_free(R: FinRing, t: int, verify_bound: int = 1000) -> bool:
+def _algebra_mul(c: np.ndarray, p: int, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Row-by-row products of two (r, d) arrays of F_p-algebra elements."""
+    d = c.shape[0]
+    XC = (X @ c.reshape(d, d * d) % p).reshape(-1, d, d)
+    return np.einsum("gb,gbt->gt", Y, XC) % p
+
+
+def _center_is_field(c: np.ndarray, p: int) -> bool:
+    """Whether the center Z of a semisimple F_p-algebra is a field.
+
+    Z is a product of finite fields F_{p^r}, one per simple factor, and
+    Frobenius z -> z^p is F_p-linear on Z with fixed space the product of
+    the prime fields, so Z is a field exactly when that fixed space has
+    dimension 1.
+    """
+    Z = intsolve.gf_nullspace(_commutator_rows(c), p)
+    power, base, e = None, Z, p
+    while e:
+        if e & 1:
+            power = base if power is None else _algebra_mul(c, p, power, base)
+        e >>= 1
+        if e:
+            base = _algebra_mul(c, p, base, base)
+    return intsolve.gf_nullspace((power - Z).T, p).shape[0] == 1
+
+
+def is_semiprime(R: FinRing) -> bool:
+    """No nonzero a with a*x*a == 0 for every x, decided by linear algebra.
+
+    A finite ring is Artinian, and a semiprime Artinian ring has zero
+    Jacobson radical, so it is semisimple: it has an identity and is a
+    product of matrix rings over finite fields (Wedderburn-Artin for rings
+    without an assumed identity; Herstein, Noncommutative Rings, 1968,
+    ch. 1-2).  So a modulus with a square factor (an element of order p^2)
+    rules it out, and otherwise R is semiprime exactly when each p-part
+    A_p is a semisimple F_p-algebra.  F_p is perfect, so that holds exactly
+    when A_p is separable: it has an identity and a separability element
+    (Pierce, Associative Algebras, GTM 88, section 10).  Each p-part costs
+    one GF(p) nullspace; no element is enumerated.
+    """
+    parts = _prime_parts(R)
+    return parts is not None and all(_is_separable(c, p) for p, c in parts)
+
+
+def is_prime(R: FinRing) -> bool:
+    """No nonzero a, b with a*x*b == 0 for every x, decided by linear algebra.
+
+    A prime ring is semiprime, and a semisimple ring is prime exactly when
+    it is simple, a single matrix ring over a field (Herstein, ch. 1-2):
+    then R has a single p-part, and its center, a product of one finite
+    field per simple factor, is a field.  R is nonzero, since every
+    modulus is at least 2.
+    """
+    parts = _prime_parts(R)
+    if parts is None or len(parts) != 1:
+        return False
+    p, c = parts[0]
+    return _is_separable(c, p) and _center_is_field(c, p)
+
+
+def is_torsion_free(R: FinRing, t: int) -> bool:
     """Multiplication by t is injective on the additive group."""
     if t < 2:
         raise ValueError("torsion factors start at 2")
-    free = all(math.gcd(t, d) == 1 for d in R.moduli)
-    if R.order <= verify_bound:
-        E = R.element_array()
-        killed = np.all((t * E) % R._mods == 0, axis=1)
-        scan = not np.any(killed[1:])
-        assert scan == free
-    return free
+    return all(math.gcd(t, d) == 1 for d in R.moduli)
 
 
-def center(R: FinRing, bound: int = SCAN_BOUND) -> List[Element]:
-    """All z commuting with every element (equivalently, with the basis)."""
-    if R.order > bound:
-        raise RingSizeError(f"|R| = {R.order} exceeds the scan bound {bound}")
-    E = R.element_array()
-    mask = np.ones(E.shape[0], dtype=bool)
-    for i in range(R.k):  # one basis element at a time keeps memory at |R|*k
-        ze = (E @ R.constants[:, i, :]) % R._mods  # z * e_i
-        ez = (E @ R.constants[i, :, :]) % R._mods  # e_i * z
-        mask &= np.all(ze == ez, axis=1)
-    return [tuple(int(v) for v in row) for row in E[mask]]
+def center(R: FinRing) -> List[Element]:
+    """All z commuting with every element, in lexicographic order.
+
+    z commutes with everything exactly when it commutes with the basis, so
+    the center is the kernel of z -> (z e_i - e_i z)_i, row (i, t) read
+    modulo d_t.  It is listed from its generators, and refused above
+    MAX_SOLUTIONS elements.
+    """
+    rows = _commutator_rows(R.constants)
+    gens = intsolve.kernel(rows, _product_mods(R, rows), R.moduli)
+    size = math.prod(order for _, order in gens)
+    if size > MAX_SOLUTIONS:
+        raise RingSizeError(
+            f"the center has {size} elements, above the enumeration bound {MAX_SOLUTIONS}"
+        )
+    return sorted(intsolve.enumerate_group(gens, R._mods, R.k, MAX_SOLUTIONS))
 
 
 # -- additive maps ------------------------------------------------------------------
@@ -580,36 +652,19 @@ def _conclusion_blocks(R: FinRing, law: Law) -> List[Tuple[str, np.ndarray, np.n
     ]
 
 
-def verify_two_sided(R: FinRing, T: AddMap, exhaustive: Optional[bool] = None) -> bool:
+def verify_two_sided(R: FinRing, T: AddMap) -> bool:
     """T(xy) = T(x)y = xT(y) for all x, y.
 
     Both sides are biadditive in (x, y), so the condition holds everywhere
     exactly when it holds on basis pairs; that tensor identity is what is
-    checked.  With exhaustive=True (or by default on small rings) the full
-    pair scan is run as well.
+    checked.
     """
-    ok = _vanishes(R, _two_sided_rows(R), T)
-    if exhaustive or (exhaustive is None and R.order <= 200):
-        ok2 = all(
-            T(R.mul(x, y)) == R.mul(T(x), y) == R.mul(x, T(y))
-            for x in R.elements()
-            for y in R.elements()
-        )
-        assert ok2 == ok
-    return ok
+    return _vanishes(R, _two_sided_rows(R), T)
 
 
-def verify_derivation(R: FinRing, D: AddMap, exhaustive: Optional[bool] = None) -> bool:
+def verify_derivation(R: FinRing, D: AddMap) -> bool:
     """D(xy) = D(x)y + xD(y) for all x, y (checked on basis pairs)."""
-    ok = _vanishes(R, _derivation_rows(R), D)
-    if exhaustive or (exhaustive is None and R.order <= 200):
-        ok2 = all(
-            D(R.mul(x, y)) == R.add(R.mul(D(x), y), R.mul(x, D(y)))
-            for x in R.elements()
-            for y in R.elements()
-        )
-        assert ok2 == ok
-    return ok
+    return _vanishes(R, _derivation_rows(R), D)
 
 
 def maps_into_center(R: FinRing, D: AddMap) -> bool:
@@ -822,17 +877,13 @@ def _conclusion_violations(R: FinRing, spec: LawSpec, sols: SolutionSet
     return sols.count - math.prod(order for _, order in kept), [example]
 
 
-def check_theorem(R: FinRing, spec: LawSpec, scan_bound: int = SCAN_BOUND) -> TheoremReport:
+def check_theorem(R: FinRing, spec: LawSpec) -> TheoremReport:
     """Evaluate the theorem hypotheses and decide its conclusion on every
     solution."""
     product = spec.torsion_product()
     if product == 0:  # |m-n| is in the derivation budgets
         raise ValueError("the derivation theorems need distinct weights m and n")
-    hyp: Dict[str, object] = {"torsion_product": product}
-    try:
-        hyp["semiprime"] = is_semiprime(R, scan_bound)
-    except RingSizeError:
-        hyp["semiprime"] = None
+    hyp: Dict[str, object] = {"torsion_product": product, "semiprime": is_semiprime(R)}
     hyp["torsion_free"] = is_torsion_free(R, product) if product > 1 else True
     applicable = bool(hyp["semiprime"]) and bool(hyp["torsion_free"])
     sols = solve_identity(R, spec)
@@ -859,9 +910,9 @@ def check_theorem(R: FinRing, spec: LawSpec, scan_bound: int = SCAN_BOUND) -> Th
     )
 
 
-def search_family(rings: Iterable[FinRing], spec: LawSpec, **kwargs) -> List[TheoremReport]:
+def search_family(rings: Iterable[FinRing], spec: LawSpec) -> List[TheoremReport]:
     """check_theorem rows over a family of rings."""
-    return [check_theorem(R, spec, **kwargs) for R in rings]
+    return [check_theorem(R, spec) for R in rings]
 
 
 def family_zn(max_n: int) -> List[FinRing]:

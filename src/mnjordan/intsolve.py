@@ -37,11 +37,15 @@ def gf_nullspace(rows: np.ndarray, q: int) -> np.ndarray:
     if A.size == 0:
         n_cols = A.shape[1] if A.ndim == 2 else 0
         return np.eye(n_cols, dtype=np.int64)
-    A = np.unique(A, axis=0)
+    A = A[A.any(axis=1)]
+    if A.shape[0] > A.shape[1]:  # deduplicating pays only on tall systems
+        A = np.unique(A, axis=0)
     n_rows, n_cols = A.shape
     pivots: List[int] = []
     r = 0
     for c in range(n_cols):
+        if r == n_rows:
+            break
         nz = np.nonzero(A[r:, c])[0]
         if nz.size == 0:
             continue
@@ -56,8 +60,6 @@ def gf_nullspace(rows: np.ndarray, q: int) -> np.ndarray:
         A %= q
         pivots.append(c)
         r += 1
-        if r == n_rows:
-            break
     free = [c for c in range(n_cols) if c not in pivots]
     basis = np.zeros((len(free), n_cols), dtype=np.int64)
     for bi, fc in enumerate(free):

@@ -231,7 +231,7 @@ def test_criterion_4_gen_centralizer_models():
             bad = sum(
                 1
                 for T, T0 in sols.maps()
-                if T != T0 or not fr.verify_two_sided(R, T, exhaustive=False)
+                if T != T0 or not fr.verify_two_sided(R, T)
             )
             violations += bad
             runs[case].append(f"{rname}({m},{n}):{sols.count}")
@@ -255,7 +255,7 @@ def test_criterion_5_gen_derivation_models():
                 continue
             sols = fr.solve_identity(R, fr.LawSpec("gen-derivation", m, n))
             for F, D in sols.maps():
-                if not fr.verify_derivation(R, F, exhaustive=False) or not fr.maps_into_center(R, F):
+                if not fr.verify_derivation(R, F) or not fr.maps_into_center(R, F):
                     violations += 1
             runs += 1
     report(5, violations == 0 and runs == 9, f"{runs} runs, violations={violations} ({time.monotonic()-t0:.1f}s)")

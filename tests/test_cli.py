@@ -75,6 +75,33 @@ def test_ring_above_the_old_scan_bound(capsys):
     assert payload["verdict"] == "conclusion-verified"
 
 
+def test_ring_mat3_z7_is_decided(capsys):
+    # |Mat3(Z7)| = 7^9: the element scans reported semiprime null here
+    code, out, _ = run(
+        capsys, "ring", "--kind", "Mat", "--k", "3", "--p", "7",
+        "--law", "centralizer", "--m", "1", "--n", "2", "--format", "json",
+    )
+    assert code == cli.EXIT_OK
+    payload = json.loads(out)
+    assert payload["hypotheses"]["semiprime"] is True
+    assert payload["verdict"] == "conclusion-verified"
+
+
+@pytest.mark.parametrize(
+    "ring_args",
+    [
+        ["--kind", "Mat", "--k", "2", "--p", "1099511627791", "--n", "1"],
+        ["--kind", "Zn", "--n", str(2**61 - 1), "--n", "1"],
+    ],
+    ids=["mat2-40-bit-prime", "zn-mersenne-61"],
+)
+def test_ring_too_wide_for_int64_exits_3(capsys, ring_args):
+    # the first overflowed gf_nullspace silently; the second stalled in factorize
+    code, out, err = run(capsys, "ring", *ring_args, "--law", "centralizer", "--m", "1")
+    assert code == cli.EXIT_ERROR
+    assert out == "" and err.startswith("error: ") and "64-bit" in err
+
+
 def test_ring_counts_violations_without_enumerating(capsys):
     path = Path(__file__).resolve().parents[1] / "src" / "mnjordan" / "rings" / "z2z2_zero.json"
     code, out, _ = run(
@@ -206,9 +233,11 @@ def test_exit_codes_depend_only_on_the_verdict(capsys, tmp_path):
          "--jobs", "2"],
         ["ring", "--kind", "Mat", "--p", "7", "--law", "centralizer", "--m", "1", "--n", "2",
          "--max-solutions", "1"],
+        ["ring", "--kind", "Mat", "--p", "7", "--law", "centralizer", "--m", "1", "--n", "2",
+         "--max-size", "1000"],
     ],
     ids=["unknown-law", "missing-law", "non-integer-weight", "bare-prove", "removed-jobs",
-         "removed-max-solutions"],
+         "removed-max-solutions", "removed-max-size"],
 )
 def test_usage_errors_exit_3(capsys, argv):
     # argparse's own status 2 would read as "verified with assumptions"

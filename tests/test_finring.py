@@ -13,8 +13,12 @@ from tests.util import (
     all_add_maps,
     all_element_law_rows,
     all_element_residual,
+    all_pairs_derivation,
+    all_pairs_two_sided,
+    all_x_center,
     all_x_is_prime,
     all_x_is_semiprime,
+    all_x_torsion_free,
     enumerated_solutions,
     per_map_violations,
     random_add_map,
@@ -66,6 +70,15 @@ def test_incompatible_table_is_rejected():
         fr.FromTable([2, 4], [[[0, 1], [0, 0]], [[0, 0], [0, 0]]])
 
 
+def test_moduli_too_wide_for_int64_are_refused():
+    # 3k(d-1)^2 >= 2^63: a conclusion row applied to a map could overflow
+    for build in (lambda: fr.MatRing(2, 1099511627791), lambda: fr.Zn(2**61 - 1),
+                  lambda: fr.DirectProduct(fr.Zn(5), fr.Zn(2**31 - 1))):
+        with pytest.raises(fr.RingConstructionError, match="64-bit"):
+            build()
+    assert fr.Zn(2**30).order == 2**30
+
+
 def test_from_spec_shorthand():
     assert fr.from_spec({"kind": "Zn", "n": 6}).order == 6
     assert fr.from_spec({"kind": "Mat", "k": 2, "p": 7}).order == 2401
@@ -101,6 +114,9 @@ def test_torsion_free():
     for n in range(2, 31):
         for t in range(2, 31):
             assert fr.is_torsion_free(fr.Zn(n), t) == (math.gcd(t, n) == 1)
+    for R in [fr.Zn(12), fr.DirectProduct(fr.Zn(8), fr.Zn(9)), fr.MatRing(2, 5)] + shipped_rings():
+        for t in range(2, 13):
+            assert fr.is_torsion_free(R, t) == all_x_torsion_free(R, t), (R.name, t)
 
 
 def test_center():
@@ -113,7 +129,7 @@ def test_center():
     assert len(fr.center(zero_ring)) == 4
 
 
-def test_basis_scans_match_all_x_scans():
+def test_hypothesis_predicates_match_element_scans():
     rings = [fr.Zn(n) for n in range(2, 31)]
     rings += [fr.DirectProduct(fr.Zn(a), fr.Zn(b)) for a in range(2, 7) for b in range(a, 7)]
     rings += shipped_rings()
@@ -122,25 +138,49 @@ def test_basis_scans_match_all_x_scans():
         fr.DirectProduct(fr.Zn(8), fr.Zn(4)),
         fr.DirectProduct(fr.Zn(9), fr.Zn(3)),
         fr.DirectProduct(fr.Zn(4), fr.Zn(4), fr.Zn(4)),
+        fr.FromTable([2, 2], np.zeros((2, 2, 2)), name="zero"),
+        fr.DirectProduct(fr.Zn(3), upper_triangular(2)),
+        fr.DirectProduct(fr.MatRing(2, 2), fr.Zn(3)),
+        fr.DirectProduct(fr.Zn(6), fr.MatRing(2, 3)),
     ]
+    # UT2 has an identity, so only the separability system rejects it:
+    # e12 * R * e12 = 0
+    rings += [upper_triangular(p) for p in (2, 3)]
     for R in rings:
         assert fr.is_semiprime(R) == all_x_is_semiprime(R), R.name
         assert fr.is_prime(R) == all_x_is_prime(R), R.name
-    for p in (2, 3):  # e12 * R * e12 = 0
-        R = upper_triangular(p)
-        assert not fr.is_semiprime(R) and not all_x_is_semiprime(R)
-        assert not fr.is_prime(R) and not all_x_is_prime(R)
+        assert fr.center(R) == all_x_center(R), R.name
+    for R in (upper_triangular(2), upper_triangular(3)):
+        assert not fr.is_semiprime(R) and not fr.is_prime(R)
+    F4 = fr.from_spec(json.loads(
+        resources.files("mnjordan").joinpath("rings", "z2z2_f4.json").read_text()))
+    assert fr.is_prime(F4) and len(fr.center(F4)) == 4  # F_4 is its own center
+
+
+def test_hypotheses_decided_at_any_order():
+    for R in (fr.MatRing(3, 5), fr.MatRing(3, 7), fr.MatRing(2, 11)):
+        assert fr.is_semiprime(R) and fr.is_prime(R), R.name
+        assert len(fr.center(R)) == R.moduli[0], R.name
+    R = fr.DirectProduct(fr.Zn(5), fr.MatRing(2, 7))
+    assert fr.is_semiprime(R) and not fr.is_prime(R)
+    assert len(fr.center(R)) == 35
+    R = fr.DirectProduct(fr.Zn(7), fr.MatRing(2, 49))
+    assert not fr.is_semiprime(R) and not fr.is_prime(R)
 
 
 def test_size_bounds_raise():
-    with pytest.raises(fr.RingSizeError):
-        fr.is_semiprime(fr.MatRing(3, 5))  # 5^9 > SCAN_BOUND
-    with pytest.raises(fr.RingSizeError):
-        fr.is_prime(fr.MatRing(2, 7))
     R = fr.MatRing(2, 11)  # 11^4 > the pair bound
     with pytest.raises(fr.RingSizeError):
         fr.PairEvaluator(R)
     assert R._elements is None  # refused before building anything
+    # every additive map of the zero ring on Z2^5 is a centralizer: 2^25
+    zero = fr.FromTable([2] * 5, np.zeros((5, 5, 5)), name="zero")
+    sols = fr.solve_identity(zero, fr.LawSpec("centralizer", 1, 2))
+    assert sols.count == 2**25 > fr.MAX_SOLUTIONS
+    with pytest.raises(fr.RingSizeError):
+        sols.maps()
+    with pytest.raises(fr.RingSizeError):
+        fr.center(fr.FromTable([2] * 21, np.zeros((21, 21, 21)), name="zero"))
 
 
 # -- additive maps ----------------------------------------------------------------
@@ -239,7 +279,7 @@ def test_mat7_gen_centralizer_solutions_two_sided():
     assert sols.count == 7
     for T, T0 in sols.maps():
         assert T == T0
-        assert fr.verify_two_sided(R, T, exhaustive=False)
+        assert fr.verify_two_sided(R, T)
 
 
 def test_centralizer_law_solutions_under_hypotheses_are_two_sided():
@@ -249,7 +289,7 @@ def test_centralizer_law_solutions_under_hypotheses_are_two_sided():
             if not (fr.is_semiprime(R) and fr.is_torsion_free(R, spec.torsion_product())):
                 continue
             for T in fr.solve_identity(R, spec).maps():
-                assert fr.verify_two_sided(R, T, exhaustive=False)
+                assert fr.verify_two_sided(R, T)
 
 
 def test_gen_derivation_solutions_under_hypotheses():
@@ -258,7 +298,7 @@ def test_gen_derivation_solutions_under_hypotheses():
         assert fr.is_semiprime(R) and fr.is_torsion_free(R, spec.torsion_product())
         for F, D in fr.solve_identity(R, spec).maps():
             assert F == D
-            assert fr.verify_derivation(R, F, exhaustive=False)
+            assert fr.verify_derivation(R, F)
             assert fr.maps_into_center(R, F)
 
 
@@ -268,10 +308,11 @@ def test_gen_derivation_solutions_under_hypotheses():
 def test_verify_two_sided_examples():
     Z6 = fr.Zn(6)
     assert fr.verify_two_sided(Z6, fr.AddMap.identity(Z6))
+    assert all_pairs_two_sided(Z6, fr.AddMap.identity(Z6))
     M5 = fr.MatRing(2, 5)
-    assert fr.verify_two_sided(M5, fr.AddMap.scalar(M5, 2), exhaustive=False)
+    assert fr.verify_two_sided(M5, fr.AddMap.scalar(M5, 2))
     not_two_sided = fr.AddMap(M5, np.diag([1, 1, 0, 0]))
-    assert not fr.verify_two_sided(M5, not_two_sided, exhaustive=False)
+    assert not fr.verify_two_sided(M5, not_two_sided)
 
 
 def test_inner_derivation():
@@ -282,19 +323,21 @@ def test_inner_derivation():
         e = M5.basis(j)
         mat[:, j] = M5.add(M5.mul(a, e), M5.neg(M5.mul(e, a)))
     inner = fr.AddMap(M5, mat)
-    assert fr.verify_derivation(M5, inner, exhaustive=False)
+    assert fr.verify_derivation(M5, inner)
     assert not fr.maps_into_center(M5, inner)
 
 
 def test_tensor_checks_agree_with_exhaustive_scan():
-    R = fr.from_spec({"kind": "product", "of": [{"kind": "Zn", "n": 2}, {"kind": "Zn", "n": 3}]})
-    for M in all_add_maps(R):
-        assert fr.verify_two_sided(R, M, exhaustive=True) == fr.verify_two_sided(
-            R, M, exhaustive=False
-        )
-        assert fr.verify_derivation(R, M, exhaustive=True) == fr.verify_derivation(
-            R, M, exhaustive=False
-        )
+    for R in (fr.DirectProduct(fr.Zn(2), fr.Zn(3)), fr.DirectProduct(fr.Zn(2), fr.Zn(2))):
+        for M in all_add_maps(R):
+            assert fr.verify_two_sided(R, M) == all_pairs_two_sided(R, M)
+            assert fr.verify_derivation(R, M) == all_pairs_derivation(R, M)
+    rng = random.Random(3)
+    for R in [fr.MatRing(2, 2)] + shipped_rings():
+        for _ in range(8):
+            M = random_add_map(R, rng)
+            assert fr.verify_two_sided(R, M) == all_pairs_two_sided(R, M), R.name
+            assert fr.verify_derivation(R, M) == all_pairs_derivation(R, M), R.name
 
 
 # -- lemma cross-check ----------------------------------------------------------------

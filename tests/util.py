@@ -116,6 +116,36 @@ def all_x_is_prime(R) -> bool:
     return True
 
 
+def all_x_center(R):
+    """Every z with z*e_i == e_i*z for each basis element, scanning every
+    element of R; in element (lexicographic) order."""
+    E = R.element_array()
+    mask = np.ones(E.shape[0], dtype=bool)
+    for i in range(R.k):  # one basis element at a time keeps memory at |R|*k
+        ze = (E @ R.constants[:, i, :]) % R._mods  # z * e_i
+        ez = (E @ R.constants[i, :, :]) % R._mods  # e_i * z
+        mask &= np.all(ze == ez, axis=1)
+    return [tuple(int(v) for v in row) for row in E[mask]]
+
+
+def all_x_torsion_free(R, t) -> bool:
+    """No nonzero element killed by t, scanning every element."""
+    E = R.element_array()
+    return not np.any(np.all((t * E) % R._mods == 0, axis=1)[1:])
+
+
+def all_pairs_two_sided(R, T) -> bool:
+    """T(xy) = T(x)y = xT(y), checked at every pair of elements."""
+    E = R.elements()
+    return all(T(R.mul(x, y)) == R.mul(T(x), y) == R.mul(x, T(y)) for x in E for y in E)
+
+
+def all_pairs_derivation(R, D) -> bool:
+    """D(xy) = D(x)y + xD(y), checked at every pair of elements."""
+    E = R.elements()
+    return all(D(R.mul(x, y)) == R.add(R.mul(D(x), y), R.mul(x, D(y))) for x in E for y in E)
+
+
 def random_add_map(R, rng):
     # entry (i, j) must be a multiple of d_i / gcd(d_i, d_j)
     M = [[rng.randrange(0, di, di // math.gcd(di, dj)) for dj in R.moduli] for di in R.moduli]
