@@ -492,7 +492,12 @@ def _law_row_blocks(R: FinRing, spec: LawSpec) -> Tuple[np.ndarray, np.ndarray]:
     def flat(block: np.ndarray) -> np.ndarray:
         return block.reshape(X.shape[0] * k, k * k)
 
-    a, b, c = spec.rule.coefficients(spec.m, spec.n)
+    # row (r, t) is read modulo d_t, so each coefficient is reduced there in
+    # Python ints first: exact at any weight, and below d_t like the entries
+    a, b, c = (
+        np.array([v % d for d in R.moduli], dtype=np.int64)[:, None, None]
+        for v in spec.rule.coefficients(spec.m, spec.n)
+    )
     main = flat(a * of_x2 + b * mx_x)
     base = flat(c * x_mx)
     if spec.pair:
@@ -777,9 +782,12 @@ class PairEvaluator:
         nonzero; None when it vanishes at every pair."""
         R = self.ring
         tables = {sym: self.map_table(M) for sym, M in maps.items()}
+        # integers act on R+ through Z/exponent, so reducing there in Python
+        # ints is exact at any weight; exponent <= |R| <= the pair bound
+        exponent = math.lcm(*R.moduli)
         terms = []
         for word, coeff in poly.terms.items():
-            c = coeff.evaluate(m, n)
+            c = coeff.evaluate(m, n) % exponent
             if any(c % d for d in R.moduli):
                 terms.append((word, c))
         degree = max((word_gen_degree(w, "y") for w, _ in terms), default=0)

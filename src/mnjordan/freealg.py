@@ -18,11 +18,17 @@ Map symbols carry a rewriting kind:
 form behind polynomial equality tests.  The centralizer/derivation rules can
 be switched off individually, which the proof checker uses to model the fact
 that they are licensed by external theorems rather than free.
+
+Every object here is immutable, and the hot paths rely on it.  ``Gen`` and
+``App`` compute their hash and sort key once, at construction, so hashing a
+word never recurses into map arguments.  ``scale(ONE, p)`` returns ``p``
+itself and :func:`normalize` hands out the polynomials it caches, so one
+``NCPoly`` may be shared by many callers: ``NCPoly.terms`` (like
+``ScalarPoly.terms``) must never be mutated after construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Mapping, Tuple, Union
 
 from .scalars import ONE, ExactDivisionError, ScalarPoly
@@ -52,15 +58,50 @@ class NestingError(ValueError):
     """A substitution would nest a generator inside a map applied to it."""
 
 
-@dataclass(frozen=True)
 class Gen:
-    name: str
+    """A generator letter."""
+
+    __slots__ = ("name", "key", "_hash")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.key = (0, name)  # see word_key
+        self._hash = hash(self.key)
+
+    def __eq__(self, other) -> bool:
+        return self is other or (type(other) is Gen and self.name == other.name)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Gen(name={self.name!r})"
 
 
-@dataclass(frozen=True)
 class App:
-    sym: str
-    arg: "Monomial"
+    """A map symbol applied to a word."""
+
+    __slots__ = ("sym", "arg", "key", "_hash")
+
+    def __init__(self, sym: str, arg: "Monomial"):
+        self.sym = sym
+        self.arg = arg
+        self.key = (1, sym, word_key(arg))
+        self._hash = hash((sym, arg))
+
+    def __eq__(self, other) -> bool:
+        return self is other or (
+            type(other) is App
+            and self._hash == other._hash
+            and self.sym == other.sym
+            and self.arg == other.arg
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"App(sym={self.sym!r}, arg={self.arg!r})"
 
 
 Atom = Union[Gen, App]
@@ -68,13 +109,13 @@ Monomial = Tuple[Atom, ...]
 
 
 def atom_key(a: Atom):
-    if isinstance(a, Gen):
-        return (0, a.name)
-    return (1, a.sym, word_key(a.arg))
+    return a.key
 
 
 def word_key(w: Monomial):
-    return (len(w), tuple(atom_key(a) for a in w))
+    """Sort key of a word: shorter words first, then atom by atom, with
+    generators before map atoms."""
+    return (len(w), tuple(a.key for a in w))
 
 
 class NCPoly:
@@ -97,7 +138,7 @@ class NCPoly:
 
     @staticmethod
     def word(w: Iterable[Atom], coeff: ScalarPoly = ONE) -> "NCPoly":
-        return NCPoly({tuple(w): coeff})
+        return _wrap({tuple(w): coeff} if coeff else {})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -117,23 +158,11 @@ class NCPoly:
 
     def __add__(self, other: "NCPoly") -> "NCPoly":
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        res = NCPoly.__new__(NCPoly)
-        res.terms = out
-        res._hash = None
-        return res
+        _add_into(out, other)
+        return _wrap(out)
 
     def __neg__(self) -> "NCPoly":
-        res = NCPoly.__new__(NCPoly)
-        res.terms = {w: -c for w, c in self.terms.items()}
-        res._hash = None
-        return res
+        return _wrap({w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
         return self + (-other)
@@ -165,6 +194,31 @@ class NCPoly:
         return f"NCPoly({self.to_text()})"
 
 
+def _wrap(terms: Dict[Monomial, ScalarPoly]) -> NCPoly:
+    """An NCPoly owning ``terms``, whose coefficients are all nonzero."""
+    res = NCPoly.__new__(NCPoly)
+    res.terms = terms
+    res._hash = None
+    return res
+
+
+def _add_into(out: Dict[Monomial, ScalarPoly], p: NCPoly, c: ScalarPoly = ONE) -> None:
+    """out += c * p, in place on a terms dict; c must be nonzero."""
+    one = c.is_one()
+    for w, k in p.terms.items():
+        if not one:
+            k = c * k
+        s = out.get(w)
+        if s is None:
+            out[w] = k
+        else:
+            s = s + k
+            if s:
+                out[w] = s
+            else:
+                del out[w]
+
+
 # -- constructors -------------------------------------------------------------
 
 
@@ -178,16 +232,8 @@ def app(sym: str, arg: NCPoly) -> NCPoly:
     """Apply a map symbol to a polynomial, expanding by additivity."""
     if sym not in MAP_KINDS:
         raise ValueError(f"unknown map symbol {sym!r}")
-    out: Dict[Monomial, ScalarPoly] = {}
-    for w, c in arg.terms.items():
-        key = (App(sym, w),)
-        s = out.get(key)
-        s = c if s is None else s + c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return NCPoly(out)
+    # distinct words give distinct atoms, so no two terms merge
+    return _wrap({(App(sym, w),): c for w, c in arg.terms.items()})
 
 
 # -- ring operations -----------------------------------------------------------
@@ -196,7 +242,10 @@ def app(sym: str, arg: NCPoly) -> NCPoly:
 def scale(c: ScalarPoly, p: NCPoly) -> NCPoly:
     if not c:
         return NCPoly.zero()
-    return NCPoly({w: c * k for w, k in p.terms.items()})
+    if c.is_one():
+        return p
+    # Z[m, n] has no zero divisors, so no product vanishes
+    return _wrap({w: c * k for w, k in p.terms.items()})
 
 
 def mul(p: NCPoly, q: NCPoly) -> NCPoly:
@@ -206,12 +255,15 @@ def mul(p: NCPoly, q: NCPoly) -> NCPoly:
             w = w1 + w2
             c = c1 * c2
             s = out.get(w)
-            s = c if s is None else s + c
-            if s:
-                out[w] = s
+            if s is None:
+                out[w] = c
             else:
-                out.pop(w, None)
-    return NCPoly(out)
+                s = s + c
+                if s:
+                    out[w] = s
+                else:
+                    del out[w]
+    return _wrap(out)
 
 
 def commutator(p: NCPoly, q: NCPoly) -> NCPoly:
@@ -272,10 +324,10 @@ def substitute_multi(p: NCPoly, mapping: Mapping[str, NCPoly]) -> NCPoly:
         assert poly is not None
         return poly
 
-    out = NCPoly.zero()
+    out: Dict[Monomial, ScalarPoly] = {}
     for w, c in p.terms.items():
-        out = out + scale(c, sub_word(w))
-    return out
+        _add_into(out, sub_word(w), c)
+    return _wrap(out)
 
 
 def substitute(p: NCPoly, g: str, r: NCPoly) -> NCPoly:
@@ -304,10 +356,10 @@ def normalize(p: NCPoly, rules: FrozenSet[str] = ALL_RULES) -> NCPoly:
     centrality for D atoms.  Opaque atoms are untouched apart from
     recursive normalization of their arguments.
     """
-    out = NCPoly.zero()
+    out: Dict[Monomial, ScalarPoly] = {}
     for w, c in p.terms.items():
-        out = out + scale(c, _norm_word(w, rules))
-    return out
+        _add_into(out, _norm_word(w, rules), c)
+    return _wrap(out)
 
 
 def _norm_word(w: Monomial, rules: FrozenSet[str]) -> NCPoly:
@@ -319,10 +371,10 @@ def _norm_word(w: Monomial, rules: FrozenSet[str]) -> NCPoly:
         ap = _norm_atom(a, rules)
         poly = ap if poly is None else mul(poly, ap)
     assert poly is not None
-    out = NCPoly.zero()
+    terms: Dict[Monomial, ScalarPoly] = {}
     for w2, c in poly.terms.items():
-        out = out + scale(c, _post_word(w2, rules))
-    _norm_cache[(w, rules)] = out
+        _add_into(terms, _post_word(w2, rules), c)
+    out = _norm_cache[(w, rules)] = _wrap(terms)
     return out
 
 
@@ -331,7 +383,7 @@ def _norm_atom(a: Atom, rules: FrozenSet[str]) -> NCPoly:
         return NCPoly.word((a,))
     argpoly = _norm_word(a.arg, rules)
     kind = MAP_KINDS[a.sym]
-    out = NCPoly.zero()
+    out: Dict[Monomial, ScalarPoly] = {}
     for w, c in argpoly.terms.items():
         if kind == "central-derivation" and RULE_CENTRAL_DERIVATION in rules:
             if any(isinstance(b, App) for b in w):
@@ -342,10 +394,10 @@ def _norm_atom(a: Atom, rules: FrozenSet[str]) -> NCPoly:
             if len(w) > 1:
                 for i in range(len(w)):
                     piece = w[:i] + (App(a.sym, (w[i],)),) + w[i + 1 :]
-                    out = out + scale(c, _post_word(piece, rules))
+                    _add_into(out, _post_word(piece, rules), c)
                 continue
-        out = out + NCPoly.word((App(a.sym, w),), c)
-    return out
+        _add_into(out, NCPoly.word((App(a.sym, w),)), c)
+    return _wrap(out)
 
 
 def _is_central(a: Atom) -> bool:

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import freealg
 from .freealg import GENERATORS, MAP_KINDS, App, Gen, NCPoly
-from .scalars import ScalarPoly
+from .scalars import ScalarPoly, _term_text
 
 
 class ParseError(ValueError):
@@ -371,7 +371,18 @@ def _parse_subst_body(p: _Parser) -> NCPoly:
 # -- printing ---------------------------------------------------------------------
 
 
+# word -> its printed text; words are immutable, so the text never goes stale
+_word_text: Dict[Tuple, str] = {}
+
+
 def word_to_text(w) -> str:
+    text = _word_text.get(w)
+    if text is None:
+        text = _word_text[w] = _print_word(w)
+    return text
+
+
+def _print_word(w) -> str:
     parts = []
     i = 0
     while i < len(w):
@@ -396,8 +407,7 @@ def poly_to_text(p: NCPoly) -> str:
         if len(c.terms) == 1:
             ((e, k),) = c.terms.items()
             sign = 1 if k > 0 else -1
-            cpart = ScalarPoly({e: abs(k)})
-            ctext = "" if cpart == ScalarPoly.const(1) else cpart.to_text().replace(" ", "")
+            ctext = "" if e == (0, 0) and abs(k) == 1 else _term_text(e, abs(k))
         else:
             sign = 1
             ctext = "(" + c.to_text() + ")"

@@ -312,9 +312,21 @@ class _Env:
         self.identities: Dict[str, Identity] = {}
         self.rules: FrozenSet[str] = NO_RULES
         self.budget = budget
+        # label -> its body normalized under _bodies_rules
+        self._bodies: Dict[str, NCPoly] = {}
+        self._bodies_rules: FrozenSet[str] = NO_RULES
 
     def body(self, label: str) -> NCPoly:
-        return freealg.normalize(self.identities[label].body, self.rules)
+        """The identity under the rules in force; normalized once per label
+        until a license step changes the rules."""
+        if self._bodies_rules != self.rules:
+            self._bodies.clear()
+            self._bodies_rules = self.rules
+        body = self._bodies.get(label)
+        if body is None:
+            body = freealg.normalize(self.identities[label].body, self.rules)
+            self._bodies[label] = body
+        return body
 
 
 def _difference_text(claimed: NCPoly, computed: NCPoly) -> str:

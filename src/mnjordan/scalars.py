@@ -7,7 +7,9 @@ exact at any size.  The zero polynomial is the empty dict.
 
 Instances are immutable by convention: no method mutates ``terms`` after
 construction, which makes ScalarPoly values safe to share and to use as set
-members (hashing is supported).
+members (hashing is supported).  The arithmetic relies on it: a product with
+the constant 1 returns the other factor itself, not a copy, so ``terms``
+must never be mutated by any caller either.
 """
 
 from __future__ import annotations
@@ -60,6 +62,9 @@ class ScalarPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def is_one(self) -> bool:
+        return len(self.terms) == 1 and self.terms.get((0, 0)) == 1
+
     def is_unit(self) -> bool:
         """True for the constants +1 and -1."""
         return self.terms in ({(0, 0): 1}, {(0, 0): -1})
@@ -107,9 +112,15 @@ class ScalarPoly:
             other = ScalarPoly.const(other)
         if not isinstance(other, ScalarPoly):
             return NotImplemented
+        t1, t2 = self.terms, other.terms
+        # is_one, inlined: most products in a replay have a factor 1
+        if len(t1) == 1 and t1.get((0, 0)) == 1:
+            return other
+        if len(t2) == 1 and t2.get((0, 0)) == 1:
+            return self
         out: Dict[Exponent, int] = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
+        for (i1, j1), c1 in t1.items():
+            for (i2, j2), c2 in t2.items():
                 e = (i1 + i2, j1 + j2)
                 s = out.get(e, 0) + c1 * c2
                 if s:

@@ -130,6 +130,31 @@ def test_ring_prime_power_above_the_enumeration_bound(capsys, tmp_path):
     assert payload["verdict"] == "hypotheses-not-met; conclusion fails"
 
 
+@pytest.mark.parametrize(
+    "huge, reduced",
+    [
+        (["--kind", "Zn", "--n", "5", "--n", str(2**63 - 1), "--law", "centralizer", "--m", "1"],
+         ["--kind", "Zn", "--n", "5", "--n", "2", "--law", "centralizer", "--m", "1"]),
+        (["--kind", "Mat", "--k", "2", "--p", "5", "--n", "1", "--law", "gen-centralizer",
+          "--m", str(5 * 2**64 + 4)],
+         ["--kind", "Mat", "--k", "2", "--p", "5", "--n", "1", "--law", "gen-centralizer",
+          "--m", "4"]),
+    ],
+    ids=["huge-n", "huge-m"],
+)
+def test_ring_huge_weight_matches_the_reduced_weight(capsys, huge, reduced):
+    # integers act on R+ through Z/exponent, so only a weight's residue
+    # matters; the huge weights raised OverflowError in the law rows
+    reports = []
+    for argv in (huge, reduced):
+        code, out, err = run(capsys, "ring", *argv, "--format", "json")
+        assert code == cli.EXIT_OK and err == ""
+        payload = json.loads(out)
+        del payload["m"], payload["n"], payload["hypotheses"]["torsion_product"]
+        reports.append(payload)
+    assert reports[0] == reports[1]
+
+
 def test_ring_zn_overloaded_n(capsys):
     code, out, _ = run(
         capsys, "ring", "--kind", "Zn", "--n", "4",

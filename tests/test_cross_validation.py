@@ -187,3 +187,23 @@ def test_first_violation_matches_all_pairs_oracle():
                     violations += isinstance(got, tuple)
                     errors += isinstance(got, str)
     assert calls > 1500 and 0 < errors and 0 < violations < calls - errors
+
+
+def test_first_violation_reads_the_weights_modulo_the_moduli():
+    # integers act on R+ through Z/exponent; a weight beyond int64 raised
+    # OverflowError in the coefficient products
+    R = fr.DirectProduct(fr.Zn(4), fr.Zn(3))
+    ev = fr.PairEvaluator(R)
+    rng = random.Random(5)
+    huge = 12 * 2**64  # a multiple of the exponent 12
+    found = 0
+    for text in fr.LEMMA_TEXTS.values():
+        poly = parse_poly(text)
+        for _ in range(3):
+            bound = {sym: random_add_map(R, rng) for sym in ("T", "T0", "F", "D", "Fc")}
+            for m, n in ((1, 2), (3, 1), (2, 5)):
+                want = ev.first_violation(poly, bound, m, n)
+                assert ev.first_violation(poly, bound, m + huge, n) == want
+                assert ev.first_violation(poly, bound, m, n + 7 * huge) == want
+                found += want is not None
+    assert found

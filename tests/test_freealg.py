@@ -9,6 +9,7 @@ from mnjordan.parsing import parse_poly as P
 from mnjordan.parsing import poly_to_text
 from mnjordan.parsing import parse_scalar as S
 from mnjordan.scalars import ExactDivisionError
+from tests.util import word_key as recursive_word_key
 
 N = fa.normalize
 
@@ -17,6 +18,15 @@ N = fa.normalize
 
 ATOM_POOL = ["x", "y", "T[x]", "T[y]", "T0[x]", "T0[y]", "F[x]", "D[x]", "D[y]"]
 COEFF_POOL = ["1", "-1", "2", "m", "n", "m+n", "-3", "m*n", "2*m-n"]
+# map arguments beyond bare generators, and the nesting D[x*T[x]] that the
+# derivation rules reject
+ROUND_TRIP_POOL = ATOM_POOL + ["T[x*y]", "T0[x^2*y]", "D[y*x]", "F[x*T[y]]", "Fc[x]", "D[x*T[x]]"]
+RULE_SETS = {
+    "none": fa.NO_RULES,
+    "two-sided": frozenset({fa.RULE_TWO_SIDED}),
+    "central-derivation": frozenset({fa.RULE_CENTRAL_DERIVATION}),
+    "all": fa.ALL_RULES,
+}
 
 
 def random_poly(rng, max_terms=4, max_len=4, pool=ATOM_POOL):
@@ -26,6 +36,42 @@ def random_poly(rng, max_terms=4, max_len=4, pool=ATOM_POOL):
         coeff = rng.choice(COEFF_POOL)
         terms.append(f"({coeff})*{word}")
     return P(" + ".join(terms))
+
+
+# -- atoms ---------------------------------------------------------------------
+
+
+def _word():
+    x, y = fa.Gen("x"), fa.Gen("y")
+    return (x, fa.App("T", (x, fa.App("D", (y,)))), y)
+
+
+def test_atoms_built_separately_are_equal_dict_keys():
+    w1, w2 = _word(), _word()
+    assert w1[1] is not w2[1]
+    assert w1 == w2 and hash(w1) == hash(w2)
+    assert {w1: "found"}[w2] == "found"
+    assert P("T[x*D[y]]*x").terms.keys() == P("T[x*D[y]]*x").terms.keys()
+
+
+def test_atoms_differ_by_kind_symbol_and_argument():
+    w = (fa.Gen("x"),)
+    assert fa.App("T", w) != fa.App("T0", w)
+    assert fa.App("T", w) != fa.App("T", (fa.Gen("y"),))
+    assert fa.Gen("x") != fa.App("T", w) and fa.App("T", w) != fa.Gen("x")
+    assert fa.Gen("x") != fa.Gen("y")
+    assert len({fa.Gen("x"), fa.Gen("x"), fa.App("T", w), fa.App("T", w)}) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(sorted(RULE_SETS)))
+def test_sorted_terms_order_matches_the_recursive_keys(seed, rule_set):
+    p = random_poly(random.Random(seed), max_terms=8, pool=ROUND_TRIP_POOL)
+    try:
+        p = N(p, RULE_SETS[rule_set])
+    except fa.NormalizeError:
+        pass
+    assert [w for w, _ in p.sorted_terms()] == sorted(p.terms, key=recursive_word_key)
 
 
 # -- the spec'd operation examples ---------------------------------------------
@@ -141,11 +187,17 @@ def test_ring_axioms(p, q, r):
     assert p + fa.NCPoly.zero() == p
 
 
-@settings(max_examples=150, deadline=None)
-@given(polys)
-def test_normalize_idempotent(p):
-    one_pass = N(p)
-    assert N(one_pass) == one_pass
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(sorted(RULE_SETS)))
+def test_normalize_idempotent(seed, rule_set):
+    # every stored identity is normalized under the rules in force, and
+    # proofcheck normalizes it again when it is cited: that must not move it
+    rules = RULE_SETS[rule_set]
+    try:
+        one_pass = N(random_poly(random.Random(seed), pool=ROUND_TRIP_POOL), rules)
+    except fa.NormalizeError:
+        return
+    assert N(one_pass, rules) == one_pass
 
 
 @settings(max_examples=150, deadline=None)
@@ -186,17 +238,6 @@ def test_degree_bookkeeping(p, g):
 
     for word in p.terms:
         assert fa.word_gen_degree(word, g) == brute_count(word, g)
-
-
-# map arguments beyond bare generators, and the nesting D[x*T[x]] that the
-# derivation rules reject
-ROUND_TRIP_POOL = ATOM_POOL + ["T[x*y]", "T0[x^2*y]", "D[y*x]", "F[x*T[y]]", "Fc[x]", "D[x*T[x]]"]
-RULE_SETS = {
-    "none": fa.NO_RULES,
-    "two-sided": frozenset({fa.RULE_TWO_SIDED}),
-    "central-derivation": frozenset({fa.RULE_CENTRAL_DERIVATION}),
-    "all": fa.ALL_RULES,
-}
 
 
 @settings(max_examples=300, deadline=None)

@@ -4,6 +4,7 @@ import re
 import pytest
 
 from mnjordan import freealg as fa
+from mnjordan import parsing
 from mnjordan import proofcheck as pc
 from mnjordan.parsing import parse_poly as P
 from tests.util import mutate_script, shipped_script
@@ -356,3 +357,35 @@ def test_only_claims_that_differ_from_the_printed_form_are_parsed(monkeypatch):
         # license and assume steps have no computed polynomial
         kinds = {s.label: s.kind for s in pc.parse_script(shipped_script(name)).steps}
         assert sorted(kinds[label] for label in parsed) == ["assume", "define", "external"]
+
+
+# -- one normalized body per cited label -------------------------------------------
+
+# t0law is cited once before its license and once after, where its body
+# normalizes to 0: a body kept from before the license fails the shape check
+CITED_ACROSS_A_LICENSE = "\n".join([
+    "step t0law define law=centralizer map=T0 => (m+n)*T0[x^2] - m*T0[x]*x - n*x*T0[x]",
+    "step pre mulleft use=t0law by=x => (m+n)*x*T0[x^2] - m*x*T0[x]*x - n*x^2*T0[x]",
+    "step t0lic external t0-two-sided use=t0law => 0",
+    "step post external commuting use=t0law map=T0 => 0",
+    "goal post",
+]) + "\n"
+
+
+def test_body_cache_changes_no_report(monkeypatch):
+    variants = [(name, desc, text) for name in SCRIPTS for desc, text in _variants(name)]
+    variants.append(("<script>", "cited across a license", CITED_ACROSS_A_LICENSE))
+    cached = {(name, desc): _report(text, name) for name, desc, text in variants}
+    assert cached["<script>", "cited across a license"][1]["overall"] == "VERIFIED"
+    # a second replay of the shipped scripts adds nothing to the memos
+    # kept for the life of the process
+    sizes = (len(fa._norm_cache), len(parsing._word_text))
+    for name in SCRIPTS:
+        pc.replay_text(shipped_script(name), name)
+    assert (len(fa._norm_cache), len(parsing._word_text)) == sizes
+    # every citation normalized afresh, as before the cache
+    monkeypatch.setattr(
+        pc._Env, "body", lambda env, label: fa.normalize(env.identities[label].body, env.rules)
+    )
+    for name, desc, text in variants:
+        assert _report(text, name) == cached[name, desc], (name, desc)

@@ -46,6 +46,19 @@ def mutate_script(text: str, rng, label: str | None = None):
     return "\n".join(lines) + "\n", step_label
 
 
+# -- the recursive sort keys that Gen.key and App.key now store ----------------
+
+
+def atom_key(a):
+    if isinstance(a, fa.Gen):
+        return (0, a.name)
+    return (1, a.sym, word_key(a.arg))
+
+
+def word_key(w):
+    return (len(w), tuple(atom_key(a) for a in w))
+
+
 # -- all-element oracles for the finite-ring solver and scans ------------------
 
 
