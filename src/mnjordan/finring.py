@@ -753,27 +753,27 @@ class PairEvaluator:
 
     def _violations(self, terms, tables, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Boolean (len(xs), len(ys)) array: where the terms do not sum to 0."""
-        base = {"x": xs[:, None], "y": ys[None, :]}
-        memo: Dict[tuple, np.ndarray] = {}
-
-        def eval_word(word) -> np.ndarray:
-            # x-only subwords stay (len(xs), 1); each prefix is gathered once
-            if word not in memo:
-                head = eval_word(word[:-1]) if len(word) > 1 else None
-                atom = word[-1]
-                if isinstance(atom, Gen):
-                    idx = base[atom.name]
-                else:
-                    if atom.sym not in tables:
-                        raise ValueError(f"no concrete map bound to {atom.sym}")
-                    idx = tables[atom.sym][eval_word(atom.arg)]
-                memo[word] = idx if head is None else self.mul_table[head, idx]
-            return memo[word]
-
+        # word -> index array; seeded with the generators
+        memo: Dict[tuple, np.ndarray] = {(Gen("x"),): xs[:, None], (Gen("y"),): ys[None, :]}
         total = np.zeros((xs.size, ys.size, self.ring.k), dtype=np.int64)
         for word, c in terms:
-            total += c * self.E[eval_word(word)]
+            total += c * self.E[self._gather(word, tables, memo)]
         return np.any(total % self.ring._mods != 0, axis=2)
+
+    def _gather(self, word, tables, memo: Dict[tuple, np.ndarray]) -> np.ndarray:
+        """Index array of a word's values; x-only subwords stay
+        (len(xs), 1), and each prefix is gathered once."""
+        if word not in memo:
+            head = self._gather(word[:-1], tables, memo) if len(word) > 1 else None
+            atom = word[-1]
+            if isinstance(atom, Gen):
+                idx = memo[(atom,)]
+            else:
+                if atom.sym not in tables:
+                    raise ValueError(f"no concrete map bound to {atom.sym}")
+                idx = tables[atom.sym][self._gather(atom.arg, tables, memo)]
+            memo[word] = idx if head is None else self.mul_table[head, idx]
+        return memo[word]
 
     def first_violation(
         self, poly, maps: Dict[str, AddMap], m: int, n: int

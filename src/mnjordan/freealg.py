@@ -19,17 +19,24 @@ form behind polynomial equality tests.  The centralizer/derivation rules can
 be switched off individually, which the proof checker uses to model the fact
 that they are licensed by external theorems rather than free.
 
-Every object here is immutable, and the hot paths rely on it.  ``Gen`` and
-``App`` compute their hash and sort key once, at construction, so hashing a
-word never recurses into map arguments.  ``scale(ONE, p)`` returns ``p``
-itself and :func:`normalize` hands out the polynomials it caches, so one
-``NCPoly`` may be shared by many callers: ``NCPoly.terms`` (like
-``ScalarPoly.terms``) must never be mutated after construction.
+Atoms are hash-consed: ``Gen(name)`` and ``App(sym, arg)`` return the one
+instance for their content, so structurally equal atoms are the same object
+and equality is identity.  Atoms, and the word tuples built from them, hash
+and compare without calling back into Python.  Build atoms only through
+``Gen(...)`` and ``App(...)`` (``copy`` and ``pickle`` go through them too);
+an atom made any other way would compare unequal to its interned twin.
+
+Every object here is immutable, and the hot paths rely on it.
+``scale(ONE, p)`` returns ``p`` itself, and :func:`normalize` returns its
+argument when every word is already in normal form and hands out the
+polynomials it caches, so one ``NCPoly`` may be shared by many callers:
+``NCPoly.terms`` (like ``ScalarPoly.terms``) must never be mutated after
+construction.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Mapping, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Mapping, Set, Tuple, Union
 
 from .scalars import ONE, ExactDivisionError, ScalarPoly
 
@@ -58,21 +65,27 @@ class NestingError(ValueError):
     """A substitution would nest a generator inside a map applied to it."""
 
 
+# content -> atom: a generator's name, or (sym, arg) for a map atom
+_atoms: Dict[object, "Atom"] = {}
+
+
 class Gen:
     """A generator letter."""
 
-    __slots__ = ("name", "key", "_hash")
+    __slots__ = ("name", "key")
 
-    def __init__(self, name: str):
-        self.name = name
-        self.key = (0, name)  # see word_key
-        self._hash = hash(self.key)
+    def __new__(cls, name: str) -> "Gen":
+        a = _atoms.get(name)
+        if a is None:
+            a = object.__new__(cls)
+            a.name = name
+            a.key = (0, name)  # see word_key
+            # setdefault is atomic, so racing threads agree on one instance
+            a = _atoms.setdefault(name, a)
+        return a
 
-    def __eq__(self, other) -> bool:
-        return self is other or (type(other) is Gen and self.name == other.name)
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self):
+        return (Gen, (self.name,))
 
     def __repr__(self) -> str:
         return f"Gen(name={self.name!r})"
@@ -81,24 +94,20 @@ class Gen:
 class App:
     """A map symbol applied to a word."""
 
-    __slots__ = ("sym", "arg", "key", "_hash")
+    __slots__ = ("sym", "arg", "key")
 
-    def __init__(self, sym: str, arg: "Monomial"):
-        self.sym = sym
-        self.arg = arg
-        self.key = (1, sym, word_key(arg))
-        self._hash = hash((sym, arg))
+    def __new__(cls, sym: str, arg: "Monomial") -> "App":
+        a = _atoms.get((sym, arg))
+        if a is None:
+            a = object.__new__(cls)
+            a.sym = sym
+            a.arg = arg
+            a.key = (1, sym, word_key(arg))
+            a = _atoms.setdefault((sym, arg), a)
+        return a
 
-    def __eq__(self, other) -> bool:
-        return self is other or (
-            type(other) is App
-            and self._hash == other._hash
-            and self.sym == other.sym
-            and self.arg == other.arg
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self):
+        return (App, (self.sym, self.arg))
 
     def __repr__(self) -> str:
         return f"App(sym={self.sym!r}, arg={self.arg!r})"
@@ -106,6 +115,9 @@ class App:
 
 Atom = Union[Gen, App]
 Monomial = Tuple[Atom, ...]
+
+# word -> its sort key, built once per word
+_word_keys: Dict[Monomial, tuple] = {}
 
 
 def atom_key(a: Atom):
@@ -115,7 +127,10 @@ def atom_key(a: Atom):
 def word_key(w: Monomial):
     """Sort key of a word: shorter words first, then atom by atom, with
     generators before map atoms."""
-    return (len(w), tuple(a.key for a in w))
+    key = _word_keys.get(w)
+    if key is None:
+        key = _word_keys[w] = (len(w), tuple(a.key for a in w))
+    return key
 
 
 class NCPoly:
@@ -286,18 +301,14 @@ def word_gen_degree(w: Monomial, g: str) -> int:
 # -- substitution ---------------------------------------------------------------
 
 
-def _check_no_nesting(r: NCPoly, g: str) -> None:
-    def scan_word(w: Monomial) -> None:
-        for a in w:
-            if isinstance(a, App):
-                if word_gen_degree(a.arg, g) > 0:
-                    raise NestingError(
-                        f"replacement contains {a.sym}[...] with {g} inside its argument"
-                    )
-                scan_word(a.arg)
-
-    for w in r.terms:
-        scan_word(w)
+def _check_no_nesting(w: Monomial, g: str) -> None:
+    for a in w:
+        if isinstance(a, App):
+            if word_gen_degree(a.arg, g) > 0:
+                raise NestingError(
+                    f"replacement contains {a.sym}[...] with {g} inside its argument"
+                )
+            _check_no_nesting(a.arg, g)
 
 
 def substitute_multi(p: NCPoly, mapping: Mapping[str, NCPoly]) -> NCPoly:
@@ -309,25 +320,26 @@ def substitute_multi(p: NCPoly, mapping: Mapping[str, NCPoly]) -> NCPoly:
     for g, r in mapping.items():
         if g not in GENERATORS:
             raise ValueError(f"unknown generator {g!r}")
-        _check_no_nesting(r, g)
-
-    def sub_word(w: Monomial) -> NCPoly:
-        poly: NCPoly | None = None
-        for a in w:
-            if isinstance(a, Gen):
-                ap = mapping.get(a.name)
-                if ap is None:
-                    ap = NCPoly.word((a,))
-            else:
-                ap = app(a.sym, sub_word(a.arg))
-            poly = ap if poly is None else mul(poly, ap)
-        assert poly is not None
-        return poly
-
+        for w in r.terms:
+            _check_no_nesting(w, g)
     out: Dict[Monomial, ScalarPoly] = {}
     for w, c in p.terms.items():
-        _add_into(out, sub_word(w), c)
+        _add_into(out, _sub_word(w, mapping), c)
     return _wrap(out)
+
+
+def _sub_word(w: Monomial, mapping: Mapping[str, NCPoly]) -> NCPoly:
+    poly: NCPoly | None = None
+    for a in w:
+        if isinstance(a, Gen):
+            ap = mapping.get(a.name)
+            if ap is None:
+                ap = NCPoly.word((a,))
+        else:
+            ap = app(a.sym, _sub_word(a.arg, mapping))
+        poly = ap if poly is None else mul(poly, ap)
+    assert poly is not None
+    return poly
 
 
 def substitute(p: NCPoly, g: str, r: NCPoly) -> NCPoly:
@@ -347,6 +359,8 @@ def polarize_even(p: NCPoly, g: str) -> NCPoly:
 # -- normalization ----------------------------------------------------------------
 
 _norm_cache: Dict[Tuple[Monomial, FrozenSet[str]], NCPoly] = {}
+# rules -> the words seen by _norm_word whose normal form is the word itself
+_normal_words: Dict[FrozenSet[str], Set[Monomial]] = {}
 
 
 def normalize(p: NCPoly, rules: FrozenSet[str] = ALL_RULES) -> NCPoly:
@@ -356,6 +370,10 @@ def normalize(p: NCPoly, rules: FrozenSet[str] = ALL_RULES) -> NCPoly:
     centrality for D atoms.  Opaque atoms are untouched apart from
     recursive normalization of their arguments.
     """
+    normal = _normal_words.get(rules)
+    if normal is not None and normal.issuperset(p.terms):
+        # rebuilding would give the same terms in the same order
+        return p
     out: Dict[Monomial, ScalarPoly] = {}
     for w, c in p.terms.items():
         _add_into(out, _norm_word(w, rules), c)
@@ -374,6 +392,8 @@ def _norm_word(w: Monomial, rules: FrozenSet[str]) -> NCPoly:
     terms: Dict[Monomial, ScalarPoly] = {}
     for w2, c in poly.terms.items():
         _add_into(terms, _post_word(w2, rules), c)
+    if len(terms) == 1 and w in terms and terms[w].is_one():
+        _normal_words.setdefault(rules, set()).add(w)
     out = _norm_cache[(w, rules)] = _wrap(terms)
     return out
 

@@ -38,6 +38,8 @@ _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<arrow>->)|(?P<op>[-+*^()\[\];|,]))"
 )
 
+_TOKEN_KIND = {"int": "int", "name": "name", "arrow": "op", "op": "op"}
+
 
 def tokenize(text: str) -> List[Tuple[str, str, int]]:
     tokens = []
@@ -48,14 +50,8 @@ def tokenize(text: str) -> List[Tuple[str, str, int]]:
             if text[pos:].strip():
                 raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}", pos)
             break
-        if m.group("int"):
-            tokens.append(("int", m.group("int"), m.start()))
-        elif m.group("name"):
-            tokens.append(("name", m.group("name"), m.start()))
-        elif m.group("arrow"):
-            tokens.append(("op", "->", m.start()))
-        else:
-            tokens.append(("op", m.group("op"), m.start()))
+        kind = m.lastgroup
+        tokens.append((_TOKEN_KIND[kind], m[kind], m.start()))
         pos = m.end()
     return tokens
 
@@ -373,6 +369,8 @@ def _parse_subst_body(p: _Parser) -> NCPoly:
 
 # word -> its printed text; words are immutable, so the text never goes stale
 _word_text: Dict[Tuple, str] = {}
+# the terms of a multi-term coefficient -> its parenthesized text
+_coeff_text: Dict[Tuple, str] = {}
 
 
 def word_to_text(w) -> str:
@@ -410,7 +408,10 @@ def poly_to_text(p: NCPoly) -> str:
             ctext = "" if e == (0, 0) and abs(k) == 1 else _term_text(e, abs(k))
         else:
             sign = 1
-            ctext = "(" + c.to_text() + ")"
+            key = tuple(c.terms.items())
+            ctext = _coeff_text.get(key)
+            if ctext is None:
+                ctext = _coeff_text[key] = "(" + c.to_text() + ")"
         body = word_to_text(w)
         if ctext:
             body = ctext + "*" + body

@@ -7,6 +7,7 @@ actual solution on a concrete finite ring and evaluating at every pair of
 elements must therefore produce zero, for every step of the certificate.
 """
 
+import gc
 import random
 
 import numpy as np
@@ -207,3 +208,20 @@ def test_first_violation_reads_the_weights_modulo_the_moduli():
                 assert ev.first_violation(poly, bound, m, n + 7 * huge) == want
                 found += want is not None
     assert found
+
+
+def test_first_violation_leaves_no_reference_cycle():
+    # a cycle would keep the (|R|, P) index arrays of every gathered word
+    # alive until the cyclic collector happened to run
+    R = fr.MatRing(2, 3)
+    ev = fr.PairEvaluator(R)
+    rng = random.Random(3)
+    poly = parse_poly(fr.LEMMA_TEXTS["gen-centralizer"])
+    bound = {"T": random_add_map(R, rng), "T0": random_add_map(R, rng)}
+    gc.collect()
+    gc.disable()
+    try:
+        assert ev.first_violation(poly, bound, 1, 1) is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

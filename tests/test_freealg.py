@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -9,6 +11,7 @@ from mnjordan.parsing import parse_poly as P
 from mnjordan.parsing import poly_to_text
 from mnjordan.parsing import parse_scalar as S
 from mnjordan.scalars import ExactDivisionError
+from tests.util import rebuilding_normalize
 from tests.util import word_key as recursive_word_key
 
 N = fa.normalize
@@ -48,10 +51,19 @@ def _word():
 
 def test_atoms_built_separately_are_equal_dict_keys():
     w1, w2 = _word(), _word()
-    assert w1[1] is not w2[1]
+    assert w1[1] is w2[1]
     assert w1 == w2 and hash(w1) == hash(w2)
     assert {w1: "found"}[w2] == "found"
     assert P("T[x*D[y]]*x").terms.keys() == P("T[x*D[y]]*x").terms.keys()
+
+
+def test_copied_and_unpickled_atoms_are_the_interned_ones():
+    w = _word()
+    assert P("x*T[x*D[y]]*y").terms.keys() == {w}
+    for twin in (copy.deepcopy(w), copy.copy(w), pickle.loads(pickle.dumps(w))):
+        assert twin == w and hash(twin) == hash(w)
+        assert all(a is b for a, b in zip(twin, w))
+        assert twin[1].arg[1] is w[1].arg[1]
 
 
 def test_atoms_differ_by_kind_symbol_and_argument():
@@ -198,6 +210,25 @@ def test_normalize_idempotent(seed, rule_set):
     except fa.NormalizeError:
         return
     assert N(one_pass, rules) == one_pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(sorted(RULE_SETS)))
+def test_normalize_matches_the_rebuilding_oracle(seed, rule_set):
+    # normalize returns its argument when every word is a recorded fixed
+    # point; the oracle rebuilds every word
+    rules = RULE_SETS[rule_set]
+    p = random_poly(random.Random(seed), max_terms=6, pool=ROUND_TRIP_POOL)
+    try:
+        expected = rebuilding_normalize(p, rules)
+    except fa.NormalizeError:
+        with pytest.raises(fa.NormalizeError):
+            N(p, rules)
+        return
+    assert list(N(p, rules).terms.items()) == list(expected.terms.items())
+    # the first pass over an already normal polynomial records its words
+    assert list(N(expected, rules).terms.items()) == list(expected.terms.items())
+    assert N(expected, rules) is expected
 
 
 @settings(max_examples=150, deadline=None)

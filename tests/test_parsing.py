@@ -7,7 +7,9 @@ from mnjordan.parsing import (
     parse_poly,
     parse_scalar,
     parse_witnesses,
+    tokenize,
 )
+from tests.util import group_by_group_tokenize, shipped_script
 
 
 def test_grammar_examples():
@@ -78,3 +80,23 @@ def test_witness_with_map_contexts():
         parse_witnesses("m*x + n*y")  # no identity reference
     with pytest.raises(ParseError):
         parse_witnesses("(x+y)*[a]")  # context is not a monomial
+
+
+def _tokens_or_error(tokenizer, text):
+    try:
+        return tokenizer(text)
+    except ParseError as exc:
+        return ("error", str(exc), exc.pos)
+
+
+@pytest.mark.parametrize("script", ["theorem_centralizer.steps", "theorem_derivation.steps"])
+def test_tokenizer_matches_the_group_by_group_oracle(script):
+    malformed = ["x $ y", "T[x] @", "x*y @", "", "   ", "x ->y;", "  12 -> m_1|[,]"]
+    texts = list(malformed)
+    for line in shipped_script(script).splitlines():
+        # a whole line stops at '=>'; its two sides tokenize in full
+        head, _, claim = line.split("#", 1)[0].partition("=>")
+        texts += [line, head, claim]
+    for text in texts:
+        assert _tokens_or_error(tokenize, text) == _tokens_or_error(group_by_group_tokenize, text)
+    assert _tokens_or_error(tokenize, "x $ y") == ("error", "unexpected character '$' (at column 2)", 1)

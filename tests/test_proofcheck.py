@@ -379,10 +379,15 @@ def test_body_cache_changes_no_report(monkeypatch):
     assert cached["<script>", "cited across a license"][1]["overall"] == "VERIFIED"
     # a second replay of the shipped scripts adds nothing to the memos
     # kept for the life of the process
-    sizes = (len(fa._norm_cache), len(parsing._word_text))
+    def sizes():
+        memos = (fa._norm_cache, fa._atoms, fa._word_keys, parsing._word_text,
+                 parsing._coeff_text)
+        return [len(memo) for memo in memos] + [len(s) for s in fa._normal_words.values()]
+
+    before = sizes()
     for name in SCRIPTS:
         pc.replay_text(shipped_script(name), name)
-    assert (len(fa._norm_cache), len(parsing._word_text)) == sizes
+    assert sizes() == before
     # every citation normalized afresh, as before the cache
     monkeypatch.setattr(
         pc._Env, "body", lambda env, label: fa.normalize(env.identities[label].body, env.rules)

@@ -9,7 +9,7 @@ import numpy as np
 from mnjordan import finring as fr
 from mnjordan import freealg as fa
 from mnjordan import intsolve
-from mnjordan.parsing import parse_poly
+from mnjordan.parsing import _TOKEN_RE, ParseError, parse_poly
 from mnjordan.scalars import ScalarPoly
 
 
@@ -57,6 +57,39 @@ def atom_key(a):
 
 def word_key(w):
     return (len(w), tuple(atom_key(a) for a in w))
+
+
+def rebuilding_normalize(p, rules=fa.ALL_RULES):
+    """freealg.normalize before normal words passed through: every word is
+    rebuilt from its normal form."""
+    out = {}
+    for w, c in p.terms.items():
+        fa._add_into(out, fa._norm_word(w, rules), c)
+    return fa._wrap(out)
+
+
+# -- the tokenizer that tested each named group in turn ------------------------
+
+
+def group_by_group_tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m:
+            if text[pos:].strip():
+                raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}", pos)
+            break
+        if m.group("int"):
+            tokens.append(("int", m.group("int"), m.start()))
+        elif m.group("name"):
+            tokens.append(("name", m.group("name"), m.start()))
+        elif m.group("arrow"):
+            tokens.append(("op", "->", m.start()))
+        else:
+            tokens.append(("op", m.group("op"), m.start()))
+        pos = m.end()
+    return tokens
 
 
 # -- all-element oracles for the finite-ring solver and scans ------------------
