@@ -126,11 +126,8 @@ def cmd_search(args) -> int:
         elif args.family == "mat2":
             primes = [int(p) for p in args.primes.split(",")] if args.primes else [3, 5, 7]
             rings = finring.family_mat2(primes)
-        elif args.family == "products":
+        else:  # "products": argparse admits only the three families
             rings = finring.family_products(args.max_n)
-        else:
-            print(f"unknown family {args.family!r}", file=sys.stderr)
-            return EXIT_ERROR
         spec = finring.LawSpec(args.law, args.m, args.n)
         rows = finring.search_family(rings, spec)
     except ValueError as exc:

@@ -33,6 +33,7 @@ from .freealg import Gen, word_gen_degree
 from .laws import TABLE, TWO_SIDED, Law
 
 MAX_SOLUTIONS = 10**6          # bound on SolutionSet.maps() and center(); no verdict reads it
+PAIR_CELLS = 2**20             # bound on C(k+Dx, Dx) * C(k+Dy, Dy) * k in PairEvaluator
 
 LAWS = tuple(TABLE)
 
@@ -44,7 +45,7 @@ class RingConstructionError(ValueError):
 
 
 class RingSizeError(ValueError):
-    """An enumeration or a pair scan was asked for above its size bound."""
+    """An enumeration or a pair check was asked for above its size bound."""
 
 
 class FinRing:
@@ -135,12 +136,6 @@ class FinRing:
             grids = np.meshgrid(*ranges, indexing="ij")
             self._elements = np.stack([g.ravel() for g in grids], axis=1)
         return self._elements
-
-    def element_index(self, a: Element) -> int:
-        idx = 0
-        for v, d in zip(a, self.moduli):
-            idx = idx * d + (v % d)
-        return idx
 
     def pair_evaluator(self) -> "PairEvaluator":
         """The ring's PairEvaluator, built on first use."""
@@ -698,106 +693,110 @@ def _lemma_poly(law: str):
 
 
 class PairEvaluator:
-    """Evaluate polynomial identities at every pair (x, y) of ring elements.
+    """Evaluate polynomial identities in x and y at finitely many pairs of
+    ring elements that decide them on all of R x R.
 
-    Products and map applications become integer-array gathers over index
-    tables, so one instance amortizes the table construction across many
-    identities and maps.
+    The maps are additive and the product is biadditive, so for fixed y a
+    monomial of x-degree d (T[x] counts 1, T[x*x] counts 2) is the diagonal
+    of a d-additive map in x, and an identity P of x-degree at most Dx is a
+    polynomial map of degree at most Dx on the additive group.  Writing
+    x = sum c_i e_i with integers c_i >= 0, Newton interpolation on Z^k
+    gives P(x, y) = sum_{|a| <= Dx} C(c, a) * Delta^a P(0, y), each
+    difference an integer combination of the values at the points
+    sum b_i e_i with b <= a.  So P(., y) vanishes everywhere exactly when it
+    vanishes on Px, the points sum c_i e_i with c_i >= 0 and sum c_i <= Dx
+    reduced mod the moduli, on any mixed-modulus group; likewise in y on Py
+    for the y-degree Dy.  Hence P vanishes on R x R exactly when it vanishes
+    on Px x Py: then P(x, .) vanishes everywhere for each x in Px, so each
+    P(., y) vanishes on Px, and so everywhere.
 
-    The maps are additive and the product is biadditive, so a monomial of
-    y-degree d is, for fixed x, the diagonal of a d-additive map in y.  An
-    identity P of y-degree at most D is therefore, for fixed x, a polynomial
-    map of degree at most D on the additive group: writing y = sum c_i e_i
-    with integers c_i >= 0, Newton interpolation on Z^k gives
-    P(x, y) = sum_{|a| <= D} C(c, a) * Delta^a P(x, 0), and each difference
-    Delta^a P(x, 0) is an integer combination of the values at the points
-    sum b_i e_i with b <= a.  So P(x, .) vanishes everywhere exactly when it
-    vanishes at the points sum c_i e_i with c_i >= 0 and sum c_i <= D,
-    reduced mod the moduli, on any mixed-modulus group.  first_violation
-    scans every x against those points, then scans the first bad x against
-    every y.
+    x is bound as a (|Px|, 1, k) array of coordinate vectors and y as
+    (1, |Py|, k); no element is enumerated.  An identity is refused when
+    C(k+Dx, Dx) * C(k+Dy, Dy) * k exceeds PAIR_CELLS, whatever the moduli.
     """
 
-    def __init__(self, R: FinRing, pair_bound: int = 3000):
-        if R.order > pair_bound:
-            raise RingSizeError(f"|R| = {R.order} exceeds the pair bound {pair_bound}")
+    def __init__(self, R: FinRing):
         self.ring = R
-        E = R.element_array()
-        self.E = E
-        num = E.shape[0]
-        self.num = num
-        self._radix = np.array(
-            [math.prod(R.moduli[i + 1 :]) for i in range(R.k)], dtype=np.int64
-        )
-        # coordinate t of a*b is E[a] @ C[:, :, t] @ E[b]: one |R| x |R|
-        # product per coordinate keeps memory at O(|R|^2)
-        self.mul_table = np.zeros((num, num), dtype=np.int64)
-        for t, (d, r) in enumerate(zip(R.moduli, self._radix)):
-            self.mul_table += ((E @ R.constants[:, :, t]) @ E.T % d) * r
-
-    def map_table(self, M: AddMap) -> np.ndarray:
-        return M.apply_rows(self.E) @ self._radix
+        self.num = R.order  # read by the pairs counter in bench/tracing.py
+        k = R.k
+        # row j of a @ _left is a * e_j, row i of a @ _right is e_i * a,
+        # both before reduction mod _mods_kk
+        self._left = R.constants.reshape(k, k * k)
+        self._right = R.constants.transpose(1, 0, 2).reshape(k, k * k)
+        self._mods_kk = np.tile(R._mods, k)
+        self._point_sets: Dict[int, np.ndarray] = {}
 
     def _points(self, degree: int) -> np.ndarray:
-        """Indices of the points sum c_i e_i, c_i >= 0, sum c_i <= degree;
-        every element when there would be at least |R| of them."""
-        R = self.ring
-        if math.comb(R.k + degree, degree) >= self.num:
-            return np.arange(self.num)
-        points = {0}
-        for d in range(1, degree + 1):
-            for combo in itertools.combinations_with_replacement(range(R.k), d):
-                c = np.bincount(combo, minlength=R.k) % R._mods
-                points.add(int(c @ self._radix))
-        return np.array(sorted(points))
+        """The points sum c_i e_i, c_i >= 0, sum c_i <= degree, reduced mod
+        the moduli, deduplicated, as rows in lexicographic order."""
+        if degree not in self._point_sets:
+            R = self.ring
+            points = {tuple(combo.count(i) % d for i, d in enumerate(R.moduli))
+                      for size in range(degree + 1)
+                      for combo in itertools.combinations_with_replacement(range(R.k), size)}
+            self._point_sets[degree] = np.array(sorted(points), dtype=np.int64)
+        return self._point_sets[degree]
 
-    def _violations(self, terms, tables, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Boolean (len(xs), len(ys)) array: where the terms do not sum to 0."""
-        # word -> index array; seeded with the generators
-        memo: Dict[tuple, np.ndarray] = {(Gen("x"),): xs[:, None], (Gen("y"),): ys[None, :]}
-        total = np.zeros((xs.size, ys.size, self.ring.k), dtype=np.int64)
-        for word, c in terms:
-            total += c * self.E[self._gather(word, tables, memo)]
-        return np.any(total % self.ring._mods != 0, axis=2)
+    def _mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Products a*b of broadcast arrays of coordinate vectors; the
+        operand with fewer entries is expanded into k x k matrices."""
+        k = self.ring.k
+        if a.size <= b.size:
+            small, big, table = a, b, self._left
+        else:
+            small, big, table = b, a, self._right
+        mat = (small @ table % self._mods_kk).reshape(small.shape[:-1] + (k, k))
+        return (big[..., None, :] @ mat)[..., 0, :] % self.ring._mods
 
-    def _gather(self, word, tables, memo: Dict[tuple, np.ndarray]) -> np.ndarray:
-        """Index array of a word's values; x-only subwords stay
-        (len(xs), 1), and each prefix is gathered once."""
+    def _value(self, word, maps: Dict[str, AddMap], memo: Dict[tuple, np.ndarray]
+               ) -> np.ndarray:
+        """A word's values, left to right; each prefix and each map
+        application is evaluated once per memo."""
         if word not in memo:
-            head = self._gather(word[:-1], tables, memo) if len(word) > 1 else None
-            atom = word[-1]
-            if isinstance(atom, Gen):
-                idx = memo[(atom,)]
+            if len(word) > 1:
+                head = self._value(word[:-1], maps, memo)
+                memo[word] = self._mul(head, self._value(word[-1:], maps, memo))
             else:
-                if atom.sym not in tables:
+                atom = word[0]  # the generator words are seeded
+                if atom.sym not in maps:
                     raise ValueError(f"no concrete map bound to {atom.sym}")
-                idx = tables[atom.sym][self._gather(atom.arg, tables, memo)]
-            memo[word] = idx if head is None else self.mul_table[head, idx]
+                memo[word] = maps[atom.sym].apply_rows(self._value(atom.arg, maps, memo))
         return memo[word]
 
     def first_violation(
         self, poly, maps: Dict[str, AddMap], m: int, n: int
     ) -> Optional[Tuple[Element, Element]]:
-        """The first pair (x, y), x-major in element order, where poly is
-        nonzero; None when it vanishes at every pair."""
+        """The first pair (x, y) of Px x Py, x-major with both point sets in
+        lexicographic order, where poly is nonzero; None when it vanishes
+        there, and so at every pair of R x R."""
         R = self.ring
-        tables = {sym: self.map_table(M) for sym, M in maps.items()}
-        # integers act on R+ through Z/exponent, so reducing there in Python
-        # ints is exact at any weight; exponent <= |R| <= the pair bound
-        exponent = math.lcm(*R.moduli)
         terms = []
         for word, coeff in poly.terms.items():
-            c = coeff.evaluate(m, n) % exponent
-            if any(c % d for d in R.moduli):
-                terms.append((word, c))
-        degree = max((word_gen_degree(w, "y") for w, _ in terms), default=0)
-        every = np.arange(self.num)
-        bad = self._violations(terms, tables, every, self._points(degree)).any(axis=1)
+            # integers act on coordinate t through Z/d_t, so reducing there
+            # in Python ints is exact at any weight and keeps c * value < d^2
+            c = coeff.evaluate(m, n)
+            cv = np.array([c % d for d in R.moduli], dtype=np.int64)
+            if cv.any():
+                terms.append((word, cv))
+        dx, dy = (max((word_gen_degree(w, g) for w, _ in terms), default=0) for g in "xy")
+        cells = math.comb(R.k + dx, dx) * math.comb(R.k + dy, dy) * R.k
+        if cells > PAIR_CELLS:
+            raise RingSizeError(
+                f"x-degree {dx} and y-degree {dy} on {R.k} generators need "
+                f"C(k+Dx, Dx) * C(k+Dy, Dy) * k = {cells} cells, above the pair "
+                f"bound {PAIR_CELLS}"
+            )
+        xs, ys = self._points(dx), self._points(dy)
+        memo = {(Gen("x"),): xs[:, None, :], (Gen("y"),): ys[None, :, :]}
+        total = np.zeros((len(xs), len(ys), R.k), dtype=np.int64)
+        for word, cv in terms:
+            total += cv * self._value(word, maps, memo)
+            total %= R._mods
+        bad = total.any(axis=2)
         if not bad.any():
             return None
-        x = int(np.argmax(bad))
-        y = int(np.argmax(self._violations(terms, tables, every[x : x + 1], every)[0]))
-        return tuple(int(v) for v in self.E[x]), tuple(int(v) for v in self.E[y])
+        i, j = divmod(int(np.argmax(bad)), len(ys))
+        return tuple(int(v) for v in xs[i]), tuple(int(v) for v in ys[j])
 
 
 def cross_check_lemma(

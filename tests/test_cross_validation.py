@@ -8,6 +8,7 @@ elements must therefore produce zero, for every step of the certificate.
 """
 
 import gc
+import math
 import random
 
 import numpy as np
@@ -19,6 +20,7 @@ from mnjordan.parsing import parse_poly
 from tests.util import (
     all_pairs_first_violation,
     all_pairs_mul_table,
+    pointwise_value,
     random_add_map,
     shipped_script,
     upper_triangular,
@@ -129,7 +131,59 @@ def test_mul_table_matches_einsum_rows():
         upper_triangular(2),
     ]
     for R in rings:
-        assert np.array_equal(fr.PairEvaluator(R).mul_table, all_pairs_mul_table(R)), R.name
+        E = R.element_array()
+        full = (E.shape[0],) * 2 + (R.k,)
+        radix = np.array([math.prod(R.moduli[i + 1 :]) for i in range(R.k)], dtype=np.int64)
+        ev = fr.PairEvaluator(R)
+        a, b = E[:, None, :], E[None, :, :]
+        # the left operand is expanded when it is no larger, else the right
+        for left, right in ((a, b), (a, np.broadcast_to(b, full)), (np.broadcast_to(a, full), b)):
+            assert np.array_equal(ev._mul(left, right) @ radix, all_pairs_mul_table(R)), R.name
+
+
+def _nonzero_solution(R, spec):
+    """The sum of the solution group's generators: nonzero whenever the
+    group is, since each solution has one coefficient vector."""
+    sols = fr.solve_identity(R, spec)
+    vec = sum(g for g, _ in sols.generators) % sols.slot_mods
+    k2 = R.k * R.k
+    return fr.AddMap(R, vec[:k2]), fr.AddMap(R, vec[k2:])
+
+
+LARGE_RINGS = [fr.MatRing(2, 11), fr.DirectProduct(fr.Zn(5), fr.MatRing(2, 7))]
+SCRIPTS = [  # (law, script, (main, base, main - base))
+    ("gen-centralizer", "theorem_centralizer.steps", ("T", "T0", "F")),
+    ("gen-derivation", "theorem_derivation.steps", ("F", "D", "Fc")),
+]
+
+
+@pytest.mark.parametrize("R", LARGE_RINGS, ids=lambda R: R.name)
+def test_script_identities_hold_on_rings_beyond_an_element_scan(R):
+    m, n = 1, 2  # torsion product 6, coprime to 5, 7 and 11
+    for law, script, (main, base, diff) in SCRIPTS:
+        M, M0 = _nonzero_solution(R, fr.LawSpec(law, m, n))
+        # the derivation law's solutions meet its conclusion here: D is a
+        # central derivation and F = D, and these rings have none but 0
+        assert M.matrix.any() == (law == "gen-centralizer")
+        bound = {main: M, base: M0, diff: fr.AddMap(R, M.matrix - M0.matrix)}
+        for poly in _claims(script):
+            assert R.pair_evaluator().first_violation(poly, bound, m, n) is None, (law, str(poly))
+    assert R._elements is None
+
+
+@pytest.mark.parametrize("R", LARGE_RINGS, ids=lambda R: R.name)
+def test_a_non_solution_breaks_the_law_step_at_a_genuine_pair(R):
+    m, n = 1, 2
+    rng = random.Random(13)
+    for law, script, (main, base, diff) in SCRIPTS:
+        zero = fr.AddMap.zero(R)
+        M = random_add_map(R, rng)
+        assert not fr._law_residual(R, fr.LawSpec(law, m, n), [M, zero])
+        bound = {main: M, base: zero, diff: M}
+        step = next(s for s in pc.parse_script(shipped_script(script)).steps if s.label == "law")
+        poly = parse_poly(step.claimed_text)
+        x, y = R.pair_evaluator().first_violation(poly, bound, m, n)
+        assert pointwise_value(R, poly, bound, m, n, x, y) != R.zero(), (law, x, y)
 
 
 def _claims(script_name):

@@ -169,10 +169,17 @@ def test_hypotheses_decided_at_any_order():
 
 
 def test_size_bounds_raise():
-    R = fr.MatRing(2, 11)  # 11^4 > the pair bound
-    with pytest.raises(fr.RingSizeError):
-        fr.PairEvaluator(R)
-    assert R._elements is None  # refused before building anything
+    R = fr.MatRing(2, 11)  # 14 641 elements, none of them enumerated
+    T = fr.AddMap.scalar(R, 3)
+    assert fr.cross_check_lemma(R, fr.LawSpec("gen-centralizer", 1, 1), (T, T))
+    assert R._elements is None
+    # x-degree 6 and y-degree 1 on 16 generators: 74 613 * 17 * 16 cells
+    R = fr.MatRing(4, 3)
+    claim = parse_poly("x^2*T[x]*y*x*T[x]*x - x*T[x]*x*y*x^2*T[x]")
+    ev = fr.PairEvaluator(R)
+    with pytest.raises(fr.RingSizeError, match=f"above the pair bound {fr.PAIR_CELLS}$"):
+        ev.first_violation(claim, {"T": fr.AddMap.identity(R)}, 1, 1)
+    assert not ev._point_sets and R._elements is None  # refused before any point
     # every additive map of the zero ring on Z2^5 is a centralizer: 2^25
     zero = fr.FromTable([2] * 5, np.zeros((5, 5, 5)), name="zero")
     sols = fr.solve_identity(zero, fr.LawSpec("centralizer", 1, 2))
@@ -386,6 +393,31 @@ def test_first_violation_reaches_every_polarization_point():
     T = fr.AddMap(R, [[0, 1], [1, 0]])
     assert fr.PairEvaluator(R).first_violation(parse_poly("x*y*T[y]"), {"T": T}, 1, 1) == (
         (0, 1), (1, 1))
+
+
+def test_first_violation_reaches_every_x_point():
+    # x^2 - x vanishes at x = 0 and x = e1 on Z4 and first fails at x = 2*e1
+    Z4 = fr.Zn(4)
+    assert fr.PairEvaluator(Z4).first_violation(parse_poly("x*x*y - x*y"), {}, 1, 1) == (
+        (2,), (1,))
+    # with T swapping the two factors, e_i * T(e_i) = 0, so the only bad x
+    # is e1 + e2
+    R = fr.DirectProduct(fr.Zn(2), fr.Zn(2))
+    T = fr.AddMap(R, [[0, 1], [1, 0]])
+    assert fr.PairEvaluator(R).first_violation(parse_poly("x*T[x]*y"), {"T": T}, 1, 1) == (
+        (1, 1), (0, 1))
+
+
+def test_first_violation_reduces_each_coefficient_per_modulus():
+    # m*T[x]*y + y*T[x] = (m + 1)*T[x]*y on a commutative ring; m = lcm - 1
+    # times a residue near 10^9 wraps int64 unless m is reduced per modulus
+    p, q = 1_000_000_007, 998_244_353
+    R = fr.DirectProduct(fr.Zn(p), fr.Zn(q))
+    T = fr.AddMap(R, [[p - 2, 0], [0, q - 2]])
+    ev = fr.PairEvaluator(R)
+    poly = parse_poly("m*T[x]*y + y*T[x]")
+    assert ev.first_violation(poly, {"T": T}, p * q - 1, 1) is None
+    assert ev.first_violation(poly, {"T": T}, p * q - 2, 1) == ((0, 1), (0, 1))
 
 
 def test_first_violation_binds_only_the_terms_it_evaluates():

@@ -260,6 +260,26 @@ def all_pairs_first_violation(R, poly, maps, m, n, mul_table=None):
     )
 
 
+def pointwise_value(R, poly, maps, m, n, x, y):
+    """poly at the single pair (x, y), through FinRing.mul and AddMap.__call__."""
+    point = {"x": x, "y": y}
+
+    def word_value(word):
+        acc = None
+        for atom in word:
+            if isinstance(atom, fa.Gen):
+                v = point[atom.name]
+            else:
+                v = maps[atom.sym](word_value(atom.arg))
+            acc = v if acc is None else R.mul(acc, v)
+        return acc
+
+    total = R.zero()
+    for word, coeff in poly.terms.items():
+        total = R.add(total, R.smul(coeff.evaluate(m, n), word_value(word)))
+    return total
+
+
 # -- enumerating oracle for the solver and the conclusion count ------------------
 
 
