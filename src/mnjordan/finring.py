@@ -462,39 +462,38 @@ class LawSpec:
 def _law_row_blocks(R: FinRing, spec: LawSpec) -> Tuple[np.ndarray, np.ndarray]:
     """Equation rows for the law imposed at the polarization points.
 
-    Each law is a quadratic form L(x) = B(x, x) with B biadditive, so
-    L(sum c_i e_i) = sum c_i^2 L(e_i) + sum_{i<j} c_i c_j [L(e_i+e_j) -
-    L(e_i) - L(e_j)] with integer c_i: the law holds at every element
-    exactly when it holds at the k basis elements e_i and the k(k-1)/2 sums
-    e_i + e_j, on any mixed-modulus group.
+    Each law is a quadratic form L(x) = B(x, x) with B(x, y) = a M(xy) +
+    b M(x)y + c xM0(y) biadditive, so L(sum c_i e_i) = sum c_i^2 L(e_i) +
+    sum_{i<j} c_i c_j [L(e_i+e_j) - L(e_i) - L(e_j)] with integer c_i: the
+    law holds at every element exactly when it holds at the k basis
+    elements e_i and the k(k-1)/2 sums e_i + e_j, on any mixed-modulus
+    group.  Row e_i is B(e_i, e_i), and row e_i + e_j is B(e_i, e_i) +
+    B(e_j, e_j) + B(e_i, e_j) + B(e_j, e_i).
 
     Returns (rows, row_mods): rows has shape (Q, n_maps*k*k) with slot
     ordering (map, i, j); row r states sum_s rows[r, s]*u_s == 0 modulo
     row_mods[r].
     """
     k = R.k
-    eye = np.eye(k, dtype=np.int64)
     i, j = np.triu_indices(k, 1)
-    X = np.vstack([eye, eye[i] + eye[j]])
-    C = R.constants
-    X2 = np.einsum("ri,rj,ijt->rt", X, X, C) % R._mods
-    EX = np.einsum("rj,ijt->rit", X, C)  # e_i * x
-    XE = np.einsum("rj,jit->rit", X, C)  # x * e_i
-    of_x2 = np.einsum("ti,rj->rtij", eye, X2)      # coeff of M(x^2)
-    mx_x = np.einsum("rj,rit->rtij", X, EX)        # coeff of M(x)*x
-    x_mx = np.einsum("rj,rit->rtij", X, XE)        # coeff of x*M(x)
 
-    def flat(block: np.ndarray) -> np.ndarray:
-        return block.reshape(X.shape[0] * k, k * k)
+    def at_points(op: np.ndarray) -> np.ndarray:
+        """(Q, k, k*k): the (i, j, t) rows of op summed at each point."""
+        pairs = op.reshape(k, k, k, k * k)
+        diag = pairs[np.arange(k), np.arange(k)]
+        return np.concatenate([diag, diag[i] + diag[j] + pairs[i, j] + pairs[j, i]])
+
+    of_x2, mx_x, x_mx = (at_points(op) for op in _product_operators(R))
+    of_x2 %= np.tile(R._mods, k)  # slot (t, j) reads coordinate j of x^2
 
     # row (r, t) is read modulo d_t, so each coefficient is reduced there in
     # Python ints first: exact at any weight, and below d_t like the entries
     a, b, c = (
-        np.array([v % d for d in R.moduli], dtype=np.int64)[:, None, None]
+        np.array([v % d for d in R.moduli], dtype=np.int64)[:, None]
         for v in spec.rule.coefficients(spec.m, spec.n)
     )
-    main = flat(a * of_x2 + b * mx_x)
-    base = flat(c * x_mx)
+    main = (a * of_x2 + b * mx_x).reshape(-1, k * k)
+    base = (c * x_mx).reshape(-1, k * k)
     if spec.pair:
         # the law on (M, M0), and the plain law on M0 alone
         rows = np.block([[main, base], [np.zeros_like(main), main + base]])
@@ -532,7 +531,6 @@ class SolutionSet:
     0 <= c_g < order_g, so ``count`` is exact without enumeration."""
 
     ring: FinRing
-    spec: LawSpec
     n_maps: int
     slot_mods: np.ndarray
     generators: List[Tuple[np.ndarray, int]]
@@ -580,9 +578,7 @@ def solve_identity(R: FinRing, spec: LawSpec) -> SolutionSet:
     generators = intsolve.kernel(
         np.vstack([law_rows, hom_rows]), np.concatenate([law_mods, hom_mods]), slot_mods
     )
-    return SolutionSet(
-        ring=R, spec=spec, n_maps=n_maps, slot_mods=slot_mods, generators=generators
-    )
+    return SolutionSet(ring=R, n_maps=n_maps, slot_mods=slot_mods, generators=generators)
 
 
 # -- conclusion checks ---------------------------------------------------------------

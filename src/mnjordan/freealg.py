@@ -136,7 +136,7 @@ def word_key(w: Monomial):
 class NCPoly:
     """Finite map from monomials to nonzero ScalarPoly coefficients."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms",)
 
     def __init__(self, terms: Dict[Monomial, ScalarPoly] | None = None):
         clean: Dict[Monomial, ScalarPoly] = {}
@@ -145,7 +145,6 @@ class NCPoly:
                 if c:
                     clean[w] = c
         self.terms = clean
-        self._hash = None
 
     @staticmethod
     def zero() -> "NCPoly":
@@ -163,13 +162,6 @@ class NCPoly:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, NCPoly) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(
-                self, "_hash", hash(frozenset((w, c) for w, c in self.terms.items()))
-            )
-        return self._hash  # type: ignore[return-value]
 
     def __add__(self, other: "NCPoly") -> "NCPoly":
         out = dict(self.terms)
@@ -213,7 +205,6 @@ def _wrap(terms: Dict[Monomial, ScalarPoly]) -> NCPoly:
     """An NCPoly owning ``terms``, whose coefficients are all nonzero."""
     res = NCPoly.__new__(NCPoly)
     res.terms = terms
-    res._hash = None
     return res
 
 

@@ -14,13 +14,14 @@ is exactly the computed one (after normalization under the currently
 licensed rewrite rules).  No search happens anywhere: the script carries
 every witness.
 
-The claim is first compared, as a string, with the printed normal form of
-the computed polynomial (``poly_to_text``); only when the texts differ is it
-parsed and normalized, to accept an equal claim spelled differently or to
-report the difference.  This is sound because printing round-trips:
-``normalize(parse_poly(poly_to_text(p)), rules) == p`` for every ``p``
-normalized under ``rules``.  ``assume`` steps and the two license steps have
-no computed polynomial and always parse their claim.
+Every step takes one path: compute the polynomial it must claim, then
+compare.  The claim is first compared, as a string, with the printed normal
+form of the computed polynomial (``poly_to_text``); only when the texts
+differ is it parsed and normalized, to accept an equal claim spelled
+differently or to report the difference.  This is sound because printing
+round-trips: ``normalize(parse_poly(poly_to_text(p)), rules) == p`` for
+every ``p`` normalized under ``rules``.  An ``assume`` step and the two
+license steps compute their polynomial by parsing their claim.
 
 Step kinds
 ----------
@@ -132,10 +133,8 @@ LAW_TEMPLATES = {name: law.template() for name, law in TABLE.items()}
 
 @dataclass
 class Identity:
-    label: str
     body: NCPoly
-    provenance: str
-    hypotheses: FrozenSet[str] = frozenset()
+    law: Optional[Tuple[str, str]] = None  # (law, map) of a define step
 
 
 @dataclass
@@ -163,7 +162,6 @@ class StepRecord:
     verdict: str
     factors: List[str] = field(default_factory=list)
     axioms: List[str] = field(default_factory=list)
-    assumed: bool = False
     detail: str = ""
 
     def to_json(self) -> dict:
@@ -209,7 +207,7 @@ class AuditReport:
                 extra += "  factors: " + ", ".join(r.factors)
             if r.axioms:
                 extra += "  axioms: " + ", ".join(r.axioms)
-            if r.assumed:
+            if "assumption" in r.axioms:
                 extra += "  ASSUMED"
             lines.append(f"  {r.verdict:4s}  {r.step:10s} {r.kind}{extra}")
             if r.detail and r.verdict == "FAIL":
@@ -312,21 +310,10 @@ class _Env:
         self.identities: Dict[str, Identity] = {}
         self.rules: FrozenSet[str] = NO_RULES
         self.budget = budget
-        # label -> its body normalized under _bodies_rules
-        self._bodies: Dict[str, NCPoly] = {}
-        self._bodies_rules: FrozenSet[str] = NO_RULES
 
     def body(self, label: str) -> NCPoly:
-        """The identity under the rules in force; normalized once per label
-        until a license step changes the rules."""
-        if self._bodies_rules != self.rules:
-            self._bodies.clear()
-            self._bodies_rules = self.rules
-        body = self._bodies.get(label)
-        if body is None:
-            body = freealg.normalize(self.identities[label].body, self.rules)
-            self._bodies[label] = body
-        return body
+        """The identity under the rules in force."""
+        return freealg.normalize(self.identities[label].body, self.rules)
 
 
 def _difference_text(claimed: NCPoly, computed: NCPoly) -> str:
@@ -347,21 +334,18 @@ def _budget_factor_check(factor: ScalarPoly, budget: List[ScalarPoly]) -> None:
     if not budget:
         raise CheckError("cancel used but the script declares no torsion budget")
     rem = factor
-    progress = True
     while not rem.is_unit():
-        if not progress:
+        for b in budget:
+            try:
+                rem = rem.exact_div(b)
+                break
+            except ExactDivisionError:
+                continue
+        else:
             raise CheckError(
                 f"factor {factor} does not lie in the multiplicative closure "
                 f"of the budget {{{', '.join(str(b) for b in budget)}}}; stuck at {rem}"
             )
-        progress = False
-        for b in budget:
-            try:
-                rem = rem.exact_div(b)
-                progress = True
-                break
-            except ExactDivisionError:
-                continue
 
 
 def _parse_claim(step: Step, rules: FrozenSet[str]) -> NCPoly:
@@ -373,26 +357,8 @@ def _parse_claim(step: Step, rules: FrozenSet[str]) -> NCPoly:
 
 def check_step(env: _Env, step: Step) -> Tuple[Identity, StepRecord]:
     record = StepRecord(step.label, step.kind, "ok")
-    hypotheses: set = set()
-    if step.kind == "assume" or (step.kind == "external" and step.args.get("") in LICENSES):
-        claimed = _parse_claim(step, env.rules)
-        if step.kind == "assume":
-            record.assumed = True
-            record.axioms.append("assumption")
-            hypotheses.add("assumption")
-        else:
-            name = step.args[""]
-            record.axioms.append(name)
-            hypotheses.add(f"external:{name}")
-            rule, law, map_kind = LICENSES[name]
-            _require_license_input(env, step.args, law, map_kind)
-            if not claimed.is_zero():
-                raise CheckError("license steps claim 0")
-            env.rules = env.rules | {rule}
-        return Identity(step.label, claimed, f"step:{step.kind}", frozenset(hypotheses)), record
-
     try:
-        computed, what, provenance = _compute(env, step, record, hypotheses)
+        computed, what, law = _compute(env, step, record)
     except STEP_ERRORS:
         _parse_claim(step, env.rules)  # a malformed claim is reported first
         raise
@@ -404,12 +370,14 @@ def check_step(env: _Env, step: Step) -> Tuple[Identity, StepRecord]:
         # keeping only the doubled even part silently halves, which needs
         # 2-torsion freeness
         _budget_factor_check(ScalarPoly.const(2), env.budget)
-    return Identity(step.label, computed, provenance, frozenset(hypotheses)), record
+    return Identity(computed, law), record
 
 
-def _compute(env: _Env, step: Step, record: StepRecord, hypotheses: set) -> Tuple[NCPoly, str, str]:
+def _compute(
+    env: _Env, step: Step, record: StepRecord
+) -> Tuple[NCPoly, str, Optional[Tuple[str, str]]]:
     """The polynomial a step must claim, the label of a mismatch, and the
-    provenance of the identity it emits."""
+    (law, map) pair of a define step that instantiates a law."""
     kind = step.kind
     args = step.args
 
@@ -420,10 +388,14 @@ def _compute(env: _Env, step: Step, record: StepRecord, hypotheses: set) -> Tupl
         return env.body(label)
 
     if kind == "define":
-        computed, provenance = _define_body(env, args)
-        return computed, "definition instance mismatch", provenance
+        computed, law = _define_body(env, args)
+        return computed, "definition instance mismatch", law
 
-    if kind == "substitute":
+    if kind == "assume":
+        computed, what = _parse_claim(step, env.rules), "assumption mismatch"
+        record.axioms.append("assumption")
+
+    elif kind == "substitute":
         g = args.get("gen", "")
         with_text = args.get("with")
         if with_text is None:
@@ -437,7 +409,6 @@ def _compute(env: _Env, step: Step, record: StepRecord, hypotheses: set) -> Tupl
         computed = freealg.normalize(freealg.polarize_even(cited(), g), env.rules)
         what = "even-part mismatch"
         record.factors.append("2")
-        hypotheses.add("factor:2")
 
     elif kind in ("mulleft", "mulright"):
         term = args.get("by")
@@ -470,7 +441,6 @@ def _compute(env: _Env, step: Step, record: StepRecord, hypotheses: set) -> Tupl
         computed = freealg.normalize(computed, env.rules)
         what = "quotient mismatch"
         record.factors.append(str(factor))
-        hypotheses.add(f"factor:{factor}")
 
     elif kind == "patternabc":
         g = args.get("gen", "")
@@ -486,7 +456,6 @@ def _compute(env: _Env, step: Step, record: StepRecord, hypotheses: set) -> Tupl
         computed = freealg.normalize((a + c) * gpoly * b, env.rules)
         what = "emitted identity mismatch"
         record.axioms.append("pattern-lemma[semiprime]")
-        hypotheses.add("semiprime")
 
     elif kind == "squash":
         g = args.get("gen", "")
@@ -498,14 +467,24 @@ def _compute(env: _Env, step: Step, record: StepRecord, hypotheses: set) -> Tupl
         _require_match(cited(), shape, "cited identity is not of the W*g*W shape")
         computed, what = wpoly, "emitted identity mismatch"
         record.axioms.append("semiprime-squash")
-        hypotheses.add("semiprime")
+
+    elif kind == "external" and args.get("") in LICENSES:
+        name = args[""]
+        # the claim parses, cites the right define and is 0; only then is
+        # the rule licensed
+        computed, what = _parse_claim(step, env.rules), "license mismatch"
+        record.axioms.append(name)
+        rule, law, map_kind = LICENSES[name]
+        _require_license_input(env, args, law, map_kind)
+        if not computed.is_zero():
+            raise CheckError("license steps claim 0")
+        env.rules = env.rules | {rule}
 
     elif kind == "external":
         name = args.get("", "")
-        if name != "commuting":  # the licenses are handled by check_step
+        if name != "commuting":
             raise CheckError(f"unknown external theorem {name!r}")
         record.axioms.append(name)
-        hypotheses.add(f"external:{name}")
         sym = args.get("map", "")
         if sym not in MAP_KINDS:
             raise CheckError(f"commuting needs map=<symbol>, got {sym!r}")
@@ -523,17 +502,17 @@ def _compute(env: _Env, step: Step, record: StepRecord, hypotheses: set) -> Tupl
     else:  # pragma: no cover - kinds are validated at parse time
         raise CheckError(f"unhandled kind {kind}")
 
-    return computed, what, f"step:{kind}"
+    return computed, what, None
 
 
-def _define_body(env: _Env, args: Dict[str, str]) -> Tuple[NCPoly, str]:
+def _define_body(env: _Env, args: Dict[str, str]) -> Tuple[NCPoly, Optional[Tuple[str, str]]]:
     if "diff" in args:
         names = [s.strip() for s in args["diff"].split(",")]
         if len(names) != 3 or any(s not in MAP_KINDS for s in names):
             raise CheckError(f"diff needs three map symbols, got {args['diff']!r}")
         f, t, t0 = names
         body = parse_poly(f"{f}[x] - {t}[x] + {t0}[x]")
-        return freealg.normalize(body, env.rules), f"define:diff:{f}={t}-{t0}"
+        return freealg.normalize(body, env.rules), None
     law = args.get("law")
     if law not in TABLE:
         raise CheckError(f"unknown law {law!r}")
@@ -547,20 +526,17 @@ def _define_body(env: _Env, args: Dict[str, str]) -> Tuple[NCPoly, str]:
     if main not in MAP_KINDS or base not in MAP_KINDS:
         raise CheckError(f"unknown map symbol in {args!r}")
     text = LAW_TEMPLATES[law].format(M=main, M0=base)
-    return freealg.normalize(parse_poly(text), env.rules), f"define:{law}:{main},{base}"
+    return freealg.normalize(parse_poly(text), env.rules), (law, main)
 
 
 def _require_license_input(env: _Env, args: Dict[str, str], law: str, kind: str) -> None:
     label = args.get("use")
     if label is None:
         raise CheckError("license steps cite the defining law with use=<label>")
-    ident = env.identities[label]
-    if not ident.provenance.startswith(f"define:{law}:"):
-        raise CheckError(
-            f"cited identity {label!r} is not a define of the {law} law "
-            f"(provenance {ident.provenance})"
-        )
-    sym = ident.provenance.split(":")[-1].split(",")[0]
+    defined = env.identities[label].law
+    if defined is None or defined[0] != law:
+        raise CheckError(f"cited identity {label!r} is not a define of the {law} law")
+    sym = defined[1]
     if MAP_KINDS.get(sym) != kind:
         raise CheckError(f"map {sym!r} does not carry the {kind} kind")
 
@@ -604,7 +580,7 @@ def replay(script: ProofScript) -> AuditReport:
         for ax in record.axioms:
             if ax in EXTERNAL_THEOREMS and ax not in externals:
                 externals.append(ax)
-        if record.assumed:
+        if step.kind == "assume":
             assumptions.append(step.label)
     if overall != "FAILED":
         missing = [g for g in script.goals if g not in env.identities]

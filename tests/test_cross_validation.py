@@ -51,10 +51,16 @@ def test_centralizer_script_identities_hold_on_a_finite_model():
 
 
 def test_derivation_script_identities_hold_on_a_finite_model():
-    R = fr.MatRing(2, 3)
+    # F_7[t]/(t^2) on the basis 1, t; F = D = t*d/dt, which fixes t and
+    # kills 1, is one of the 7 solutions (c*t*d/dt, c*t*d/dt)
+    R = fr.FinRing([7, 7], [[[1, 0], [0, 1]], [[0, 1], [0, 0]]], name="F7[t]/(t^2)")
     m, n = 1, 2
     spec = fr.LawSpec("gen-derivation", m, n)
-    F, D = fr.solve_identity(R, spec).maps()[0]
+    pairs = fr.solve_identity(R, spec).maps()
+    assert len(pairs) == 7
+    t_ddt = np.array([[0, 0], [0, 1]])
+    F, D = next(p for p in pairs if np.array_equal(p[0].matrix, t_ddt))
+    assert np.any(F.matrix) and np.any(D.matrix)
     Fc = fr.AddMap(R, F.matrix - D.matrix)
     bound = {"F": F, "D": D, "Fc": Fc}
 

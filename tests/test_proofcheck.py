@@ -87,6 +87,35 @@ def test_license_requires_the_right_define():
     assert "kind" in report.error
 
 
+T0_LAW = "step t0law define law=centralizer map=T0 => (m+n)*T0[x^2] - m*T0[x]*x - n*x*T0[x]"
+
+
+@pytest.mark.parametrize("lines, prefix", [
+    (["step a assume => T[x"], "bad claimed polynomial"),
+    # the malformed claim is reported before the cited assume
+    (["step a assume => T[x]", "step lic external t0-two-sided use=a => T[x"],
+     "bad claimed polynomial"),
+    (["step a assume => T[x]", "step lic external t0-two-sided use=a => 0"],
+     "cited identity 'a' is not a define of the centralizer law"),
+    ([T0_LAW, "step lic external t0-two-sided => 0"],
+     "license steps cite the defining law with use=<label>"),
+    ([T0_LAW, "step lic external t0-two-sided use=t0law => T0[x]"], "license steps claim 0"),
+    ([T0_LAW, "step lic external frobnicate use=t0law => 0"],
+     "unknown external theorem 'frobnicate'"),
+], ids=["assume-malformed", "license-malformed-over-bad-use", "license-cites-assume",
+        "license-without-use", "license-nonzero", "external-unknown"])
+def test_assume_and_license_errors(lines, prefix):
+    label = lines[-1].split()[1]
+    report = replay_lines(*lines, f"goal {label}")
+    assert report.overall == "FAILED"
+    assert report.failed_step == label
+    assert report.error.startswith(prefix), report.error
+    assert report.records[-1].verdict == "FAIL"
+    # a failed assume step is not reported as an assumption
+    fail_line = next(line for line in report.to_text().splitlines() if "FAIL " in line)
+    assert "ASSUMED" not in fail_line and label not in report.assumptions
+
+
 def test_cancel_respects_budget_and_exactness():
     base = [
         "budget m",
@@ -354,12 +383,12 @@ def test_only_claims_that_differ_from_the_printed_form_are_parsed(monkeypatch):
         report = pc.replay_text(shipped_script(name), name)
         assert report.overall == "VERIFIED-WITH-ASSUMPTIONS"
         # the law line is spelled "(m+n)", the printer writes "(m + n)";
-        # license and assume steps have no computed polynomial
+        # license and assume steps compute their polynomial by parsing the claim
         kinds = {s.label: s.kind for s in pc.parse_script(shipped_script(name)).steps}
         assert sorted(kinds[label] for label in parsed) == ["assume", "define", "external"]
 
 
-# -- one normalized body per cited label -------------------------------------------
+# -- citations under the rules in force ------------------------------------------
 
 # t0law is cited once before its license and once after, where its body
 # normalizes to 0: a body kept from before the license fails the shape check
@@ -372,11 +401,8 @@ CITED_ACROSS_A_LICENSE = "\n".join([
 ]) + "\n"
 
 
-def test_body_cache_changes_no_report(monkeypatch):
-    variants = [(name, desc, text) for name in SCRIPTS for desc, text in _variants(name)]
-    variants.append(("<script>", "cited across a license", CITED_ACROSS_A_LICENSE))
-    cached = {(name, desc): _report(text, name) for name, desc, text in variants}
-    assert cached["<script>", "cited across a license"][1]["overall"] == "VERIFIED"
+def test_citations_use_the_rules_in_force_and_memos_stop_growing():
+    assert pc.replay_text(CITED_ACROSS_A_LICENSE).overall == "VERIFIED"
     # a second replay of the shipped scripts adds nothing to the memos
     # kept for the life of the process
     def sizes():
@@ -384,13 +410,9 @@ def test_body_cache_changes_no_report(monkeypatch):
                  parsing._coeff_text)
         return [len(memo) for memo in memos] + [len(s) for s in fa._normal_words.values()]
 
+    for name in SCRIPTS:
+        pc.replay_text(shipped_script(name), name)
     before = sizes()
     for name in SCRIPTS:
         pc.replay_text(shipped_script(name), name)
     assert sizes() == before
-    # every citation normalized afresh, as before the cache
-    monkeypatch.setattr(
-        pc._Env, "body", lambda env, label: fa.normalize(env.identities[label].body, env.rules)
-    )
-    for name, desc, text in variants:
-        assert _report(text, name) == cached[name, desc], (name, desc)
