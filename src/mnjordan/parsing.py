@@ -6,22 +6,26 @@ Grammar sketch::
     term    :=  ['-'] factor ('*' ['-'] factor)*
     factor  :=  primary ('^' INT)*
     primary :=  INT | 'm' | 'n' | 'x' | 'y' | MAP '[' expr ']' | '(' expr ')'
+             |  '[' LABEL ('|' GEN '->' expr (';' GEN '->' expr)*)? ']'
 
 with MAP one of T, T0, D, F, Fc.  Multiplication is always written with
 ``*``.  Scalars (integer polynomials in m, n) and ring-valued polynomials
 are kept apart while evaluating; adding a nonzero scalar to a ring element
 is an error because the algebra has no unit monomial.
 
-The same tokenizer also serves the proof-script Combine witness syntax,
-``coeff * left * [label | x -> poly ; ...] * right``, handled in
-:func:`parse_witnesses`.
+The last primary, a citation, is read only by :func:`parse_combination`,
+which evaluates the witness list of a proof-script ``combine`` step, e.g.
+``(m+n)*[b1] - m*x*[b2 | x -> x*y]*y``.  A citation stands for the cited
+identity with the substitution applied.  Each top-level term is scalars and
+single monomials times exactly one citation; no citation stands inside
+parentheses, a map argument or a substitution body, or under ``^``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import freealg
 from .freealg import GENERATORS, MAP_KINDS, App, Gen, NCPoly
@@ -56,24 +60,37 @@ def tokenize(text: str) -> List[Tuple[str, str, int]]:
     return tokens
 
 
-# A value during evaluation: exactly one of scalar / poly is set.
-@dataclass
+# A value during evaluation: exactly one of scalar / poly is set.  A cited
+# value is a ring polynomial that contains exactly one citation per term.
+@dataclass(slots=True)
 class _Val:
     scalar: Optional[ScalarPoly] = None
     poly: Optional[NCPoly] = None
+    cited: bool = False
 
 
-def _mul_val(a: _Val, b: _Val) -> _Val:
+def _mul_val(a: _Val, b: _Val, pos: int) -> _Val:
     if a.scalar is not None and b.scalar is not None:
         return _Val(scalar=a.scalar * b.scalar)
+    if a.cited or b.cited:
+        if a.cited and b.cited:
+            raise ParseError("a term cites more than one identity", pos)
+        context = b.poly if a.cited else a.poly
+        # a zero context contributes nothing, whatever it is written as
+        if context is not None and len(context.terms) > 1:
+            raise ParseError("the context of a citation must be a single monomial", pos)
     if a.scalar is not None:
-        return _Val(poly=freealg.scale(a.scalar, b.poly))
-    if b.scalar is not None:
-        return _Val(poly=freealg.scale(b.scalar, a.poly))
-    return _Val(poly=freealg.mul(a.poly, b.poly))
+        poly = freealg.scale(a.scalar, b.poly)
+    elif b.scalar is not None:
+        poly = freealg.scale(b.scalar, a.poly)
+    else:
+        poly = freealg.mul(a.poly, b.poly)
+    return _Val(poly=poly, cited=a.cited or b.cited)
 
 
 def _add_val(a: _Val, b: _Val, pos: int) -> _Val:
+    if a.cited != b.cited:
+        raise ParseError("a witness list mixes terms with and without a citation", pos)
     if a.scalar is not None and b.scalar is not None:
         return _Val(scalar=a.scalar + b.scalar)
     if a.scalar is not None and a.scalar.is_zero():
@@ -81,21 +98,32 @@ def _add_val(a: _Val, b: _Val, pos: int) -> _Val:
     if b.scalar is not None and b.scalar.is_zero():
         return a
     if a.poly is not None and b.poly is not None:
-        return _Val(poly=a.poly + b.poly)
+        return _Val(poly=a.poly + b.poly, cited=a.cited)
     raise ParseError("cannot add a scalar to a ring polynomial (no unit element)", pos)
 
 
 def _neg_val(a: _Val) -> _Val:
     if a.scalar is not None:
         return _Val(scalar=-a.scalar)
-    return _Val(poly=-a.poly)
+    return _Val(poly=-a.poly, cited=a.cited)
+
+
+def _uncited(val: _Val, where: str, pos: int) -> _Val:
+    if val.cited:
+        raise ParseError(f"a citation cannot stand {where}", pos)
+    return val
+
+
+# cite(label, substitution) -> the cited identity with the substitution applied
+Cite = Callable[[str, Dict[str, NCPoly]], NCPoly]
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, cite: Optional[Cite] = None):
         self.text = text
         self.tokens = tokenize(text)
         self.i = 0
+        self.cite = cite
 
     def peek(self) -> Tuple[str, str, int] | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -133,7 +161,7 @@ class _Parser:
             tok = self.peek()
             if tok and tok[1] == "*":
                 self.next()
-                val = _mul_val(val, self.parse_signed_factor())
+                val = _mul_val(val, self.parse_signed_factor(), tok[2])
             else:
                 return val
 
@@ -150,6 +178,7 @@ class _Parser:
             tok = self.peek()
             if tok and tok[1] == "^":
                 self.next()
+                _uncited(val, "under '^'", tok[2])
                 etok = self.next()
                 if etok[0] != "int":
                     raise ParseError("exponent must be an integer", etok[2])
@@ -180,7 +209,7 @@ class _Parser:
                 return _Val(poly=freealg.gen(value))
             if value in MAP_KINDS:
                 self.expect("[")
-                arg = self.parse_expr()
+                arg = _uncited(self.parse_expr(), "inside a map argument", pos)
                 self.expect("]")
                 if arg.poly is None:
                     raise ParseError(
@@ -189,17 +218,42 @@ class _Parser:
                 return _Val(poly=freealg.app(value, arg.poly))
             raise ParseError(f"unknown symbol {value!r}", pos)
         if value == "(":
-            inner = self.parse_expr()
+            inner = _uncited(self.parse_expr(), "inside parentheses", pos)
             self.expect(")")
             return inner
+        if value == "[" and self.cite is not None:
+            return self.parse_citation()
         raise ParseError(f"unexpected token {value!r}", pos)
+
+    def parse_citation(self) -> _Val:
+        tok = self.next()
+        if tok[0] != "name":
+            raise ParseError("expected an identity label", tok[2])
+        subst: Dict[str, NCPoly] = {}
+        sep = self.next()
+        if sep[1] == "|":
+            while True:
+                gtok = self.next()
+                if gtok[0] != "name" or gtok[1] not in GENERATORS:
+                    raise ParseError("substitution target must be a generator", gtok[2])
+                self.expect("->")
+                body = _uncited(self.parse_expr(), "inside a substitution body", gtok[2])
+                if body.poly is None:
+                    raise ParseError("substitution body must be ring-valued", gtok[2])
+                subst[gtok[1]] = body.poly
+                sep = self.next()
+                if sep[1] != ";":
+                    break
+        if sep[1] != "]":
+            raise ParseError(f"expected ']', found {sep[1]!r}", sep[2])
+        return _Val(poly=self.cite(tok[1], subst), cited=True)
 
     def at_end(self) -> bool:
         return self.i >= len(self.tokens)
 
 
-def parse_value(text: str) -> _Val:
-    p = _Parser(text)
+def parse_value(text: str, cite: Optional[Cite] = None) -> _Val:
+    p = _Parser(text, cite)
     val = p.parse_expr()
     if not p.at_end():
         tok = p.peek()
@@ -233,135 +287,25 @@ def parse_monomial(text: str) -> Tuple[ScalarPoly, Tuple]:
     return c, w
 
 
-# -- Combine witness syntax -----------------------------------------------------
-
-
-@dataclass
-class Witness:
-    """One summand ``coeff * left * [label | subst] * right`` of a Combine."""
-
-    coeff: ScalarPoly
-    left: Optional[Tuple] = None  # monomial word or None
-    label: str = ""
-    subst: Dict[str, NCPoly] = field(default_factory=dict)
-    right: Optional[Tuple] = None
-
-
-def parse_witnesses(text: str) -> List[Witness]:
-    p = _Parser(text)
-    out: List[Witness] = []
-    sign = 1
-    tok = p.peek()
-    if tok and tok[1] == "-":
-        p.next()
-        sign = -1
-    while True:
-        out.append(_parse_one_witness(p, sign))
-        tok = p.peek()
-        if tok is None:
-            return out
-        if tok[1] not in "+-":
-            raise ParseError(f"expected '+' or '-' between witnesses, found {tok[1]!r}", tok[2])
-        p.next()
-        sign = 1 if tok[1] == "+" else -1
-
-
-def _parse_one_witness(p: _Parser, sign: int) -> Witness:
-    # At factor position a bare '[' always opens a reference: map brackets
-    # only ever follow a map symbol and are consumed inside parse_primary.
-    coeff = ScalarPoly.const(sign)
-    left: Optional[Tuple] = None
-    right: Optional[Tuple] = None
-    label: Optional[str] = None
-    subst: Dict[str, NCPoly] = {}
-    while True:
-        tok = p.peek()
-        if tok is None:
-            break
-        if tok[1] == "-":
-            p.next()
-            coeff = -coeff
-            continue
-        if tok[1] == "[":
-            if label is not None:
-                raise ParseError("witness cites more than one identity", tok[2])
-            label, subst = _parse_reference(p)
-        else:
-            val = p.parse_factor()
-            if val.scalar is not None:
-                coeff = coeff * val.scalar
-            else:
-                side = val.poly
-                if len(side.terms) != 1:
-                    raise ParseError("witness context must be a single monomial", tok[2])
-                ((w, c),) = side.terms.items()
-                coeff = coeff * c
-                if label is None:
-                    left = w if left is None else left + w
-                else:
-                    right = w if right is None else right + w
-        tok = p.peek()
-        if tok and tok[1] == "*":
-            p.next()
-            continue
-        break
-    if label is None:
-        raise ParseError("witness must cite an identity in [brackets]")
-    return Witness(coeff=coeff, left=left, label=label, subst=subst, right=right)
-
-
-def _parse_reference(p: _Parser) -> Tuple[str, Dict[str, NCPoly]]:
-    p.expect("[")
-    tok = p.next()
-    if tok[0] != "name":
-        raise ParseError("expected an identity label", tok[2])
-    label = tok[1]
-    subst: Dict[str, NCPoly] = {}
-    nxt = p.peek()
-    if nxt and nxt[1] == "|":
-        p.next()
-        while True:
-            gtok = p.next()
-            if gtok[0] != "name" or gtok[1] not in GENERATORS:
-                raise ParseError("substitution target must be a generator", gtok[2])
-            p.expect("->")
-            val = _parse_subst_body(p)
-            subst[gtok[1]] = val
-            nxt = p.peek()
-            if nxt and nxt[1] == ";":
-                p.next()
-                continue
-            break
-    p.expect("]")
-    return label, subst
-
-
-def _parse_subst_body(p: _Parser) -> NCPoly:
-    # an expression, but stopping at ';' or ']' on depth 0
-    start = p.i
-    depth = 0
-    while p.i < len(p.tokens):
-        tok = p.tokens[p.i]
-        if tok[1] in "([":
-            depth += 1
-        elif tok[1] in ")]":
-            if depth == 0:
-                break
-            depth -= 1
-        elif tok[1] == ";" and depth == 0:
-            break
-        p.i += 1
-    sub = _Parser("")
-    sub.text = p.text
-    sub.tokens = p.tokens[start : p.i]
-    sub.i = 0
-    val = sub.parse_expr()
-    if not sub.at_end():
-        tok = sub.peek()
-        raise ParseError(f"trailing input in substitution {tok[1]!r}", tok[2])
-    if val.poly is None:
-        raise ParseError("substitution body must be ring-valued")
+def parse_combination(text: str, cite: Cite) -> NCPoly:
+    """The sum a combine witness list stands for, each citation resolved by
+    ``cite``."""
+    val = parse_value(text, cite)
+    if not val.cited:
+        raise ParseError("a witness list must cite an identity in [brackets]")
     return val.poly
+
+
+def cited_labels(text: str) -> List[str]:
+    """The labels a witness list cites, in order, read from its tokens: as in
+    the grammar, a '[' that does not follow a map symbol opens a citation."""
+    tokens = tokenize(text)
+    labels = []
+    for i, (kind, label, _) in enumerate(tokens[1:], start=1):
+        opens = tokens[i - 1][1] == "[" and (i == 1 or tokens[i - 2][1] not in MAP_KINDS)
+        if opens and kind == "name":
+            labels.append(label)
+    return labels
 
 
 # -- printing ---------------------------------------------------------------------

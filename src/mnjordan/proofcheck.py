@@ -21,7 +21,8 @@ differ is it parsed and normalized, to accept an equal claim spelled
 differently or to report the difference.  This is sound because printing
 round-trips: ``normalize(parse_poly(poly_to_text(p)), rules) == p`` for
 every ``p`` normalized under ``rules``.  An ``assume`` step and the two
-license steps compute their polynomial by parsing their claim.
+license steps compute their polynomial by parsing their claim, so theirs
+needs no compare.  A step parses its claim at most once.
 
 Step kinds
 ----------
@@ -32,8 +33,12 @@ substitute    ``use=L gen=g with=P``: replace g by P in identity L.
 polarize      ``use=L gen=g``: even part in g; consumes the factor 2.
 mulleft /     ``use=L by=TERM``: multiply by a single term from that side.
 mulright
-combine       witness list ``c1*u1*[L1 | x -> P]*v1 + c2*[L2] + ...``;
-              claimed = normalize of the witness sum.
+combine       witness list ``c1*u1*[L1 | x -> P]*v1 + c2*[L2] + ...``, a
+              polynomial expression in which each term is scalars and single
+              monomials times one citation (see ``parsing``); claimed =
+              normalize of the sum.  The list is parsed when its step runs,
+              so a malformed one fails that step; its citations are checked
+              against the labels before replay starts.
 cancel        ``use=L factor=C``: exact division by C; C must factor over
               the script's torsion budget.
 patternabc    ``use=L gen=g a=A b=B c=C``: L must read A*g*B + B*g*C = 0;
@@ -66,11 +71,11 @@ from .freealg import (
 from .laws import TABLE
 from .parsing import (
     ParseError,
-    Witness,
+    cited_labels,
+    parse_combination,
     parse_monomial,
     parse_poly,
     parse_scalar,
-    parse_witnesses,
     poly_to_text,
 )
 from .scalars import ExactDivisionError, ScalarPoly
@@ -144,7 +149,6 @@ class Step:
     args: Dict[str, str]
     claimed_text: str
     line: int
-    witnesses: List[Witness] = field(default_factory=list)  # combine only
 
 
 @dataclass
@@ -224,7 +228,7 @@ class AuditReport:
 _KEY_RE = re.compile(r"(\w[\w-]*)=")
 
 
-def _split_args(rest: str, line: int) -> Dict[str, str]:
+def _split_args(rest: str) -> Dict[str, str]:
     """Split ``key=value key=value`` where values run to the next key."""
     out: Dict[str, str] = {}
     matches = list(_KEY_RE.finditer(rest))
@@ -256,6 +260,8 @@ def parse_script(text: str, name: str = "<script>") -> ProofScript:
                 budget = [parse_scalar(tok) for tok in rest.split()]
             except ParseError as exc:
                 raise ScriptError(f"bad budget entry: {exc}", line_no) from None
+            if any(b.is_zero() for b in budget):
+                raise ScriptError("budget entry 0: every torsion factor must be nonzero", line_no)
         elif head == "goal":
             goals.append(rest)
         elif head == "step":
@@ -272,7 +278,7 @@ def parse_script(text: str, name: str = "<script>") -> ProofScript:
             if label in labels:
                 raise ScriptError(f"duplicate label {label!r}", line_no)
             labels.add(label)
-            steps.append(Step(label, kind, _split_args(argtext, line_no), claimed.strip(), line_no))
+            steps.append(Step(label, kind, _split_args(argtext), claimed.strip(), line_no))
         else:
             raise ScriptError(f"unknown directive {head!r}", line_no)
     script = ProofScript(theorem, budget, steps, goals)
@@ -281,16 +287,16 @@ def parse_script(text: str, name: str = "<script>") -> ProofScript:
 
 
 def _check_references(script: ProofScript) -> None:
-    """Every citation must follow its target; parses each combine's witnesses."""
+    """Every citation must follow its target.  A combine's citations are read
+    from the tokens of its witness list, which is parsed when its step runs."""
     seen = set()
     for step in script.steps:
         refs = [step.args["use"]] if "use" in step.args else []
         if step.kind == "combine":
             try:
-                step.witnesses = parse_witnesses(step.args.get("", ""))
+                refs += cited_labels(step.args.get("", ""))
             except ParseError as exc:
                 raise ScriptError(f"bad combine witnesses: {exc}", step.line) from None
-            refs += [w.label for w in step.witnesses]
         for ref in refs:
             if ref not in seen:
                 raise ScriptError(
@@ -333,9 +339,14 @@ def _budget_factor_check(factor: ScalarPoly, budget: List[ScalarPoly]) -> None:
     """factor must be a unit times a product of budget members."""
     if not budget:
         raise CheckError("cancel used but the script declares no torsion budget")
+    if factor.is_zero():
+        raise CheckError("torsion factor 0 cannot be cancelled")
     rem = factor
     while not rem.is_unit():
+        # a division by a non-unit shrinks rem, so the loop ends
         for b in budget:
+            if b.is_unit():
+                continue
             try:
                 rem = rem.exact_div(b)
                 break
@@ -357,14 +368,18 @@ def _parse_claim(step: Step, rules: FrozenSet[str]) -> NCPoly:
 
 def check_step(env: _Env, step: Step) -> Tuple[Identity, StepRecord]:
     record = StepRecord(step.label, step.kind, "ok")
+    # an assume or license step computes its polynomial by parsing its claim
+    licenses = step.kind == "external" and step.args.get("") in LICENSES
+    claim = _parse_claim(step, env.rules) if step.kind == "assume" or licenses else None
     try:
-        computed, what, law = _compute(env, step, record)
+        computed, what, law = _compute(env, step, record, claim)
     except STEP_ERRORS:
-        _parse_claim(step, env.rules)  # a malformed claim is reported first
+        if claim is None:
+            _parse_claim(step, env.rules)  # a malformed claim is reported first
         raise
     # normalize(parse(poly_to_text(p))) == p for every normalized p, so a
     # claim that reads exactly as the printed result needs no parsing
-    if step.claimed_text != poly_to_text(computed):
+    if claim is None and step.claimed_text != poly_to_text(computed):
         _require_match(_parse_claim(step, env.rules), computed, what)
     if step.kind == "polarize":
         # keeping only the doubled even part silently halves, which needs
@@ -374,10 +389,11 @@ def check_step(env: _Env, step: Step) -> Tuple[Identity, StepRecord]:
 
 
 def _compute(
-    env: _Env, step: Step, record: StepRecord
+    env: _Env, step: Step, record: StepRecord, claim: Optional[NCPoly]
 ) -> Tuple[NCPoly, str, Optional[Tuple[str, str]]]:
     """The polynomial a step must claim, the label of a mismatch, and the
-    (law, map) pair of a define step that instantiates a law."""
+    (law, map) pair of a define step that instantiates a law.  ``claim`` is
+    the parsed claim of a step that computes its polynomial from it."""
     kind = step.kind
     args = step.args
 
@@ -392,8 +408,8 @@ def _compute(
         return computed, "definition instance mismatch", law
 
     if kind == "assume":
-        computed, what = _parse_claim(step, env.rules), "assumption mismatch"
         record.axioms.append("assumption")
+        return claim, "", None
 
     elif kind == "substitute":
         g = args.get("gen", "")
@@ -422,9 +438,15 @@ def _compute(
         what = "product mismatch"
 
     elif kind == "combine":
-        total = NCPoly.zero()
-        for w in step.witnesses:
-            total = total + _witness_value(env, w)
+
+        def cite(label: str, subst: Dict[str, NCPoly]) -> NCPoly:
+            body = env.body(label)
+            return freealg.substitute_multi(body, subst) if subst else body
+
+        try:
+            total = parse_combination(args.get("", ""), cite)
+        except ParseError as exc:
+            raise CheckError(f"line {step.line}: bad combine witnesses: {exc}") from None
         computed = freealg.normalize(total, env.rules)
         what = "combination mismatch"
 
@@ -472,13 +494,13 @@ def _compute(
         name = args[""]
         # the claim parses, cites the right define and is 0; only then is
         # the rule licensed
-        computed, what = _parse_claim(step, env.rules), "license mismatch"
         record.axioms.append(name)
         rule, law, map_kind = LICENSES[name]
         _require_license_input(env, args, law, map_kind)
-        if not computed.is_zero():
+        if not claim.is_zero():
             raise CheckError("license steps claim 0")
         env.rules = env.rules | {rule}
+        return claim, "", None
 
     elif kind == "external":
         name = args.get("", "")
@@ -539,19 +561,6 @@ def _require_license_input(env: _Env, args: Dict[str, str], law: str, kind: str)
     sym = defined[1]
     if MAP_KINDS.get(sym) != kind:
         raise CheckError(f"map {sym!r} does not carry the {kind} kind")
-
-
-def _witness_value(env: _Env, w: Witness) -> NCPoly:
-    if w.label not in env.identities:
-        raise CheckError(f"witness cites unknown identity {w.label!r}")
-    body = env.body(w.label)
-    if w.subst:
-        body = freealg.substitute_multi(body, w.subst)
-    if w.left is not None:
-        body = freealg.mul(NCPoly.word(w.left), body)
-    if w.right is not None:
-        body = freealg.mul(body, NCPoly.word(w.right))
-    return freealg.scale(w.coeff, body)
 
 
 def replay(script: ProofScript) -> AuditReport:

@@ -276,3 +276,29 @@ def test_help_exits_0(capsys):
         cli.main(["ring", "--help"])
     assert exc.value.code == 0
     assert "--law" in capsys.readouterr().out
+
+
+CANCEL_TWO_M = "step a assume => 2*m*T[x]*y\nstep b cancel use=a factor={} => {}\ngoal b\n"
+
+
+@pytest.mark.parametrize("text, code", [
+    ("budget 2 m\n" + CANCEL_TWO_M.format("0", "T[x]*y"), cli.EXIT_FAILED),
+    ("budget 1 m\n" + CANCEL_TWO_M.format("2", "m*T[x]*y"), cli.EXIT_FAILED),
+    ("budget -1 2\nstep a assume => 6*T[x]*y\nstep b cancel use=a factor=3 => 2*T[x]*y\n"
+     "goal b\n", cli.EXIT_FAILED),
+    ("budget 1\nstep a assume => T[x]*x + x*T[x]\n"
+     "step b polarize use=a gen=x => T[x]*x + x*T[x]\ngoal b\n", cli.EXIT_FAILED),
+    ("budget 0 m\n" + CANCEL_TWO_M.format("2", "m*T[x]*y"), cli.EXIT_ERROR),
+], ids=["zero-factor", "unit-entry", "negative-unit-entry", "unit-budget-polarize",
+        "zero-entry"])
+def test_torsion_budget_checks_end_without_a_traceback(tmp_path, text, code):
+    # a subprocess with a timeout, so that a budget check that never ends
+    # fails the test instead of hanging it
+    path = tmp_path / "budget.steps"
+    path.write_text(text)
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "mnjordan.cli", "prove", str(path)],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == code, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -3,12 +3,14 @@ import pytest
 from mnjordan import freealg as fa
 from mnjordan.parsing import (
     ParseError,
+    cited_labels,
+    parse_combination,
     parse_monomial,
     parse_poly,
     parse_scalar,
-    parse_witnesses,
     tokenize,
 )
+from mnjordan.proofcheck import parse_script
 from tests.util import group_by_group_tokenize, shipped_script
 
 
@@ -61,25 +63,96 @@ def test_round_trip_is_canonical():
         assert parse_poly(p.to_text()) == p
 
 
+# bodies of the identities the witness lists below cite
+BODIES = {label: parse_poly(text) for label, text in {
+    "a": "T[x]*y - x*T0[y]",
+    "b": "m*x*y*T[x]",
+    "b0": "T[x^2] - n*x*T[x]",
+    "b1": "D[x*y] - x*D[y]",
+    "b2": "(m+n)*T[x]*x - x*T[x]",
+    "e14": "F[x]*y*F[x]",
+}.items()}
+
+
+def _cite(calls):
+    """A dict-backed ``cite`` that records the labels it is asked for."""
+    def cite(label, subst):
+        calls.append(label)
+        return fa.substitute_multi(BODIES[label], subst) if subst else BODIES[label]
+    return cite
+
+
+def _witness(coeff, left, label, right, subst=None):
+    """coeff * left * (cited body, substituted) * right, built by hand."""
+    body = BODIES[label]
+    if subst:
+        body = fa.substitute_multi(body, {g: parse_poly(t) for g, t in subst.items()})
+    poly = fa.scale(parse_scalar(coeff), body)
+    if left:
+        poly = fa.mul(parse_poly(left), poly)
+    if right:
+        poly = fa.mul(poly, parse_poly(right))
+    return poly
+
+
+def _combination(text):
+    calls = []
+    total = parse_combination(text, _cite(calls))
+    assert calls == cited_labels(text)
+    return total, calls
+
+
 def test_witness_parsing():
-    ws = parse_witnesses("(m+n)*[b1] + m*[b2]*x - (m+n)*[b2 | x -> x*x] - m*x*[b0]*y")
-    assert [w.label for w in ws] == ["b1", "b2", "b2", "b0"]
-    assert ws[0].coeff == parse_scalar("m+n")
-    assert ws[1].right == parse_monomial("x")[1]
-    assert ws[2].coeff == parse_scalar("-(m+n)")
-    assert "x" in ws[2].subst and ws[2].subst["x"] == parse_poly("x*x")
-    assert ws[3].left == parse_monomial("x")[1]
-    assert ws[3].right == parse_monomial("y")[1]
+    total, calls = _combination(
+        "(m+n)*[b1] + m*[b2]*x - (m+n)*[b2 | x -> x*x] - m*x*[b0]*y")
+    assert calls == ["b1", "b2", "b2", "b0"]
+    assert total == (
+        _witness("m+n", "", "b1", "")
+        + _witness("m", "", "b2", "x")
+        + _witness("-(m+n)", "", "b2", "", {"x": "x*x"})
+        + _witness("-m", "x", "b0", "y")
+    )
+    total, _ = _combination("-[a | x -> y; y -> x + y*x] + --2*x^2*[b]*-y")
+    assert total == (
+        _witness("-1", "", "a", "", {"x": "y", "y": "x + y*x"})
+        + _witness("-2", "x^2", "b", "y")
+    )
 
 
 def test_witness_with_map_contexts():
-    (w,) = parse_witnesses("-2*m*[e14]*y*F[x]*x")
-    assert w.coeff == parse_scalar("-2*m")
-    assert w.right == parse_monomial("y*F[x]*x")[1]
-    with pytest.raises(ParseError):
-        parse_witnesses("m*x + n*y")  # no identity reference
-    with pytest.raises(ParseError):
-        parse_witnesses("(x+y)*[a]")  # context is not a monomial
+    total, calls = _combination("-2*m*[e14]*y*F[x]*x")
+    assert calls == ["e14"]
+    assert total == _witness("-2*m", "", "e14", "y*F[x]*x")
+    rejected = [
+        "m*x + n*y",  # no identity reference
+        "(x+y)*[a]",  # context is not a monomial
+        "[a]*[b]",  # two citations in one term
+        "[a]^2",
+        "([a])*x",
+        "T[[a]]",
+        "[a | x -> [b]]",
+        "[a] + x",  # a term without a citation
+        "[a] x",
+        "[a | T -> x]",  # substitution target is not a generator
+        "[a | x -> 0]",  # substitution body is a scalar
+        "[2]",
+    ]
+    for text in rejected:
+        with pytest.raises(ParseError):
+            parse_combination(text, _cite([]))
+    # without a cite callback a bracket is no primary
+    with pytest.raises(ParseError, match="unexpected token '\\['"):
+        parse_poly("[a]")
+
+
+@pytest.mark.parametrize("script", ["theorem_centralizer.steps", "theorem_derivation.steps"])
+def test_label_reader_matches_the_citations_the_grammar_makes(script):
+    combines = [s for s in parse_script(shipped_script(script)).steps if s.kind == "combine"]
+    assert combines
+    for step in combines:
+        calls = []
+        parse_combination(step.args[""], lambda label, subst: calls.append(label) or BODIES["a"])
+        assert cited_labels(step.args[""]) == calls, step.label
 
 
 def _tokens_or_error(tokenizer, text):

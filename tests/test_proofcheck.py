@@ -199,18 +199,28 @@ def test_combine_soundness_forward_random():
     from mnjordan.parsing import parse_scalar
     from tests.test_freealg import random_poly
 
+    substitutions = [{}, {"x": "x*y"}, {"y": "x + y"}, {"x": "y", "y": "x"},
+                     {"x": "2*x^2", "y": "y*x - x"}]
     for _ in range(25):
         bodies = [random_poly(rng) for _ in range(3)]
         coeffs = [rng.choice(["1", "-1", "m", "n", "m+n", "2"]) for _ in range(3)]
         contexts = [rng.choice(["", "x", "y", "x*y"]) for _ in range(3)]
+        rights = [rng.choice(["", "y", "x^2", "T[y]*x"]) for _ in range(3)]
+        substs = [rng.choice(substitutions) for _ in range(3)]
         witness_text = []
         total = fa.NCPoly.zero()
-        for i, (body, c, u) in enumerate(zip(bodies, coeffs, contexts)):
+        for i, (body, c, u, v, sub) in enumerate(zip(bodies, coeffs, contexts, rights, substs)):
             left = f"{u}*" if u else ""
-            witness_text.append(f"({c})*{left}[a{i}]")
+            right = f"*{v}" if v else ""
+            bar = " | " + "; ".join(f"{g} -> {t}" for g, t in sub.items()) if sub else ""
+            witness_text.append(f"({c})*{left}[a{i}{bar}]{right}")
             part = fa.scale(parse_scalar(c), body)
+            if sub:
+                part = fa.substitute_multi(part, {g: P(t) for g, t in sub.items()})
             if u:
                 part = fa.mul(P(u), part)
+            if v:
+                part = fa.mul(part, P(v))
             total = total + part
         # no license steps appear in this synthetic script
         total = fa.normalize(total, fa.NO_RULES)
@@ -230,6 +240,53 @@ def test_combine_soundness_forward_random():
         bad = replay_lines(*lines)
         assert bad.overall == "FAILED"
         assert bad.failed_step == "c"
+
+
+# -- witness lists, parsed when their step runs ----------------------------------
+
+
+def _with_witnesses(text, label, witnesses):
+    """The script with the witness list of combine step ``label`` replaced."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        if line.startswith(f"step {label} combine "):
+            lines[i] = f"step {label} combine {witnesses} =>" + line.split("=>", 1)[1]
+            return "\n".join(lines) + "\n", i + 1
+    raise AssertionError(f"no combine step {label}")
+
+
+def test_a_malformed_witness_list_fails_its_step(capsys, tmp_path):
+    from mnjordan import cli
+
+    text, line = _with_witnesses(shipped_script("theorem_centralizer.steps"), "e5_raw",
+                                 "[e4] - [e3]^2")
+    report = pc.replay_text(text)
+    assert report.failed_step == "e5_raw"
+    assert report.error.startswith(f"line {line}: bad combine witnesses: ")
+    assert re.search(r"\(at column \d+\)$", report.error), report.error
+    assert [r.verdict for r in report.records[:-1]] == ["ok"] * (len(report.records) - 1)
+    path = tmp_path / "broken.steps"
+    path.write_text(text)
+    assert cli.main(["prove", str(path)]) == cli.EXIT_FAILED
+    assert capsys.readouterr().err == ""
+    # an earlier failing step is reported first: the list is never parsed
+    earlier = _with_claim(text, "lin", "2*T[x*y]")
+    report = pc.replay_text(earlier)
+    assert report.failed_step == "lin"
+    assert report.error.startswith("combination mismatch")
+
+
+@pytest.mark.parametrize("witnesses, message", [
+    ("[e3] + [e5]", "cites 'e5' before it is defined"),
+    ("[e4] - ([nowhere])", "cites 'nowhere' before it is defined"),
+    ("[e4] - T[[nowhere]]", "cites 'nowhere' before it is defined"),
+    ("[e4] - [e3] $ x", "bad combine witnesses: unexpected character '$'"),
+])
+def test_citations_and_tokens_of_witness_lists_are_checked_before_replay(witnesses, message):
+    text, line = _with_witnesses(shipped_script("theorem_centralizer.steps"), "e5_raw",
+                                 witnesses)
+    with pytest.raises(pc.ScriptError, match=re.escape(f"line {line}: ") + ".*" + re.escape(message)):
+        pc.parse_script(text)
 
 
 def test_replay_is_deterministic():
@@ -386,6 +443,25 @@ def test_only_claims_that_differ_from_the_printed_form_are_parsed(monkeypatch):
         # license and assume steps compute their polynomial by parsing the claim
         kinds = {s.label: s.kind for s in pc.parse_script(shipped_script(name)).steps}
         assert sorted(kinds[label] for label in parsed) == ["assume", "define", "external"]
+
+
+@pytest.mark.parametrize("lines", [
+    # the claim is not in printed form, so it is compared after the parse
+    ["step a assume => x*T[x] + 0*y"],
+    # the license fails after its claim parsed: it cites an assume
+    ["step b assume => T[x]", "step a external t0-two-sided use=b => 0"],
+], ids=["assume-not-printed", "license-bad-use"])
+def test_each_claim_is_parsed_at_most_once(monkeypatch, lines):
+    parsed = []
+    parse_claim = pc._parse_claim
+
+    def record(step, rules):
+        parsed.append(step.label)
+        return parse_claim(step, rules)
+
+    monkeypatch.setattr(pc, "_parse_claim", record)
+    replay_lines(*lines, "goal a")
+    assert parsed.count("a") == 1
 
 
 # -- citations under the rules in force ------------------------------------------
