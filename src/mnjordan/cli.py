@@ -124,7 +124,8 @@ def cmd_search(args) -> int:
         if args.family == "zn":
             rings = finring.family_zn(args.max_n)
         elif args.family == "mat2":
-            primes = [int(p) for p in args.primes.split(",")] if args.primes else [3, 5, 7]
+            # an explicit empty list is a usage error, not the default primes
+            primes = [3, 5, 7] if args.primes is None else [int(p) for p in args.primes.split(",")]
             rings = finring.family_mat2(primes)
         else:  # "products": argparse admits only the three families
             rings = finring.family_products(args.max_n)

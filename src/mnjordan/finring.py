@@ -23,7 +23,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -602,42 +602,24 @@ def _product_operators(R: FinRing) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(op.reshape(k**3, k * k) for op in ops)
 
 
-def _two_sided_rows(R: FinRing) -> np.ndarray:
-    """T(e_i e_j) - T(e_i) e_j and T(e_i e_j) - e_i T(e_j)."""
-    of_xy, mx_y, x_my = _product_operators(R)
-    return np.vstack([of_xy - mx_y, of_xy - x_my])
-
-
-def _derivation_rows(R: FinRing) -> np.ndarray:
-    """D(e_i e_j) - D(e_i) e_j - e_i D(e_j)."""
-    of_xy, mx_y, x_my = _product_operators(R)
-    return of_xy - mx_y - x_my
-
-
-def _central_rows(R: FinRing) -> np.ndarray:
-    """Row (i, j, t): D(e_j) e_i - e_i D(e_j)."""
-    k = R.k
-    _, mx_y, x_my = _product_operators(R)
-    return mx_y.reshape(k, k, k, k * k).transpose(1, 0, 2, 3).reshape(k**3, k * k) - x_my
-
-
 def _product_mods(R: FinRing, rows: np.ndarray) -> np.ndarray:
     return np.tile(R._mods, rows.shape[0] // R.k)
-
-
-def _vanishes(R: FinRing, rows: np.ndarray, M: AddMap) -> bool:
-    return not np.any(rows @ M.matrix.ravel() % _product_mods(R, rows))
 
 
 def _conclusion_blocks(R: FinRing, law: Law) -> List[Tuple[str, np.ndarray, np.ndarray]]:
     """The law's conclusion as (reason, rows, row moduli) blocks on the slot
     vector, in the order their reasons are reported."""
     k = R.k
+    of_xy, mx_y, x_my = _product_operators(R)
     if law.conclusion == TWO_SIDED:
-        blocks = [("not two-sided", _two_sided_rows(R))]
+        # T(e_i e_j) - T(e_i) e_j and T(e_i e_j) - e_i T(e_j)
+        blocks = [("not two-sided", np.vstack([of_xy - mx_y, of_xy - x_my]))]
     else:
-        blocks = [("not a derivation", _derivation_rows(R)),
-                  ("values not central", _central_rows(R))]
+        # D(e_i e_j) - D(e_i) e_j - e_i D(e_j), and row (i, j, t) of
+        # D(e_j) e_i - e_i D(e_j)
+        y_mx = mx_y.reshape(k, k, k, k * k).transpose(1, 0, 2, 3).reshape(k**3, k * k)
+        blocks = [("not a derivation", of_xy - mx_y - x_my),
+                  ("values not central", y_mx - x_my)]
     blocks = [(reason, rows, _product_mods(R, rows)) for reason, rows in blocks]
     if not law.generalized:
         return blocks
@@ -648,6 +630,12 @@ def _conclusion_blocks(R: FinRing, law: Law) -> List[Tuple[str, np.ndarray, np.n
     ]
 
 
+def _meets(R: FinRing, law: str, block: int, M: AddMap) -> bool:
+    """M satisfies conclusion block ``block`` of the plain law ``law``."""
+    _, rows, mods = _conclusion_blocks(R, TABLE[law])[block]
+    return not np.any(rows @ M.matrix.ravel() % mods)
+
+
 def verify_two_sided(R: FinRing, T: AddMap) -> bool:
     """T(xy) = T(x)y = xT(y) for all x, y.
 
@@ -655,17 +643,17 @@ def verify_two_sided(R: FinRing, T: AddMap) -> bool:
     exactly when it holds on basis pairs; that tensor identity is what is
     checked.
     """
-    return _vanishes(R, _two_sided_rows(R), T)
+    return _meets(R, "centralizer", 0, T)
 
 
 def verify_derivation(R: FinRing, D: AddMap) -> bool:
     """D(xy) = D(x)y + xD(y) for all x, y (checked on basis pairs)."""
-    return _vanishes(R, _derivation_rows(R), D)
+    return _meets(R, "derivation", 0, D)
 
 
 def maps_into_center(R: FinRing, D: AddMap) -> bool:
     """Every value D(x) commutes with every ring element."""
-    return _vanishes(R, _central_rows(R), D)
+    return _meets(R, "derivation", 1, D)
 
 
 def _law_residual(R: FinRing, spec: LawSpec, maps: Sequence[AddMap]) -> bool:
@@ -836,18 +824,7 @@ class TheoremReport:
     verdict: str
 
     def to_json(self) -> dict:
-        return {
-            "ring": self.ring,
-            "law": self.law,
-            "m": self.m,
-            "n": self.n,
-            "hypotheses": self.hypotheses,
-            "applicable": self.applicable,
-            "solution_count": self.solution_count,
-            "violation_count": self.violation_count,
-            "violations": self.violations,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 def _conclusion_violations(R: FinRing, spec: LawSpec, sols: SolutionSet

@@ -50,6 +50,10 @@ external      one of the named audited theorems:
               ``t0-two-sided use=L``      license the two-sided collapse rule
               ``d-central-derivation use=L``  license the derivation rules
 assume        emits the claimed identity unverified (flagged in the report).
+
+``gen=`` must name a generator, ``x`` or ``y``.  A missing or malformed step
+argument (``use``, ``gen``, ``with``, ``by``, ``factor``, a witness) fails its
+step, like a wrong claim: the replay reports FAILED and ``prove`` exits 1.
 """
 
 from __future__ import annotations
@@ -61,13 +65,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from . import freealg
-from .freealg import (
-    MAP_KINDS,
-    NO_RULES,
-    RULE_CENTRAL_DERIVATION,
-    RULE_TWO_SIDED,
-    NCPoly,
-)
+from .freealg import MAP_KINDS, NO_RULES, NCPoly
 from .laws import TABLE
 from .parsing import (
     ParseError,
@@ -103,18 +101,21 @@ STEP_ERRORS = (
 )
 
 
-STEP_KINDS = {
-    "define",
-    "substitute",
-    "polarize",
-    "mulleft",
-    "mulright",
-    "combine",
-    "cancel",
-    "patternabc",
-    "squash",
-    "external",
-    "assume",
+# step kind -> the label of a claim that differs from the computed polynomial;
+# assume and the licenses compute their polynomial from the claim, so they
+# never compare
+MISMATCH = {
+    "define": "definition instance mismatch",
+    "substitute": "substitution result mismatch",
+    "polarize": "even-part mismatch",
+    "mulleft": "product mismatch",
+    "mulright": "product mismatch",
+    "combine": "combination mismatch",
+    "cancel": "quotient mismatch",
+    "patternabc": "emitted identity mismatch",
+    "squash": "emitted identity mismatch",
+    "external": "emitted identity mismatch",
+    "assume": "",
 }
 
 EXTERNAL_THEOREMS = {
@@ -127,10 +128,11 @@ EXTERNAL_THEOREMS = {
                             "the center",
 }
 
-# license theorem -> (rewrite rule it licenses, law of the cited define, map kind)
+# license theorem, which is also the rewrite rule it licenses ->
+# (law of the cited define, map kind)
 LICENSES = {
-    "t0-two-sided": (RULE_TWO_SIDED, "centralizer", "two-sided-centralizer"),
-    "d-central-derivation": (RULE_CENTRAL_DERIVATION, "derivation", "central-derivation"),
+    "t0-two-sided": ("centralizer", "two-sided-centralizer"),
+    "d-central-derivation": ("derivation", "central-derivation"),
 }
 
 LAW_TEMPLATES = {name: law.template() for name, law in TABLE.items()}
@@ -273,7 +275,7 @@ def parse_script(text: str, name: str = "<script>") -> ProofScript:
                 raise ScriptError("step needs a label and a kind", line_no)
             label, kind = parts[0], parts[1]
             argtext = parts[2] if len(parts) > 2 else ""
-            if kind not in STEP_KINDS:
+            if kind not in MISMATCH:
                 raise ScriptError(f"unknown step kind {kind!r}", line_no)
             if label in labels:
                 raise ScriptError(f"duplicate label {label!r}", line_no)
@@ -372,7 +374,7 @@ def check_step(env: _Env, step: Step) -> Tuple[Identity, StepRecord]:
     licenses = step.kind == "external" and step.args.get("") in LICENSES
     claim = _parse_claim(step, env.rules) if step.kind == "assume" or licenses else None
     try:
-        computed, what, law = _compute(env, step, record, claim)
+        computed, law = _compute(env, step, record, claim)
     except STEP_ERRORS:
         if claim is None:
             _parse_claim(step, env.rules)  # a malformed claim is reported first
@@ -380,7 +382,7 @@ def check_step(env: _Env, step: Step) -> Tuple[Identity, StepRecord]:
     # normalize(parse(poly_to_text(p))) == p for every normalized p, so a
     # claim that reads exactly as the printed result needs no parsing
     if claim is None and step.claimed_text != poly_to_text(computed):
-        _require_match(_parse_claim(step, env.rules), computed, what)
+        _require_match(_parse_claim(step, env.rules), computed, MISMATCH[step.kind])
     if step.kind == "polarize":
         # keeping only the doubled even part silently halves, which needs
         # 2-torsion freeness
@@ -390,52 +392,81 @@ def check_step(env: _Env, step: Step) -> Tuple[Identity, StepRecord]:
 
 def _compute(
     env: _Env, step: Step, record: StepRecord, claim: Optional[NCPoly]
-) -> Tuple[NCPoly, str, Optional[Tuple[str, str]]]:
-    """The polynomial a step must claim, the label of a mismatch, and the
-    (law, map) pair of a define step that instantiates a law.  ``claim`` is
-    the parsed claim of a step that computes its polynomial from it."""
+) -> Tuple[NCPoly, Optional[Tuple[str, str]]]:
+    """The polynomial a step must claim, and the (law, map) pair of a define
+    step that instantiates a law.  ``claim`` is the parsed claim of a step
+    that computes its polynomial from it.  A branch that builds a polynomial
+    falls through to the one normalize at the end; define, assume, the
+    licenses and squash return one that is already normal."""
     kind = step.kind
     args = step.args
 
+    def need(key: str, placeholder: str) -> str:
+        value = args.get(key)
+        if value is None:
+            raise CheckError(f"{kind} needs {key}=<{placeholder}>")
+        return value
+
     def cited() -> NCPoly:
-        label = args.get("use")
-        if label is None:
-            raise CheckError("step needs use=<label>")
-        return env.body(label)
+        return env.body(need("use", "label"))
+
+    def generator() -> str:
+        g = args.get("gen")
+        if g not in freealg.GENERATORS:
+            raise CheckError(f"{kind} needs gen=x or gen=y, got {g!r}")
+        return g
+
+    def witnesses(g: str, *names: str) -> List[NCPoly]:
+        out = []
+        for name in names:
+            p = freealg.normalize(parse_poly(need(name, "polynomial")), env.rules)
+            if any(freealg.word_gen_degree(w, g) for w in p.terms):
+                raise CheckError(f"{kind} witness {name} must not contain {g}")
+            out.append(p)
+        return out
 
     if kind == "define":
-        computed, law = _define_body(env, args)
-        return computed, "definition instance mismatch", law
+        return _define_body(env, args)
 
     if kind == "assume":
         record.axioms.append("assumption")
-        return claim, "", None
+        return claim, None
 
-    elif kind == "substitute":
-        g = args.get("gen", "")
-        with_text = args.get("with")
-        if with_text is None:
-            raise CheckError("substitute needs with=<polynomial>")
-        repl = parse_poly(with_text)
-        computed = freealg.normalize(freealg.substitute(cited(), g, repl), env.rules)
-        what = "substitution result mismatch"
+    if kind == "external" and args.get("") in LICENSES:
+        name = args[""]
+        # the claim parses, cites the right define and is 0; only then is
+        # the rule licensed
+        record.axioms.append(name)
+        _require_license_input(env, args, *LICENSES[name])
+        if not claim.is_zero():
+            raise CheckError("license steps claim 0")
+        env.rules = env.rules | {name}
+        return claim, None
+
+    if kind == "squash":
+        g = generator()
+        (w,) = witnesses(g, "w")
+        gpoly = freealg.gen(g)
+        shape = freealg.normalize(w * gpoly * w, env.rules)
+        _require_match(cited(), shape, "cited identity is not of the W*g*W shape")
+        record.axioms.append("semiprime-squash")
+        return w, None
+
+    if kind == "substitute":
+        g = generator()
+        repl = parse_poly(need("with", "polynomial"))
+        computed = freealg.substitute(cited(), g, repl)
 
     elif kind == "polarize":
-        g = args.get("gen", "")
-        computed = freealg.normalize(freealg.polarize_even(cited(), g), env.rules)
-        what = "even-part mismatch"
+        g = generator()
+        computed = freealg.polarize_even(cited(), g)
         record.factors.append("2")
 
     elif kind in ("mulleft", "mulright"):
-        term = args.get("by")
-        if term is None:
-            raise CheckError(f"{kind} needs by=<term>")
-        coeff, word = parse_monomial(term)
+        coeff, word = parse_monomial(need("by", "term"))
         factor = NCPoly.word(word, coeff)
         base = cited()
-        product = freealg.mul(factor, base) if kind == "mulleft" else freealg.mul(base, factor)
-        computed = freealg.normalize(product, env.rules)
-        what = "product mismatch"
+        computed = freealg.mul(factor, base) if kind == "mulleft" else freealg.mul(base, factor)
 
     elif kind == "combine":
 
@@ -444,65 +475,29 @@ def _compute(
             return freealg.substitute_multi(body, subst) if subst else body
 
         try:
-            total = parse_combination(args.get("", ""), cite)
+            computed = parse_combination(args.get("", ""), cite)
         except ParseError as exc:
             raise CheckError(f"line {step.line}: bad combine witnesses: {exc}") from None
-        computed = freealg.normalize(total, env.rules)
-        what = "combination mismatch"
 
     elif kind == "cancel":
-        factor_text = args.get("factor")
-        if factor_text is None:
-            raise CheckError("cancel needs factor=<scalar>")
-        factor = parse_scalar(factor_text)
+        factor = parse_scalar(need("factor", "scalar"))
         _budget_factor_check(factor, env.budget)
         try:
             computed = freealg.exact_divide(cited(), factor)
         except ExactDivisionError as exc:
             raise CheckError(f"torsion cancellation is not exact: {exc}") from None
-        computed = freealg.normalize(computed, env.rules)
-        what = "quotient mismatch"
         record.factors.append(str(factor))
 
     elif kind == "patternabc":
-        g = args.get("gen", "")
-        a = freealg.normalize(parse_poly(args.get("a", "")), env.rules)
-        b = freealg.normalize(parse_poly(args.get("b", "")), env.rules)
-        c = freealg.normalize(parse_poly(args.get("c", "")), env.rules)
-        for name, p in (("a", a), ("b", b), ("c", c)):
-            if any(freealg.word_gen_degree(w, g) for w in p.terms):
-                raise CheckError(f"pattern witness {name} must not contain {g}")
+        g = generator()
+        a, b, c = witnesses(g, "a", "b", "c")
         gpoly = freealg.gen(g)
         shape = freealg.normalize(a * gpoly * b + b * gpoly * c, env.rules)
         _require_match(cited(), shape, "cited identity is not of the a*g*b + b*g*c shape")
-        computed = freealg.normalize((a + c) * gpoly * b, env.rules)
-        what = "emitted identity mismatch"
+        computed = (a + c) * gpoly * b
         record.axioms.append("pattern-lemma[semiprime]")
 
-    elif kind == "squash":
-        g = args.get("gen", "")
-        wpoly = freealg.normalize(parse_poly(args.get("w", "")), env.rules)
-        if any(freealg.word_gen_degree(w, g) for w in wpoly.terms):
-            raise CheckError(f"squash witness must not contain {g}")
-        gpoly = freealg.gen(g)
-        shape = freealg.normalize(wpoly * gpoly * wpoly, env.rules)
-        _require_match(cited(), shape, "cited identity is not of the W*g*W shape")
-        computed, what = wpoly, "emitted identity mismatch"
-        record.axioms.append("semiprime-squash")
-
-    elif kind == "external" and args.get("") in LICENSES:
-        name = args[""]
-        # the claim parses, cites the right define and is 0; only then is
-        # the rule licensed
-        record.axioms.append(name)
-        rule, law, map_kind = LICENSES[name]
-        _require_license_input(env, args, law, map_kind)
-        if not claim.is_zero():
-            raise CheckError("license steps claim 0")
-        env.rules = env.rules | {rule}
-        return claim, "", None
-
-    elif kind == "external":
+    else:  # external: commuting is the one theorem that licenses no rule
         name = args.get("", "")
         if name != "commuting":
             raise CheckError(f"unknown external theorem {name!r}")
@@ -518,13 +513,9 @@ def _compute(
             freealg.normalize(double, env.rules),
             "cited identity is not the double commutator [[M(x),x],x]",
         )
-        computed = freealg.normalize(freealg.commutator(mx, x), env.rules)
-        what = "emitted identity mismatch"
+        computed = freealg.commutator(mx, x)
 
-    else:  # pragma: no cover - kinds are validated at parse time
-        raise CheckError(f"unhandled kind {kind}")
-
-    return computed, what, None
+    return freealg.normalize(computed, env.rules), None
 
 
 def _define_body(env: _Env, args: Dict[str, str]) -> Tuple[NCPoly, Optional[Tuple[str, str]]]:

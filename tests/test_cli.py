@@ -240,6 +240,17 @@ def test_search_family(capsys):
     assert rows[0]["hypotheses"]["torsion_free"] is False
 
 
+@pytest.mark.parametrize("primes", ["", "5,,7", "5,x"])
+def test_search_rejects_a_malformed_prime_list(capsys, primes):
+    # an explicit empty list does not fall back to the default primes
+    code, out, err = run(
+        capsys, "search", "--family", "mat2", "--primes", primes,
+        "--law", "centralizer", "--m", "1", "--n", "2",
+    )
+    assert code == cli.EXIT_ERROR
+    assert out == "" and err.startswith("error: ")
+
+
 def test_exit_codes_depend_only_on_the_verdict(capsys, tmp_path):
     path = script_on_disk(tmp_path, "theorem_centralizer.steps")
     first = run(capsys, "prove", path)
@@ -278,6 +289,15 @@ def test_help_exits_0(capsys):
     assert "--law" in capsys.readouterr().out
 
 
+def prove_in_subprocess(tmp_path, text, *options):
+    path = tmp_path / "script.steps"
+    path.write_text(text)
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run([sys.executable, "-m", "mnjordan.cli", "prove", str(path), *options],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=10)
+
+
 CANCEL_TWO_M = "step a assume => 2*m*T[x]*y\nstep b cancel use=a factor={} => {}\ngoal b\n"
 
 
@@ -294,11 +314,32 @@ CANCEL_TWO_M = "step a assume => 2*m*T[x]*y\nstep b cancel use=a factor={} => {}
 def test_torsion_budget_checks_end_without_a_traceback(tmp_path, text, code):
     # a subprocess with a timeout, so that a budget check that never ends
     # fails the test instead of hanging it
-    path = tmp_path / "budget.steps"
-    path.write_text(text)
-    src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run([sys.executable, "-m", "mnjordan.cli", "prove", str(path)],
-                          env=dict(os.environ, PYTHONPATH=str(src)),
-                          capture_output=True, text=True, timeout=10)
+    proc = prove_in_subprocess(tmp_path, text)
     assert proc.returncode == code, proc.stdout + proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+CENTRALIZER_LAW = "(m+n)*T[x^2] - m*T[x]*x - n*x*T[x]"
+GEN_STEPS = {
+    "substitute": "with=y => 0",
+    # at gen=z the even part is the whole law, so a check that ignores gen
+    # accepts this claim
+    "polarize": f"=> {CENTRALIZER_LAW}",
+    "patternabc": "a=x b=x c=x => 0",
+    "squash": "w=x => x",
+}
+
+
+@pytest.mark.parametrize("gen", ["gen=z", ""], ids=["gen-z", "no-gen"])
+@pytest.mark.parametrize("kind", sorted(GEN_STEPS))
+def test_a_bad_generator_fails_its_step(tmp_path, kind, gen):
+    text = (f"budget 2 m n m+n\n"
+            f"step law define law=centralizer map=T => {CENTRALIZER_LAW}\n"
+            f"step s {kind} use=law {gen} {GEN_STEPS[kind]}\n"
+            f"goal s\n")
+    proc = prove_in_subprocess(tmp_path, text, "--format", "json")
+    assert proc.returncode == cli.EXIT_FAILED, proc.stdout + proc.stderr
+    assert proc.stderr == ""
+    report = json.loads(proc.stdout)
+    assert report["overall"] == "FAILED" and report["failed_step"] == "s"
+    assert report["error"].startswith(f"{kind} needs gen=x or gen=y"), report["error"]

@@ -116,6 +116,21 @@ def test_assume_and_license_errors(lines, prefix):
     assert "ASSUMED" not in fail_line and label not in report.assumptions
 
 
+@pytest.mark.parametrize("step, message", [
+    ("substitute gen=x with=y => 0", "substitute needs use=<label>"),
+    ("substitute use=a gen=x => 0", "substitute needs with=<polynomial>"),
+    ("mulright use=a => 0", "mulright needs by=<term>"),
+    ("cancel use=a => 0", "cancel needs factor=<scalar>"),
+    ("patternabc use=a gen=y a=x b=x => 0", "patternabc needs c=<polynomial>"),
+    ("squash use=a gen=y w=T[y] => T[y]", "squash witness w must not contain y"),
+    ("external commuting map=T => 0", "external needs use=<label>"),
+], ids=["use", "with", "by", "factor", "witness", "witness-with-gen", "commuting-use"])
+def test_a_missing_or_bad_argument_fails_its_step(step, message):
+    report = replay_lines("budget 2", "step a assume => T[x]*y*x", f"step s {step}", "goal s")
+    assert report.failed_step == "s"
+    assert report.error == message
+
+
 def test_cancel_respects_budget_and_exactness():
     base = [
         "budget m",
@@ -330,6 +345,37 @@ def test_final_steps_reach_the_squash_conclusions():
     deri_claims = {s.label: s.claimed_text for s in deri.steps}
     assert P(cent_claims["fsq_pre"]) == P("F[x]*y*F[x]")
     assert P(deri_claims["fcsq_pre"]) == P("Fc[x]*y*Fc[x]")
+
+
+MISMATCH_LABELS = [
+    ("define", "definition instance mismatch"),
+    ("substitute", "substitution result mismatch"),
+    ("polarize", "even-part mismatch"),
+    ("mulleft", "product mismatch"),
+    ("mulright", "product mismatch"),
+    ("combine", "combination mismatch"),
+    ("cancel", "quotient mismatch"),
+    ("patternabc", "emitted identity mismatch"),
+    ("squash", "emitted identity mismatch"),
+    ("commuting", "emitted identity mismatch"),
+]
+
+
+@pytest.mark.parametrize("name", ["theorem_centralizer.steps", "theorem_derivation.steps"])
+@pytest.mark.parametrize("kind, mismatch", MISMATCH_LABELS, ids=[k for k, _ in MISMATCH_LABELS])
+def test_each_kind_reports_its_mismatch_label(name, kind, mismatch):
+    text = shipped_script(name)
+    # the first step of that kind (external steps by theorem) with a term to bump
+    label = next(s.label for s in pc.parse_script(text).steps
+                 if kind in (s.kind, s.args.get("")) and not P(s.claimed_text).is_zero())
+    mutated, _ = mutate_script(text, random.Random(kind), label=label)
+    report = pc.replay_text(mutated)
+    assert report.failed_step == label
+    assert report.error.startswith(f"{mismatch}: claimed - computed = "), report.error
+
+
+def test_each_license_names_the_rule_it_licenses():
+    assert set(pc.LICENSES) == fa.ALL_RULES
 
 
 def test_corrupting_a_script_fails_at_that_step():
