@@ -25,6 +25,7 @@ from importlib import resources
 
 from . import proofcheck
 from .laws import TABLE
+from .parsing import PowerSizeError
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -49,11 +50,13 @@ def cmd_prove(args) -> int:
             print(f"cannot read script: {exc}", file=sys.stderr)
             return EXIT_ERROR
     try:
-        script = proofcheck.parse_script(text, args.script)
+        report = proofcheck.replay(proofcheck.parse_script(text, args.script))
     except proofcheck.ScriptError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    report = proofcheck.replay(script)
+    except PowerSizeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     if args.format == "json":
         print(proofcheck.report_to_json_text(report))
     else:

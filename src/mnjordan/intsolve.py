@@ -8,6 +8,15 @@ nothing is enumerated.  A prime appearing to the first power everywhere is
 handled by vectorized Gaussian elimination over GF(q); prime powers go
 through an exact Hermite/Smith reduction over the integers (only small
 systems ever take that path here).
+
+The GF(q) elimination (``gf_nullspace``) reduces lazily.  A pivot step
+reduces its pivot column and pivot row mod q, then subtracts multiples of
+that row, entries of both in [0, q-1], from the other rows, so an entry's
+absolute value grows by at most (q-1)^2 per step.  A running bound on
+|entry| is kept, and the whole matrix is reduced only before a step that
+could take it past 2^62.  This is exact in int64 for every q with
+q(q-1) <= 2^62, which holds for every modulus the ring guard
+3k(d-1)^2 < 2^63 admits: there (d-1)^2 < 2^61.5.
 """
 
 from __future__ import annotations
@@ -31,41 +40,59 @@ def factorize(n: int) -> Dict[int, int]:
     return out
 
 
+LAZY_BOUND = 2**62  # |entry| stays at most this between full reductions
+
+
 def gf_nullspace(rows: np.ndarray, q: int) -> np.ndarray:
-    """Basis of {u : rows @ u == 0 mod q} for prime q; shape (dim, N)."""
+    """Basis of {u : rows @ u == 0 mod q} for prime q; shape (dim, N).
+
+    Basis vector i is 1 at the i-th free column f of the reduced row echelon
+    form, 0 at the other free columns, and -RREF[j, f] mod q at the pivot
+    column of RREF row j.  The RREF is unique, so the basis depends neither
+    on the order of the rows nor on repeated rows.  ``rows`` is not
+    modified.  Elimination is lazily reduced (see the module docstring).
+    """
+    if (q - 1) * q > LAZY_BOUND:
+        raise OverflowError(f"modulus {q} is too wide for int64 elimination")
     A = np.array(rows, dtype=np.int64) % q
+    n_cols = A.shape[1] if A.ndim == 2 else 0
     if A.size == 0:
-        n_cols = A.shape[1] if A.ndim == 2 else 0
         return np.eye(n_cols, dtype=np.int64)
-    A = A[A.any(axis=1)]
-    if A.shape[0] > A.shape[1]:  # deduplicating pays only on tall systems
-        A = np.unique(A, axis=0)
-    n_rows, n_cols = A.shape
+    n_rows = A.shape[0]
+    step = (q - 1) ** 2
+    bound = q - 1
     pivots: List[int] = []
     r = 0
     for c in range(n_cols):
         if r == n_rows:
             break
-        nz = np.nonzero(A[r:, c])[0]
+        col = A[:, c]
+        col %= q
+        nz = col[r:].nonzero()[0]
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
         if pr != r:
             A[[r, pr]] = A[[pr, r]]
-        inv = pow(int(A[r, c]), q - 2, q)
-        A[r] = (A[r] * inv) % q
-        col = A[:, c].copy()
-        col[r] = 0
-        A -= np.outer(col, A[r])
-        A %= q
+        # columns left of c are 0 in row r: pivot columns were cleared
+        # exactly, free ones were 0 in every row from r down
+        row = A[r, c:]
+        row %= q
+        row *= pow(int(row[0]), q - 2, q)
+        row %= q
+        if bound + step > LAZY_BOUND:
+            A %= q
+            bound = q - 1
+        factors = col.copy()
+        factors[r] = 0
+        A[:, c:] -= factors[:, None] * row
+        bound += step
         pivots.append(c)
         r += 1
-    free = [c for c in range(n_cols) if c not in pivots]
+    free = sorted(set(range(n_cols)).difference(pivots))
     basis = np.zeros((len(free), n_cols), dtype=np.int64)
-    for bi, fc in enumerate(free):
-        basis[bi, fc] = 1
-        for ri, pc in enumerate(pivots):
-            basis[bi, pc] = (-A[ri, fc]) % q
+    basis[:, free] = np.eye(len(free), dtype=np.int64)
+    basis[:, pivots] = -A[:r, free].T % q
     return basis
 
 

@@ -38,6 +38,23 @@ class ParseError(ValueError):
         super().__init__(message if pos is None else f"{message} (at column {pos + 1})")
 
 
+class PowerSizeError(ValueError):
+    """A power whose exponent is above ``MAX_EXPONENT``."""
+
+
+MAX_EXPONENT = 16
+"""The largest exponent ``P^N`` may carry, for ring and scalar powers alike.
+
+Expanding a power multiplies out N copies of P, so its cost grows
+exponentially with N: ``(x+y)^N`` has 2^N words, ``(x+y)^16`` already
+65 536.  Even a single monomial costs work quadratic in N (each product
+copies the word).  Proof steps need small exponents, at most 4 in the
+shipped scripts, so a larger one is refused before anything is expanded;
+the refusal is a size limit, not a malformed text, so it is not a
+:class:`ParseError`.
+"""
+
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<arrow>->)|(?P<op>[-+*^()\[\];|,]))"
 )
@@ -51,11 +68,13 @@ def tokenize(text: str) -> List[Tuple[str, str, int]]:
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if not m:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}", pos)
+            rest = text[pos:].lstrip()
+            if rest:
+                raise ParseError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
             break
         kind = m.lastgroup
-        tokens.append((_TOKEN_KIND[kind], m[kind], m.start()))
+        # a token's column is where the token starts, after the blanks before it
+        tokens.append((_TOKEN_KIND[kind], m[kind], m.start(kind)))
         pos = m.end()
     return tokens
 
@@ -183,6 +202,11 @@ class _Parser:
                 if etok[0] != "int":
                     raise ParseError("exponent must be an integer", etok[2])
                 k = int(etok[1])
+                if k > MAX_EXPONENT:
+                    raise PowerSizeError(
+                        f"exponent {k} at column {etok[2] + 1} is above the bound "
+                        f"{MAX_EXPONENT} on powers"
+                    )
                 if val.scalar is not None:
                     val = _Val(scalar=val.scalar**k)
                 else:

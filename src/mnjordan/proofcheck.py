@@ -54,6 +54,10 @@ assume        emits the claimed identity unverified (flagged in the report).
 ``gen=`` must name a generator, ``x`` or ``y``.  A missing or malformed step
 argument (``use``, ``gen``, ``with``, ``by``, ``factor``, a witness) fails its
 step, like a wrong claim: the replay reports FAILED and ``prove`` exits 1.
+A parse error in an argument is reported with the argument's name
+(``by=: ...``).  An exponent above ``parsing.MAX_EXPONENT`` is a size limit,
+not a failed step: its ``PowerSizeError`` ends the replay, and ``prove``
+exits 3.
 """
 
 from __future__ import annotations
@@ -407,6 +411,13 @@ def _compute(
             raise CheckError(f"{kind} needs {key}=<{placeholder}>")
         return value
 
+    def parsed(key: str, placeholder: str, parse):
+        """A step argument read by ``parse``; a parse error names the argument."""
+        try:
+            return parse(need(key, placeholder))
+        except ParseError as exc:
+            raise CheckError(f"{key}=: {exc}") from None
+
     def cited() -> NCPoly:
         return env.body(need("use", "label"))
 
@@ -419,7 +430,7 @@ def _compute(
     def witnesses(g: str, *names: str) -> List[NCPoly]:
         out = []
         for name in names:
-            p = freealg.normalize(parse_poly(need(name, "polynomial")), env.rules)
+            p = freealg.normalize(parsed(name, "polynomial", parse_poly), env.rules)
             if any(freealg.word_gen_degree(w, g) for w in p.terms):
                 raise CheckError(f"{kind} witness {name} must not contain {g}")
             out.append(p)
@@ -454,7 +465,7 @@ def _compute(
 
     if kind == "substitute":
         g = generator()
-        repl = parse_poly(need("with", "polynomial"))
+        repl = parsed("with", "polynomial", parse_poly)
         computed = freealg.substitute(cited(), g, repl)
 
     elif kind == "polarize":
@@ -463,7 +474,7 @@ def _compute(
         record.factors.append("2")
 
     elif kind in ("mulleft", "mulright"):
-        coeff, word = parse_monomial(need("by", "term"))
+        coeff, word = parsed("by", "term", parse_monomial)
         factor = NCPoly.word(word, coeff)
         base = cited()
         computed = freealg.mul(factor, base) if kind == "mulleft" else freealg.mul(base, factor)
@@ -480,7 +491,7 @@ def _compute(
             raise CheckError(f"line {step.line}: bad combine witnesses: {exc}") from None
 
     elif kind == "cancel":
-        factor = parse_scalar(need("factor", "scalar"))
+        factor = parsed("factor", "scalar", parse_scalar)
         _budget_factor_check(factor, env.budget)
         try:
             computed = freealg.exact_divide(cited(), factor)

@@ -53,6 +53,18 @@ def test_prove_json_format(capsys, tmp_path):
     assert {"step", "kind", "verdict", "factors", "axioms"} <= set(payload["steps"][0])
 
 
+@pytest.mark.parametrize("budget, line", [
+    ("2", "step b substitute use=a gen=y with=x^100000000 => 0"),
+    ("2", "step b assume => T[x]*y^17"),
+    ("2 m^200000", "step b assume => T[x]"),
+], ids=["step-argument", "claim", "budget"])
+def test_prove_refuses_a_power_above_the_bound_with_exit_3(capsys, tmp_path, budget, line):
+    text = f"budget {budget}\nstep a assume => T[x]*y*x\n{line}\ngoal b\n"
+    code, out, err = run(capsys, "prove", script_on_disk(tmp_path, "big.steps", text))
+    assert code == cli.EXIT_ERROR
+    assert out == "" and err.startswith("error: exponent ") and "above the bound" in err
+
+
 def test_ring_verified(capsys):
     code, out, _ = run(
         capsys, "ring", "--kind", "Mat", "--k", "2", "--p", "7",

@@ -5,7 +5,10 @@ import random
 import numpy as np
 import pytest
 
+from mnjordan import finring as fr
 from mnjordan import intsolve
+from mnjordan.laws import TABLE
+from tests.util import eager_gf_nullspace
 
 
 def brute_kernel(rows, modulus, n_cols):
@@ -45,6 +48,83 @@ def test_gf_nullspace_matches_brute_force(q):
 def test_gf_nullspace_empty_rows():
     basis = intsolve.gf_nullspace(np.zeros((0, 3), dtype=np.int64), 5)
     assert basis.shape == (3, 3)
+
+
+# the largest prime q with 3(q-1)^2 < 2^63, the widest modulus FinRing admits;
+# (q-1)^2 passes 2^61, so a full reduction follows every pivot
+WIDEST_PRIME = 1753413037
+
+
+def _random_system(rng, q):
+    """A random system of up to 120 x 40 entries in one of five shapes:
+    uniform, low rank, repeated rows, zero rows and columns, or wide."""
+    n_rows, n_cols = int(rng.integers(0, 121)), int(rng.integers(0, 41))
+    shape = rng.integers(5)
+    if shape == 4:
+        n_rows = n_cols // 3
+    A = rng.integers(0, q, size=(n_rows, n_cols), dtype=np.int64)
+    if shape == 1 and n_cols:
+        rank = int(rng.integers(1, min(n_rows, n_cols) + 1)) if n_rows else 0
+        A = A[:, :rank] % 5 @ rng.integers(0, 5, size=(rank, n_cols)) % q
+    elif shape == 2 and n_rows:
+        A = A[rng.integers(0, max(1, n_rows // 4), size=n_rows)]
+    elif shape == 3:
+        A[rng.random(n_rows) < 0.4] = 0
+        A[:, rng.random(n_cols) < 0.2] = 0
+    if rng.random() < 0.3:
+        A = A - q * rng.integers(-3, 4, size=A.shape)  # any representatives
+    return A
+
+
+def test_widest_prime_is_the_largest_prime_finring_admits():
+    widest = math.isqrt((2**63 - 1) // 3) + 1  # the largest q with 3(q-1)^2 < 2^63
+    assert 3 * (widest - 1) ** 2 < 2**63 <= 3 * widest**2
+    primes = [c for c in range(WIDEST_PRIME, widest + 1) if intsolve.factorize(c) == {c: 1}]
+    assert primes == [WIDEST_PRIME]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 101, WIDEST_PRIME])
+def test_gf_nullspace_matches_the_eager_oracle(q):
+    rng = np.random.default_rng(q)
+    for _ in range(60):
+        A = _random_system(rng, q)
+        before = A.copy()
+        basis = intsolve.gf_nullspace(A, q)
+        assert np.array_equal(A, before)
+        expected = eager_gf_nullspace(A, q)
+        assert basis.dtype == np.int64 and np.array_equal(basis, expected), A.shape
+
+
+def test_gf_nullspace_refuses_a_modulus_too_wide_for_int64():
+    with pytest.raises(OverflowError):
+        intsolve.gf_nullspace(np.ones((2, 2), dtype=np.int64), 2**31 + 11)
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [fr.MatRing(2, p) for p in (3, 5, 7, 11, 13)]
+    + [fr.DirectProduct(fr.Zn(5), fr.MatRing(2, 7))],
+    ids=lambda R: R.name,
+)
+def test_gf_nullspace_matches_the_oracle_on_every_theorem_system(monkeypatch, ring):
+    """Every system check_theorem solves, hypothesis scans included."""
+    calls = []
+    solve = intsolve.gf_nullspace
+
+    def recording(rows, q):
+        before = np.array(rows, copy=True)
+        basis = solve(rows, q)
+        assert np.array_equal(rows, before)  # callers pass views
+        calls.append((before, q, basis))
+        return basis
+
+    monkeypatch.setattr(intsolve, "gf_nullspace", recording)
+    for law in TABLE:
+        for m, n in [(1, 2), (2, 1), (2, 3)]:
+            fr.check_theorem(ring, fr.LawSpec(law, m, n))
+    assert calls
+    for rows, q, basis in calls:
+        assert np.array_equal(basis, eager_gf_nullspace(rows, q))
 
 
 @pytest.mark.parametrize("modulus", [4, 8, 9, 12])

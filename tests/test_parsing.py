@@ -1,16 +1,22 @@
+import re
+
 import pytest
 
 from mnjordan import freealg as fa
 from mnjordan.parsing import (
+    MAX_EXPONENT,
     ParseError,
+    PowerSizeError,
     cited_labels,
     parse_combination,
     parse_monomial,
     parse_poly,
     parse_scalar,
+    parse_value,
     tokenize,
 )
 from mnjordan.proofcheck import parse_script
+from mnjordan.scalars import ScalarPoly
 from tests.util import group_by_group_tokenize, shipped_script
 
 
@@ -49,6 +55,33 @@ def test_errors():
         parse_scalar("x")
     with pytest.raises(ParseError):
         parse_monomial("x + y")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x +   ]", "unexpected token ']' (at column 7)"),
+    ("  T[x] ^ y", "exponent must be an integer (at column 10)"),
+    ("x \t $", "unexpected character '$' (at column 5)"),
+    ("x +  ", "unexpected end of expression (at column 6)"),
+])
+def test_an_error_names_the_column_of_its_token(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_poly(text)
+    assert str(exc.value) == message
+
+
+SCRIPTS = ("theorem_centralizer.steps", "theorem_derivation.steps")
+
+
+def test_powers_above_the_bound_are_a_size_error():
+    shipped = max(int(e) for name in SCRIPTS for e in re.findall(r"\^(\d+)", shipped_script(name)))
+    assert shipped == 4 and 4 * shipped <= MAX_EXPONENT
+    assert len(parse_poly(f"(x+y)^{MAX_EXPONENT}").terms) == 2**MAX_EXPONENT
+    assert parse_scalar(f"m^{MAX_EXPONENT}") == ScalarPoly.var("m") ** MAX_EXPONENT
+    for text in (f"x^{MAX_EXPONENT + 1}", "T[x]*y^100000000", "m^200000", "(m+n)^2^17"):
+        with pytest.raises(PowerSizeError) as exc:
+            parse_value(text)
+        assert not isinstance(exc.value, ParseError)
+    assert str(exc.value) == "exponent 17 at column 9 is above the bound 16 on powers"
 
 
 def test_round_trip_is_canonical():
@@ -172,4 +205,4 @@ def test_tokenizer_matches_the_group_by_group_oracle(script):
         texts += [line, head, claim]
     for text in texts:
         assert _tokens_or_error(tokenize, text) == _tokens_or_error(group_by_group_tokenize, text)
-    assert _tokens_or_error(tokenize, "x $ y") == ("error", "unexpected character '$' (at column 2)", 1)
+    assert _tokens_or_error(tokenize, "x $ y") == ("error", "unexpected character '$' (at column 3)", 2)

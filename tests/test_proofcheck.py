@@ -124,7 +124,13 @@ def test_assume_and_license_errors(lines, prefix):
     ("patternabc use=a gen=y a=x b=x => 0", "patternabc needs c=<polynomial>"),
     ("squash use=a gen=y w=T[y] => T[y]", "squash witness w must not contain y"),
     ("external commuting map=T => 0", "external needs use=<label>"),
-], ids=["use", "with", "by", "factor", "witness", "witness-with-gen", "commuting-use"])
+    ("mulleft use=a by= => 0", "by=: unexpected end of expression (at column 1)"),
+    ("substitute use=a gen=x with=T[ => 0", "with=: unexpected end of expression (at column 3)"),
+    ("substitute use=a gen=x with=x +   ] => 0", "with=: unexpected token ']' (at column 7)"),
+    ("cancel use=a factor=x => 0", "factor=: 'x' is not a scalar polynomial"),
+    ("patternabc use=a gen=y a= b=x c=x => 0", "a=: unexpected end of expression (at column 1)"),
+], ids=["use", "with", "by", "factor", "witness", "witness-with-gen", "commuting-use",
+        "empty-by", "open-with", "with-column", "factor-not-scalar", "empty-witness"])
 def test_a_missing_or_bad_argument_fails_its_step(step, message):
     report = replay_lines("budget 2", "step a assume => T[x]*y*x", f"step s {step}", "goal s")
     assert report.failed_step == "s"

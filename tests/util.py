@@ -77,19 +77,63 @@ def group_by_group_tokenize(text):
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if not m:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}", pos)
+            rest = text[pos:].lstrip()
+            if rest:
+                raise ParseError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
             break
         if m.group("int"):
-            tokens.append(("int", m.group("int"), m.start()))
+            tokens.append(("int", m.group("int"), m.start("int")))
         elif m.group("name"):
-            tokens.append(("name", m.group("name"), m.start()))
+            tokens.append(("name", m.group("name"), m.start("name")))
         elif m.group("arrow"):
-            tokens.append(("op", "->", m.start()))
+            tokens.append(("op", "->", m.start("arrow")))
         else:
-            tokens.append(("op", m.group("op"), m.start()))
+            tokens.append(("op", m.group("op"), m.start("op")))
         pos = m.end()
     return tokens
+
+
+# -- the GF(q) elimination that reduced every entry at every pivot ----------------
+
+
+def eager_gf_nullspace(rows, q):
+    """intsolve.gf_nullspace before lazy reduction: tall systems are
+    deduplicated, the whole matrix is reduced mod q after every pivot and the
+    basis is filled in entry by entry."""
+    A = np.array(rows, dtype=np.int64) % q
+    if A.size == 0:
+        n_cols = A.shape[1] if A.ndim == 2 else 0
+        return np.eye(n_cols, dtype=np.int64)
+    A = A[A.any(axis=1)]
+    if A.shape[0] > A.shape[1]:
+        A = np.unique(A, axis=0)
+    n_rows, n_cols = A.shape
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        if r == n_rows:
+            break
+        nz = np.nonzero(A[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            A[[r, pr]] = A[[pr, r]]
+        inv = pow(int(A[r, c]), q - 2, q)
+        A[r] = (A[r] * inv) % q
+        col = A[:, c].copy()
+        col[r] = 0
+        A -= np.outer(col, A[r])
+        A %= q
+        pivots.append(c)
+        r += 1
+    free = [c for c in range(n_cols) if c not in pivots]
+    basis = np.zeros((len(free), n_cols), dtype=np.int64)
+    for bi, fc in enumerate(free):
+        basis[bi, fc] = 1
+        for ri, pc in enumerate(pivots):
+            basis[bi, pc] = (-A[ri, fc]) % q
+    return basis
 
 
 # -- all-element oracles for the finite-ring solver and scans ------------------
