@@ -5,9 +5,16 @@ The functional-identity solver reduces to: find the group of u in Z_{d(0)} x
 ``kernel`` splits the system by primes and returns independent generators
 with their orders, so the group's order is the product of the orders and
 nothing is enumerated.  A prime appearing to the first power everywhere is
-handled by vectorized Gaussian elimination over GF(q); prime powers go
-through an exact Hermite/Smith reduction over the integers (only small
-systems ever take that path here).
+handled by vectorized Gaussian elimination over GF(q); a prime power q^e by
+an elimination over Z_{q^e} in Python ints (``kernel_mod``).
+
+Z_{q^e} is a local principal ideal ring: a nonzero entry is u * q^v with u
+a unit, so an entry of least valuation v divides every other entry.
+``kernel_mod`` takes such an entry as its pivot, scales its row by u^-1 and
+clears its column by row operations and its row by column operations, all
+exact; no Euclidean step is needed.  This is the Smith form over Z/NZ
+(Storjohann, Algorithms for Matrix Canonical Forms, 2000; Cohen, GTM 138,
+section 2.4).
 
 The GF(q) elimination (``gf_nullspace``) reduces lazily.  A pivot step
 reduces its pivot column and pivot row mod q, then subtracts multiples of
@@ -96,140 +103,52 @@ def gf_nullspace(rows: np.ndarray, q: int) -> np.ndarray:
     return basis
 
 
-def _hnf_rows(mat: List[List[int]]) -> List[List[int]]:
-    """Row Hermite form (echelon over Z) by Euclidean row operations."""
-    mat = [row[:] for row in mat if any(row)]
-    if not mat:
-        return []
-    n_cols = len(mat[0])
-    r = 0
-    for c in range(n_cols):
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        for i in range(r + 1, len(mat)):
-            while mat[i][c]:
-                quot = mat[r][c] // mat[i][c]
-                mat[r] = [a - quot * b for a, b in zip(mat[r], mat[i])]
-                mat[r], mat[i] = mat[i], mat[r]
-        if mat[r][c] < 0:
-            mat[r] = [-a for a in mat[r]]
-        for i in range(r):
-            quot = mat[i][c] // mat[r][c]
-            if quot:
-                mat[i] = [a - quot * b for a, b in zip(mat[i], mat[r])]
-        r += 1
-        if r == len(mat):
-            break
-    return [row for row in mat[:r] if any(row)]
-
-
-def _diagonalize_with_cols(mat: List[List[int]]) -> Tuple[List[int], List[List[int]]]:
-    """Diagonalize an integer matrix by unimodular row and column operations.
-
-    Returns (diag, V) with U * mat * V diagonal for some unimodular U; only
-    the column transform V is needed to describe kernels, and the kernel
-    computation does not require the Smith divisibility chain.  diag is
-    padded with zeros up to the column count.
-    """
-    A = [row[:] for row in mat]
-    n_rows = len(A)
-    n_cols = len(A[0]) if A else 0
-    V = [[1 if i == j else 0 for j in range(n_cols)] for i in range(n_cols)]
-
-    def col_combine(c1: int, c2: int, quot: int) -> None:
-        # column c1 -= quot * column c2
-        for row in A:
-            row[c1] -= quot * row[c2]
-        for row in V:
-            row[c1] -= quot * row[c2]
-
-    def col_swap(c1: int, c2: int) -> None:
-        for row in A:
-            row[c1], row[c2] = row[c2], row[c1]
-        for row in V:
-            row[c1], row[c2] = row[c2], row[c1]
-
-    diag: List[int] = []
-    t = 0
-    while t < min(n_rows, n_cols):
-        piv = None
-        for i in range(t, n_rows):
-            for j in range(t, n_cols):
-                if A[i][j]:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            break
-        A[t], A[piv[0]] = A[piv[0]], A[t]
-        if piv[1] != t:
-            col_swap(t, piv[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            # clear column t below the pivot.  When the pivot divides the
-            # entry, eliminate into that row (no other entries of column t
-            # change); otherwise run a Euclid step, which shrinks the pivot.
-            for i in range(t + 1, n_rows):
-                while A[i][t]:
-                    if A[t][t] and A[i][t] % A[t][t] == 0:
-                        quot = A[i][t] // A[t][t]
-                        A[i] = [a - quot * b for a, b in zip(A[i], A[t])]
-                    else:
-                        quot = A[t][t] // A[i][t]
-                        A[t] = [a - quot * b for a, b in zip(A[t], A[i])]
-                        A[t], A[i] = A[i], A[t]
-                        dirty = True
-            # clear row t right of the pivot, same discipline
-            for j in range(t + 1, n_cols):
-                while A[t][j]:
-                    if A[t][t] and A[t][j] % A[t][t] == 0:
-                        col_combine(j, t, A[t][j] // A[t][t])
-                    else:
-                        col_combine(t, j, A[t][t] // A[t][j])
-                        col_swap(t, j)
-                        dirty = True
-        if A[t][t] < 0:
-            for row in A:
-                row[t] = -row[t]
-            for row in V:
-                row[t] = -row[t]
-        diag.append(A[t][t])
-        t += 1
-    while len(diag) < n_cols:
-        diag.append(0)
-    return diag, V
-
-
 def kernel_mod(rows: Sequence[Sequence[int]], modulus: int, n_cols: int
                ) -> List[Tuple[List[int], int]]:
-    """Generators of {u in Z_modulus^n : rows @ u == 0 mod modulus}.
+    """Generators of {u in Z_M^n : rows @ u == 0 mod M} for a prime power
+    M = q^e; any other modulus raises ``ValueError``.
 
     Returns independent generators as (vector, order) pairs; every kernel
     element is a unique combination sum c_g * g with 0 <= c_g < order_g.
+    The elimination (see the module docstring) brings the rows to
+    U * rows * V = diag(q^v_i) with U and V invertible mod M, so u = V x is
+    in the kernel exactly when q^v_i * x_i == 0: column i of V times
+    q^(e - v_i) generates a part of order q^v_i, and a column that never
+    holds a pivot has v_i = e.
     """
-    mat = [list(map(int, r)) for r in rows]
-    mat += [[modulus if j == i else 0 for j in range(n_cols)] for i in range(n_cols)]
-    H = _hnf_rows(mat)
-    diag, V = _diagonalize_with_cols(H)
+    factors = factorize(modulus)
+    if len(factors) != 1:
+        raise ValueError(f"modulus {modulus} is not a prime power")
+    (q, e), = factors.items()
+    A = [[int(a) % modulus for a in row] for row in rows]
+    # V[c]: the column of V for the c-th column of A that has no pivot yet
+    V = [[int(i == c) for i in range(n_cols)] for c in range(n_cols)]
     gens: List[Tuple[List[int], int]] = []
-    for i in range(n_cols):
-        d = diag[i] if i < len(diag) else 0
-        g = int(np.gcd(d, modulus)) if d else modulus
-        order = g
-        if order == 1:
-            continue
-        scale = modulus // g
-        vec = [(V[r][i] * scale) % modulus for r in range(n_cols)]
-        gens.append((vec, order))
-    return gens
+    while True:
+        A = [row for row in A if any(row)]
+        if not A:
+            break
+        # the first entry that q^(v+1) does not divide, for the least such v
+        v, i, j = next((v, i, j) for v in range(e) for i, row in enumerate(A)
+                       for j, a in enumerate(row) if a % q ** (v + 1))
+        d = q**v  # divides every entry of A, before and after this step
+        pivot = A.pop(i)
+        inv = pow(pivot[j] // d, -1, modulus)
+        pivot = [a * inv % modulus for a in pivot]  # now pivot[j] == d
+        for r, row in enumerate(A):  # clear column j by row operations
+            f = row[j] // d
+            if f:
+                A[r] = [(a - f * b) % modulus for a, b in zip(row, pivot)]
+            del A[r][j]
+        del pivot[j]
+        col = V.pop(j)
+        for c, a in enumerate(pivot):  # clear the pivot row by column operations
+            f = a // d
+            if f:
+                V[c] = [(x - f * y) % modulus for x, y in zip(V[c], col)]
+        if v:
+            gens.append(([x * q ** (e - v) % modulus for x in col], q**v))
+    return gens + [(vec, modulus) for vec in V]
 
 
 def enumerate_group(gens: Sequence[Tuple[Sequence[int], int]],

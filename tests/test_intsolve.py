@@ -8,7 +8,7 @@ import pytest
 from mnjordan import finring as fr
 from mnjordan import intsolve
 from mnjordan.laws import TABLE
-from tests.util import eager_gf_nullspace
+from tests.util import eager_gf_nullspace, euclid_kernel_mod
 
 
 def brute_kernel(rows, modulus, n_cols):
@@ -127,7 +127,7 @@ def test_gf_nullspace_matches_the_oracle_on_every_theorem_system(monkeypatch, ri
         assert np.array_equal(basis, eager_gf_nullspace(rows, q))
 
 
-@pytest.mark.parametrize("modulus", [4, 8, 9, 12])
+@pytest.mark.parametrize("modulus", [4, 8, 9, 27])
 def test_kernel_mod_matches_brute_force(modulus):
     rng = random.Random(modulus)
     for _ in range(15):
@@ -136,6 +136,84 @@ def test_kernel_mod_matches_brute_force(modulus):
         gens = intsolve.kernel_mod(rows, modulus, n_cols)
         elems = set(intsolve.enumerate_group(gens, modulus, n_cols, 10**6))
         assert elems == brute_kernel(rows, modulus, n_cols), (rows, modulus)
+
+
+@pytest.mark.parametrize("modulus", [1, 6, 12, 100])
+def test_kernel_mod_refuses_a_modulus_that_is_not_a_prime_power(modulus):
+    with pytest.raises(ValueError):
+        intsolve.kernel_mod([[1, 2]], modulus, 2)
+
+
+PRIME_POWERS = [4, 8, 9, 16, 25, 27, 32, 49, 81, 125]
+
+
+def _random_prime_power_system(rng, modulus):
+    """Up to 40 x 12 entries mod q^e: uniform, or multiples of q and q^2,
+    with zero rows and zero columns mixed in."""
+    (q, _), = intsolve.factorize(modulus).items()
+    n_rows, n_cols = rng.randint(0, 40), rng.randint(1, 12)
+    if rng.random() < 0.3:
+        n_cols = rng.randint(1, 3)  # small enough to enumerate by brute force
+    scales = [1, q, q * q, 0]
+    A = [[rng.randrange(modulus) * rng.choice(scales) % modulus for _ in range(n_cols)]
+         for _ in range(n_rows)]
+    for c in range(n_cols):
+        if rng.random() < 0.15:
+            for row in A:
+                row[c] = 0
+    return [[0] * n_cols if rng.random() < 0.15 else row for row in A]
+
+
+def _check_generators(rows, modulus, n_cols, gens):
+    (q, _), = intsolve.factorize(modulus).items()
+    for vec, order in gens:
+        assert len(vec) == n_cols and order > 1 and modulus % order == 0
+        assert all(sum(a * x for a, x in zip(row, vec)) % modulus == 0 for row in rows)
+        assert not any(order * x % modulus for x in vec)
+        assert any(order // q * x % modulus for x in vec)
+
+
+@pytest.mark.parametrize("modulus", PRIME_POWERS)
+def test_kernel_mod_matches_the_euclidean_oracle(modulus):
+    rng = random.Random(modulus)
+    for _ in range(40):
+        rows = _random_prime_power_system(rng, modulus)
+        n_cols = len(rows[0]) if rows else rng.randint(1, 12)
+        gens = intsolve.kernel_mod(rows, modulus, n_cols)
+        expected = euclid_kernel_mod(rows, modulus, n_cols)
+        assert math.prod(o for _, o in gens) == math.prod(o for _, o in expected), rows
+        _check_generators(rows, modulus, n_cols, gens)
+        if modulus**n_cols <= 20_000:  # n_cols <= 3, or 2 for moduli above 27
+            elems = intsolve.enumerate_group(gens, modulus, n_cols, 10**6)
+            assert len(elems) == len(set(elems))
+            assert set(elems) == brute_kernel(rows, modulus, n_cols), rows
+
+
+@pytest.mark.parametrize("ring, laws", [
+    pytest.param(R, laws, id=R.name) for R, laws in
+    [(fr.DirectProduct(*map(fr.Zn, mods)), TABLE)
+     for mods in [(8, 4), (9, 3), (8, 8, 4), (4, 2, 2), (25, 5)]]
+    + [(fr.MatRing(2, 4), TABLE), (fr.MatRing(2, 9), TABLE), (fr.MatRing(3, 4), ["centralizer"])]
+])
+def test_kernel_mod_matches_the_oracle_on_every_theorem_system(monkeypatch, ring, laws):
+    """Every prime-power system check_theorem solves."""
+    calls = []
+    solve = intsolve.kernel_mod
+
+    def recording(rows, modulus, n_cols):
+        gens = solve(rows, modulus, n_cols)
+        calls.append((rows, modulus, n_cols, gens))
+        return gens
+
+    monkeypatch.setattr(intsolve, "kernel_mod", recording)
+    for law in laws:
+        for m, n in [(1, 2), (2, 1), (2, 3)]:
+            fr.check_theorem(ring, fr.LawSpec(law, m, n))
+    assert calls
+    for rows, modulus, n_cols, gens in calls:
+        expected = euclid_kernel_mod(rows, modulus, n_cols)
+        assert math.prod(o for _, o in gens) == math.prod(o for _, o in expected)
+        _check_generators(rows, modulus, n_cols, gens)
 
 
 def test_enumerate_group_is_duplicate_free():

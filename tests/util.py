@@ -136,6 +136,147 @@ def eager_gf_nullspace(rows, q):
     return basis
 
 
+# -- the Euclidean kernel over Z_modulus: Hermite form, then diagonalization ---
+
+
+def _hnf_rows(mat):
+    """Row Hermite form (echelon over Z) by Euclidean row operations."""
+    mat = [row[:] for row in mat if any(row)]
+    if not mat:
+        return []
+    n_cols = len(mat[0])
+    r = 0
+    for c in range(n_cols):
+        piv = None
+        for i in range(r, len(mat)):
+            if mat[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        for i in range(r + 1, len(mat)):
+            while mat[i][c]:
+                quot = mat[r][c] // mat[i][c]
+                mat[r] = [a - quot * b for a, b in zip(mat[r], mat[i])]
+                mat[r], mat[i] = mat[i], mat[r]
+        if mat[r][c] < 0:
+            mat[r] = [-a for a in mat[r]]
+        for i in range(r):
+            quot = mat[i][c] // mat[r][c]
+            if quot:
+                mat[i] = [a - quot * b for a, b in zip(mat[i], mat[r])]
+        r += 1
+        if r == len(mat):
+            break
+    return [row for row in mat[:r] if any(row)]
+
+
+def _diagonalize_with_cols(mat):
+    """Diagonalize an integer matrix by unimodular row and column operations.
+
+    Returns (diag, V) with U * mat * V diagonal for some unimodular U; only
+    the column transform V is needed to describe kernels, and the kernel
+    computation does not require the Smith divisibility chain.  diag is
+    padded with zeros up to the column count.
+    """
+    A = [row[:] for row in mat]
+    n_rows = len(A)
+    n_cols = len(A[0]) if A else 0
+    V = [[1 if i == j else 0 for j in range(n_cols)] for i in range(n_cols)]
+
+    def col_combine(c1, c2, quot):
+        # column c1 -= quot * column c2
+        for row in A:
+            row[c1] -= quot * row[c2]
+        for row in V:
+            row[c1] -= quot * row[c2]
+
+    def col_swap(c1, c2):
+        for row in A:
+            row[c1], row[c2] = row[c2], row[c1]
+        for row in V:
+            row[c1], row[c2] = row[c2], row[c1]
+
+    diag = []
+    t = 0
+    while t < min(n_rows, n_cols):
+        piv = None
+        for i in range(t, n_rows):
+            for j in range(t, n_cols):
+                if A[i][j]:
+                    piv = (i, j)
+                    break
+            if piv:
+                break
+        if piv is None:
+            break
+        A[t], A[piv[0]] = A[piv[0]], A[t]
+        if piv[1] != t:
+            col_swap(t, piv[1])
+        dirty = True
+        while dirty:
+            dirty = False
+            # clear column t below the pivot.  When the pivot divides the
+            # entry, eliminate into that row (no other entries of column t
+            # change); otherwise run a Euclid step, which shrinks the pivot.
+            for i in range(t + 1, n_rows):
+                while A[i][t]:
+                    if A[t][t] and A[i][t] % A[t][t] == 0:
+                        quot = A[i][t] // A[t][t]
+                        A[i] = [a - quot * b for a, b in zip(A[i], A[t])]
+                    else:
+                        quot = A[t][t] // A[i][t]
+                        A[t] = [a - quot * b for a, b in zip(A[t], A[i])]
+                        A[t], A[i] = A[i], A[t]
+                        dirty = True
+            # clear row t right of the pivot, same discipline
+            for j in range(t + 1, n_cols):
+                while A[t][j]:
+                    if A[t][t] and A[t][j] % A[t][t] == 0:
+                        col_combine(j, t, A[t][j] // A[t][t])
+                    else:
+                        col_combine(t, j, A[t][t] // A[t][j])
+                        col_swap(t, j)
+                        dirty = True
+        if A[t][t] < 0:
+            for row in A:
+                row[t] = -row[t]
+            for row in V:
+                row[t] = -row[t]
+        diag.append(A[t][t])
+        t += 1
+    while len(diag) < n_cols:
+        diag.append(0)
+    return diag, V
+
+
+def euclid_kernel_mod(rows, modulus, n_cols):
+    """intsolve.kernel_mod before elimination over Z_{q^e}: generators of
+    {u in Z_modulus^n : rows @ u == 0 mod modulus}, for any modulus, from a
+    Hermite form of the rows padded with modulus * I, a diagonalization and
+    a gcd with the modulus on each diagonal entry.
+
+    Returns independent generators as (vector, order) pairs; every kernel
+    element is a unique combination sum c_g * g with 0 <= c_g < order_g.
+    """
+    mat = [list(map(int, r)) for r in rows]
+    mat += [[modulus if j == i else 0 for j in range(n_cols)] for i in range(n_cols)]
+    H = _hnf_rows(mat)
+    diag, V = _diagonalize_with_cols(H)
+    gens = []
+    for i in range(n_cols):
+        d = diag[i] if i < len(diag) else 0
+        g = int(np.gcd(d, modulus)) if d else modulus
+        order = g
+        if order == 1:
+            continue
+        scale = modulus // g
+        vec = [(V[r][i] * scale) % modulus for r in range(n_cols)]
+        gens.append((vec, order))
+    return gens
+
+
 # -- all-element oracles for the finite-ring solver and scans ------------------
 
 
@@ -387,7 +528,7 @@ def enumerated_solutions(R, spec, max_solutions=10**6):
                 scale = np.array([M // q ** _vq(int(mq), q) for mq in row_mods[keep]],
                                  dtype=np.int64)
                 scaled = (sub * scale[:, None]) % M
-                gens = intsolve.kernel_mod(scaled.tolist(), M, len(slots_q))
+                gens = euclid_kernel_mod(scaled.tolist(), M, len(slots_q))
                 raw = intsolve.enumerate_group(gens, M, len(slots_q), max_solutions * 64)
                 elements_q = sorted({
                     tuple(int(u[a]) % q ** _vq(slot_mods[s], q) for a, s in enumerate(slots_q))
