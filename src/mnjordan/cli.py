@@ -25,7 +25,7 @@ from importlib import resources
 
 from . import proofcheck
 from .laws import TABLE
-from .parsing import PowerSizeError
+from .freealg import PowerSizeError
 
 EXIT_OK = 0
 EXIT_FAILED = 1

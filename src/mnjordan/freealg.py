@@ -65,6 +65,26 @@ class NestingError(ValueError):
     """A substitution would nest a generator inside a map applied to it."""
 
 
+class PowerSizeError(ValueError):
+    """An expansion above a size bound: a product of more than
+    ``MAX_PRODUCT_PAIRS`` pairs of terms, or a power whose exponent is above
+    ``parsing.MAX_EXPONENT``.  It is a size limit, not a malformed input."""
+
+
+MAX_PRODUCT_PAIRS = 2**16
+"""The most pairs of terms :func:`mul` multiplies out in one product.
+
+Products nest (a power of a power, a substitution into a square, a power
+written out as a product), so the number of words can grow without any
+single exponent being large: ``((x+y)^4)^5`` has 2^20 words.  The largest
+product the shipped scripts and the 2 300 one-term mutations of them that
+the replay workload (``bench/workloads.py``) draws at seeds 1-20 multiply is
+13 pairs; ``(x+y)^16``, the largest power ``parsing.MAX_EXPONENT`` admits,
+takes 2^16 (2^15 words times the two terms of its last factor), and is
+still admitted.
+"""
+
+
 # content -> atom: a generator's name, or (sym, arg) for a map atom
 _atoms: Dict[object, "Atom"] = {}
 
@@ -255,6 +275,13 @@ def scale(c: ScalarPoly, p: NCPoly) -> NCPoly:
 
 
 def mul(p: NCPoly, q: NCPoly) -> NCPoly:
+    """p*q; more than ``MAX_PRODUCT_PAIRS`` pairs of terms raise
+    ``PowerSizeError`` before any pair is multiplied."""
+    if len(p.terms) * len(q.terms) > MAX_PRODUCT_PAIRS:
+        raise PowerSizeError(
+            f"a product of {len(p.terms)} by {len(q.terms)} terms is above the bound "
+            f"{MAX_PRODUCT_PAIRS} on pairs of terms"
+        )
     out: Dict[Monomial, ScalarPoly] = {}
     for w1, c1 in p.terms.items():
         for w2, c2 in q.terms.items():

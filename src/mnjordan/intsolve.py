@@ -5,8 +5,9 @@ The functional-identity solver reduces to: find the group of u in Z_{d(0)} x
 ``kernel`` splits the system by primes and returns independent generators
 with their orders, so the group's order is the product of the orders and
 nothing is enumerated.  A prime appearing to the first power everywhere is
-handled by vectorized Gaussian elimination over GF(q); a prime power q^e by
-an elimination over Z_{q^e} in Python ints (``kernel_mod``).
+handled by sparse Gaussian elimination over GF(q) (``gf_nullspace``); a
+prime power q^e by an elimination over Z_{q^e} in Python ints
+(``kernel_mod``).
 
 Z_{q^e} is a local principal ideal ring: a nonzero entry is u * q^v with u
 a unit, so an entry of least valuation v divides every other entry.
@@ -16,20 +17,24 @@ exact; no Euclidean step is needed.  This is the Smith form over Z/NZ
 (Storjohann, Algorithms for Matrix Canonical Forms, 2000; Cohen, GTM 138,
 section 2.4).
 
-The GF(q) elimination (``gf_nullspace``) reduces lazily.  A pivot step
-reduces its pivot column and pivot row mod q, then subtracts multiples of
-that row, entries of both in [0, q-1], from the other rows, so an entry's
-absolute value grows by at most (q-1)^2 per step.  A running bound on
-|entry| is kept, and the whole matrix is reduced only before a step that
-could take it past 2^62.  This is exact in int64 for every q with
-q(q-1) <= 2^62, which holds for every modulus the ring guard
-3k(d-1)^2 < 2^63 admits: there (d-1)^2 < 2^61.5.
+The GF(q) elimination (``gf_nullspace``) is sparse (structured Gaussian
+elimination; LaMacchia and Odlyzko, "Solving large sparse linear systems
+over finite fields", CRYPTO 1990).  The systems the ring checks build are
+a few percent nonzero or less, so each row is a dict {column: entry mod q}
+in Python ints, and an index lists, per column, the rows with a nonzero
+there.  Columns are taken left to right.  The pivot for column c is the
+shortest unused row holding c (ties to the lowest row index), and it is
+subtracted from exactly the rows listed under c, earlier pivot rows
+included, so the result is the full reduced row echelon form.  Which row
+is the pivot changes only the fill-in: the RREF of a matrix is unique and
+its pivot columns are still found left to right, so the basis does not
+depend on that choice, nor on the order of the rows or on repeated rows.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -47,59 +52,72 @@ def factorize(n: int) -> Dict[int, int]:
     return out
 
 
-LAZY_BOUND = 2**62  # |entry| stays at most this between full reductions
-
-
 def gf_nullspace(rows: np.ndarray, q: int) -> np.ndarray:
     """Basis of {u : rows @ u == 0 mod q} for prime q; shape (dim, N).
 
     Basis vector i is 1 at the i-th free column f of the reduced row echelon
     form, 0 at the other free columns, and -RREF[j, f] mod q at the pivot
     column of RREF row j.  The RREF is unique, so the basis depends neither
-    on the order of the rows nor on repeated rows.  ``rows`` is not
-    modified.  Elimination is lazily reduced (see the module docstring).
+    on the order of the rows, nor on repeated rows, nor on the pivot rows
+    the sparse elimination picks (see the module docstring).  ``rows`` is
+    not modified.
     """
-    if (q - 1) * q > LAZY_BOUND:
+    # The elimination is exact in Python ints, but the basis is returned as
+    # int64 and ``kernel`` multiplies it by CRT factors in int64.
+    if (q - 1) * q > 2**62:
         raise OverflowError(f"modulus {q} is too wide for int64 elimination")
-    A = np.array(rows, dtype=np.int64) % q
-    n_cols = A.shape[1] if A.ndim == 2 else 0
+    A = np.asarray(rows, dtype=np.int64)
+    n_cols = A.shape[1]
     if A.size == 0:
         return np.eye(n_cols, dtype=np.int64)
-    n_rows = A.shape[0]
-    step = (q - 1) ** 2
-    bound = q - 1
-    pivots: List[int] = []
-    r = 0
+    R: Dict[int, Dict[int, int]] = {}  # row index -> {column: entry}
+    holders: List[Set[int]] = [set() for _ in range(n_cols)]
+    nz_rows, nz_cols = A.nonzero()
+    for i, c, a in zip(nz_rows.tolist(), nz_cols.tolist(),
+                       (A[nz_rows, nz_cols] % q).tolist()):
+        if a:
+            R.setdefault(i, {})[c] = a
+            holders[c].add(i)
+    pivots: Dict[int, int] = {}  # pivot column -> its row index
+    used: Set[int] = set()
     for c in range(n_cols):
-        if r == n_rows:
-            break
-        col = A[:, c]
-        col %= q
-        nz = col[r:].nonzero()[0]
-        if nz.size == 0:
+        rows_at_c = holders[c]
+        unused = [i for i in rows_at_c if i not in used]
+        if not unused:
             continue
-        pr = r + int(nz[0])
-        if pr != r:
-            A[[r, pr]] = A[[pr, r]]
-        # columns left of c are 0 in row r: pivot columns were cleared
-        # exactly, free ones were 0 in every row from r down
-        row = A[r, c:]
-        row %= q
-        row *= pow(int(row[0]), q - 2, q)
-        row %= q
-        if bound + step > LAZY_BOUND:
-            A %= q
-            bound = q - 1
-        factors = col.copy()
-        factors[r] = 0
-        A[:, c:] -= factors[:, None] * row
-        bound += step
-        pivots.append(c)
-        r += 1
-    free = sorted(set(range(n_cols)).difference(pivots))
+        p = min(unused, key=lambda i: (len(R[i]), i)) if len(unused) > 1 else unused[0]
+        used.add(p)
+        pivots[c] = p
+        row = R[p]
+        inv = pow(row.pop(c), q - 2, q)
+        if inv != 1:
+            for j in row:
+                row[j] = row[j] * inv % q
+        rest = list(row.items())  # the pivot row off column c
+        row[c] = 1
+        holders[c] = {p}
+        for i in rows_at_c:
+            if i == p:
+                continue
+            target = R[i]
+            f = target.pop(c)
+            for j, b in rest:
+                a = (target.get(j, 0) - f * b) % q
+                if a:
+                    target[j] = a
+                    holders[j].add(i)
+                else:  # j was in target, since f * b != 0 mod q
+                    del target[j]
+                    holders[j].discard(i)
+    free = [c for c in range(n_cols) if c not in pivots]
     basis = np.zeros((len(free), n_cols), dtype=np.int64)
-    basis[:, free] = np.eye(len(free), dtype=np.int64)
-    basis[:, pivots] = -A[:r, free].T % q
+    basis[range(len(free)), free] = 1
+    index = {f: b for b, f in enumerate(free)}
+    at = [(index[f], c, q - a) for c, p in pivots.items()
+          for f, a in R[p].items() if f != c]
+    if at:
+        b, c, a = zip(*at)
+        basis[b, c] = a
     return basis
 
 

@@ -38,10 +38,6 @@ class ParseError(ValueError):
         super().__init__(message if pos is None else f"{message} (at column {pos + 1})")
 
 
-class PowerSizeError(ValueError):
-    """A power whose exponent is above ``MAX_EXPONENT``."""
-
-
 MAX_EXPONENT = 16
 """The largest exponent ``P^N`` may carry, for ring and scalar powers alike.
 
@@ -50,8 +46,10 @@ exponentially with N: ``(x+y)^N`` has 2^N words, ``(x+y)^16`` already
 65 536.  Even a single monomial costs work quadratic in N (each product
 copies the word).  Proof steps need small exponents, at most 4 in the
 shipped scripts, so a larger one is refused before anything is expanded;
-the refusal is a size limit, not a malformed text, so it is not a
-:class:`ParseError`.
+the refusal is a size limit, not a malformed text, so it is a
+``freealg.PowerSizeError``, not a :class:`ParseError`.  The exponent bound
+does not bound an expansion (``((x+y)^4)^5`` has 2^20 words);
+``freealg.MAX_PRODUCT_PAIRS``, on every product, does.
 """
 
 
@@ -203,7 +201,7 @@ class _Parser:
                     raise ParseError("exponent must be an integer", etok[2])
                 k = int(etok[1])
                 if k > MAX_EXPONENT:
-                    raise PowerSizeError(
+                    raise freealg.PowerSizeError(
                         f"exponent {k} at column {etok[2] + 1} is above the bound "
                         f"{MAX_EXPONENT} on powers"
                     )

@@ -55,12 +55,10 @@ assume        emits the claimed identity unverified (flagged in the report).
 argument (``use``, ``gen``, ``with``, ``by``, ``factor``, a witness) fails its
 step, like a wrong claim: the replay reports FAILED and ``prove`` exits 1.
 A parse error in an argument is reported with the argument's name
-(``by=: ...``).  An exponent above ``parsing.MAX_EXPONENT`` is a size limit,
-not a failed step: its ``PowerSizeError`` ends the replay, and ``prove``
-exits 3.  The bound covers a single exponent only, not the size of an
-expansion: a written-out product of 17 factors ``(x+y)`` builds 131 072
-words, and ``((x+y)^4)^5`` builds 1 048 576, before any limit applies (a
-bound on every product is ROADMAP item 2, still open).
+(``by=: ...``).  An expansion above a size bound (an exponent above
+``parsing.MAX_EXPONENT``, or a product of more than
+``freealg.MAX_PRODUCT_PAIRS`` pairs of terms) is a size limit, not a failed
+step: its ``freealg.PowerSizeError`` ends the replay, and ``prove`` exits 3.
 """
 
 from __future__ import annotations

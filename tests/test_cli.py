@@ -99,6 +99,20 @@ def test_ring_mat3_z7_is_decided(capsys):
     assert payload["verdict"] == "conclusion-verified"
 
 
+def test_ring_mat4_z3_end_to_end():
+    # separability 4624 x 273 and laws 2860 x 512 over GF(3): the largest
+    # systems any test solves, in a fresh process as a user runs it
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mnjordan.cli", "ring", "--kind", "Mat", "--k", "4", "--p", "3",
+         "--law", "gen-centralizer", "--m", "1", "--n", "2", "--format", "json"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["solution_count"] == 129_140_163
+    assert payload["verdict"] == "hypotheses-not-met; conclusion fails"
+
+
 @pytest.mark.parametrize(
     "ring_args",
     [
@@ -329,6 +343,28 @@ def test_torsion_budget_checks_end_without_a_traceback(tmp_path, text, code):
     proc = prove_in_subprocess(tmp_path, text)
     assert proc.returncode == code, proc.stdout + proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _lin_sub_with(power):
+    return shipped_script("theorem_centralizer.steps").replace(
+        "step lin_sub substitute use=law gen=x with=x+y ",
+        f"step lin_sub substitute use=law gen=x with=(x+y)^{power} ")
+
+
+@pytest.mark.parametrize("text", [
+    "budget 2\nstep a assume => ((x+y)^4)^5\ngoal a\n",
+    "budget 2\nstep a assume => ((x+y)^16)^16\ngoal a\n",
+    _lin_sub_with(10),
+    _lin_sub_with(16),
+], ids=["power-of-power", "power-of-widest-power", "lin-sub-10", "lin-sub-16"])
+def test_prove_refuses_an_expansion_above_the_pair_bound_with_exit_3(tmp_path, text):
+    # every exponent is within parsing.MAX_EXPONENT, but a product is above
+    # freealg.MAX_PRODUCT_PAIRS; the subprocess timeout catches a run that
+    # expands instead
+    proc = prove_in_subprocess(tmp_path, text)
+    assert proc.returncode == cli.EXIT_ERROR, proc.stdout + proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: a product of ") and "on pairs of terms" in proc.stderr
 
 
 CENTRALIZER_LAW = "(m+n)*T[x^2] - m*T[x]*x - n*x*T[x]"

@@ -95,6 +95,17 @@ def test_additive_inverse_and_free_mul():
     assert fa.mul(P("x"), P("y")) == P("x*y")
 
 
+def test_a_product_above_the_pair_bound_is_a_size_error():
+    wide = P("(x+y)^8")  # 256 terms
+    assert len(fa.mul(wide, wide).terms) == fa.MAX_PRODUCT_PAIRS  # at the bound
+    wider = wide + P("T[x]")
+    for p, q in [(wide, wider), (wider, wide)]:
+        with pytest.raises(fa.PowerSizeError) as exc:
+            fa.mul(p, q)
+        assert str(exc.value) == (f"a product of {len(p.terms)} by {len(q.terms)} terms "
+                                  f"is above the bound {fa.MAX_PRODUCT_PAIRS} on pairs of terms")
+
+
 def test_defining_law_assembles():
     law = fa.scale(S("m+n"), fa.app("T", fa.mul(P("x"), P("x")))) - P(
         "m*T[x]*x + n*x*T0[x]"

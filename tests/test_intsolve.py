@@ -57,9 +57,10 @@ WIDEST_PRIME = 1753413037
 
 def _random_system(rng, q):
     """A random system of up to 120 x 40 entries in one of five shapes:
-    uniform, low rank, repeated rows, zero rows and columns, or wide."""
+    uniform, low rank, repeated rows, zero rows and columns, or wide; or,
+    as a sixth shape, a sparse system (``_sparse_system``)."""
     n_rows, n_cols = int(rng.integers(0, 121)), int(rng.integers(0, 41))
-    shape = rng.integers(5)
+    shape = rng.integers(6)
     if shape == 4:
         n_rows = n_cols // 3
     A = rng.integers(0, q, size=(n_rows, n_cols), dtype=np.int64)
@@ -71,9 +72,33 @@ def _random_system(rng, q):
     elif shape == 3:
         A[rng.random(n_rows) < 0.4] = 0
         A[:, rng.random(n_cols) < 0.2] = 0
+    elif shape == 5:
+        A = _sparse_system(rng, q)
     if rng.random() < 0.3:
         A = A - q * rng.integers(-3, 4, size=A.shape)  # any representatives
     return A
+
+
+def _sparse_system(rng, q):
+    """Up to 300 x 80 entries at a density of at most 1% mod q, the shape of
+    the law and separability systems: at least half of the rows hold a
+    single entry, some rows repeat, a fifth of the columns are zero, and
+    the other rows hold 2 to 4 entries."""
+    n_rows, n_cols = int(rng.integers(8, 301)), int(rng.integers(70, 81))
+    live = rng.permutation(n_cols)[: n_cols * 4 // 5]
+    A = np.zeros((n_rows, n_cols), dtype=np.int64)
+    half = (n_rows + 1) // 2
+    A[np.arange(half), rng.choice(live, half)] = rng.integers(1, q, half)
+    A[1:half:4] = A[0:half:4][: len(range(1, half, 4))]  # repeated single entries
+    budget = n_rows * n_cols // 100 - half  # 70 columns make this >= 0
+    for r in range(half, n_rows):
+        if r > half and rng.random() < 0.2 and np.count_nonzero(A[r - 1]) <= budget:
+            A[r] = A[r - 1]  # a repeated longer row
+        elif budget >= 2:
+            k = int(rng.integers(2, min(4, budget) + 1))
+            A[r, rng.choice(live, k, replace=False)] = rng.integers(1, q, k)
+        budget -= np.count_nonzero(A[r])
+    return A[rng.permutation(n_rows)]
 
 
 def test_widest_prime_is_the_largest_prime_finring_admits():
@@ -95,9 +120,57 @@ def test_gf_nullspace_matches_the_eager_oracle(q):
         assert basis.dtype == np.int64 and np.array_equal(basis, expected), A.shape
 
 
+def test_sparse_systems_are_sparse():
+    rng = np.random.default_rng(0)
+    for q in (2, 3, 7, WIDEST_PRIME):
+        for _ in range(20):
+            A = _sparse_system(rng, q)
+            entries = np.count_nonzero(A, axis=1)
+            assert A.shape[0] <= 300 and A.shape[1] <= 80
+            assert np.count_nonzero(A) <= A.size // 100
+            assert 2 * np.count_nonzero(entries == 1) >= A.shape[0]
+            assert len(np.unique(A, axis=0)) < A.shape[0]
+            assert not A.any(axis=0).all()
+
+
+@pytest.mark.parametrize("q", [2, 3, 7, WIDEST_PRIME])
+def test_gf_nullspace_ignores_row_order_and_repeated_rows(q):
+    """The basis is read off the RREF, which is unique, so the rows a pivot
+    is taken from (the shortest one) cannot change it."""
+    rng = np.random.default_rng(100 + q)
+    for _ in range(40):
+        A = _sparse_system(rng, q) if rng.random() < 0.5 else _random_system(rng, q)
+        basis = intsolve.gf_nullspace(A, q)
+        shuffled = A[rng.permutation(A.shape[0])]
+        assert np.array_equal(intsolve.gf_nullspace(shuffled, q), basis)
+        if A.shape[0]:
+            repeated = np.vstack([A, A[rng.integers(0, A.shape[0], size=A.shape[0])]])
+            assert np.array_equal(intsolve.gf_nullspace(repeated[::-1], q), basis)
+
+
 def test_gf_nullspace_refuses_a_modulus_too_wide_for_int64():
     with pytest.raises(OverflowError):
         intsolve.gf_nullspace(np.ones((2, 2), dtype=np.int64), 2**31 + 11)
+
+
+def _record_gf_nullspace(monkeypatch):
+    """Route intsolve.gf_nullspace through a recorder; returns the list of
+    (rows, q, basis) it fills."""
+    calls = []
+    solve = intsolve.gf_nullspace
+
+    def recording(rows, q):
+        # the benchmark's tracer reads rows.shape[0], so every caller passes
+        # an ndarray
+        assert isinstance(rows, np.ndarray), type(rows)
+        before = np.array(rows, copy=True)
+        basis = solve(rows, q)
+        assert np.array_equal(rows, before)  # callers pass views
+        calls.append((before, q, basis))
+        return basis
+
+    monkeypatch.setattr(intsolve, "gf_nullspace", recording)
+    return calls
 
 
 @pytest.mark.parametrize(
@@ -108,23 +181,34 @@ def test_gf_nullspace_refuses_a_modulus_too_wide_for_int64():
 )
 def test_gf_nullspace_matches_the_oracle_on_every_theorem_system(monkeypatch, ring):
     """Every system check_theorem solves, hypothesis scans included."""
-    calls = []
-    solve = intsolve.gf_nullspace
-
-    def recording(rows, q):
-        before = np.array(rows, copy=True)
-        basis = solve(rows, q)
-        assert np.array_equal(rows, before)  # callers pass views
-        calls.append((before, q, basis))
-        return basis
-
-    monkeypatch.setattr(intsolve, "gf_nullspace", recording)
+    calls = _record_gf_nullspace(monkeypatch)
     for law in TABLE:
         for m, n in [(1, 2), (2, 1), (2, 3)]:
             fr.check_theorem(ring, fr.LawSpec(law, m, n))
     assert calls
     for rows, q, basis in calls:
         assert np.array_equal(basis, eager_gf_nullspace(rows, q))
+
+
+def test_gf_nullspace_on_the_large_theorem_systems(monkeypatch):
+    """Mat3(Z7) gen-derivation and Mat4(Z3) gen-centralizer at (1, 2).  The
+    2860 x 512 law system of Mat4(Z3) takes the oracle several seconds, so it
+    is checked directly: its basis solves it, is the identity on the free
+    columns, and has the 17 vectors the dense kernel gave."""
+    calls = _record_gf_nullspace(monkeypatch)
+    fr.check_theorem(fr.MatRing(3, 7), fr.LawSpec("gen-derivation", 1, 2))
+    fr.check_theorem(fr.MatRing(4, 3), fr.LawSpec("gen-centralizer", 1, 2))
+    shapes = [rows.shape for rows, _, _ in calls]
+    assert shapes == [(900, 91), (738, 162), (4624, 273), (2860, 512), (960, 17)]
+    for rows, q, basis in calls:
+        if rows.shape != (2860, 512):
+            assert np.array_equal(basis, eager_gf_nullspace(rows, q)), rows.shape
+            continue
+        assert basis.shape == (17, 512) and basis.dtype == np.int64
+        assert not (rows @ basis.T % q).any()
+        free = [int(np.flatnonzero(b)[-1]) for b in basis]  # 1 at its free column
+        assert free == sorted(set(free))
+        assert np.array_equal(basis[:, free], np.eye(17, dtype=np.int64))
 
 
 @pytest.mark.parametrize("modulus", [4, 8, 9, 27])

@@ -3,10 +3,10 @@ import re
 import pytest
 
 from mnjordan import freealg as fa
+from mnjordan.freealg import PowerSizeError
 from mnjordan.parsing import (
     MAX_EXPONENT,
     ParseError,
-    PowerSizeError,
     cited_labels,
     parse_combination,
     parse_monomial,

@@ -97,9 +97,10 @@ def group_by_group_tokenize(text):
 
 
 def eager_gf_nullspace(rows, q):
-    """intsolve.gf_nullspace before lazy reduction: tall systems are
-    deduplicated, the whole matrix is reduced mod q after every pivot and the
-    basis is filled in entry by entry."""
+    """A dense GF(q) elimination, the oracle for the sparse
+    intsolve.gf_nullspace: tall systems are deduplicated, the first row
+    holding a column is its pivot, the whole matrix is reduced mod q after
+    every pivot and the basis is filled in entry by entry."""
     A = np.array(rows, dtype=np.int64) % q
     if A.size == 0:
         n_cols = A.shape[1] if A.ndim == 2 else 0
