@@ -9,7 +9,8 @@ Subcommands::
 
 Exit codes: 0 verified (or hypotheses unmet, reported); 1 failed replay or a
 hypothesis-satisfying counterexample; 2 verified with assumptions; 3 bad
-input (usage errors included), I/O trouble, or a size bound.
+input (usage errors included), I/O trouble, a size bound, or a ring too
+large for the memory at hand.
 
 Only ``ring`` and ``search`` import :mod:`mnjordan.finring` (and numpy with
 it), so ``prove`` starts without them.
@@ -104,6 +105,9 @@ def cmd_ring(args) -> int:
     except (ValueError, OSError) as exc:  # RingConstructionError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2))
     else:
@@ -136,6 +140,9 @@ def cmd_search(args) -> int:
         rows = finring.search_family(rings, spec)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_ERROR
     if args.format == "json":
         print(json.dumps([r.to_json() for r in rows], indent=2))

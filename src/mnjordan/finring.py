@@ -56,8 +56,8 @@ class FinRing:
         if any(d < 2 for d in self.moduli):
             raise RingConstructionError("additive moduli must be at least 2")
         k = len(self.moduli)
-        # The widest int64 sum over ring data is a conclusion row applied to
-        # a map: at most 3k products of two residues.  The other sums (the
+        # The widest int64 sum over ring data is a conclusion value of a
+        # map: at most 3k products of two residues.  The other sums (the
         # validation, mul, AddMap, the GF(p) systems) have at most k.
         if 3 * k * (max(self.moduli) - 1) ** 2 >= 2**63:
             raise RingConstructionError(
@@ -368,8 +368,7 @@ def center(R: FinRing) -> List[Element]:
     modulo d_t.  It is listed from its generators, and refused above
     MAX_SOLUTIONS elements.
     """
-    rows = _commutator_rows(R.constants)
-    gens = intsolve.kernel(rows, _product_mods(R, rows), R.moduli)
+    gens = intsolve.kernel(_commutator_rows(R.constants), np.tile(R._mods, R.k), R.moduli)
     size = math.prod(order for _, order in gens)
     if size > MAX_SOLUTIONS:
         raise RingSizeError(
@@ -470,30 +469,31 @@ def _law_row_blocks(R: FinRing, spec: LawSpec) -> Tuple[np.ndarray, np.ndarray]:
     group.  Row e_i is B(e_i, e_i), and row e_i + e_j is B(e_i, e_i) +
     B(e_j, e_j) + B(e_i, e_j) + B(e_j, e_i).
 
+    At point x, row t and slot (a, b), the coefficient of M[a, b] is
+    delta_ta (x^2)_b in M(x^2), with x^2 reduced mod d_b, x_b (e_a x)_t in
+    M(x)x and x_b (x e_a)_t in xM(x).
+
     Returns (rows, row_mods): rows has shape (Q, n_maps*k*k) with slot
     ordering (map, i, j); row r states sum_s rows[r, s]*u_s == 0 modulo
     row_mods[r].
     """
-    k = R.k
+    k, C = R.k, R.constants
+    eye = np.eye(k, dtype=np.int64)
     i, j = np.triu_indices(k, 1)
+    X = np.concatenate([eye, eye[i] + eye[j]])
+    xe = (X @ C.reshape(k, k * k)).reshape(-1, k, k)  # [x, a, t]: (x e_a)_t
+    ex = (X @ C.transpose(1, 0, 2).reshape(k, k * k)).reshape(-1, k, k)  # (e_a x)_t
+    x2 = np.einsum("xa,xat->xt", X, xe) % R._mods
 
-    def at_points(op: np.ndarray) -> np.ndarray:
-        """(Q, k, k*k): the (i, j, t) rows of op summed at each point."""
-        pairs = op.reshape(k, k, k, k * k)
-        diag = pairs[np.arange(k), np.arange(k)]
-        return np.concatenate([diag, diag[i] + diag[j] + pairs[i, j] + pairs[j, i]])
-
-    of_x2, mx_x, x_mx = (at_points(op) for op in _product_operators(R))
-    of_x2 %= np.tile(R._mods, k)  # slot (t, j) reads coordinate j of x^2
-
-    # row (r, t) is read modulo d_t, so each coefficient is reduced there in
+    # row (x, t) is read modulo d_t, so each coefficient is reduced there in
     # Python ints first: exact at any weight, and below d_t like the entries
     a, b, c = (
-        np.array([v % d for d in R.moduli], dtype=np.int64)[:, None]
+        np.array([v % d for d in R.moduli], dtype=np.int64)[:, None, None]
         for v in spec.rule.coefficients(spec.m, spec.n)
     )
-    main = (a * of_x2 + b * mx_x).reshape(-1, k * k)
-    base = (c * x_mx).reshape(-1, k * k)
+    main = (a * np.einsum("ta,xb->xtab", eye, x2)
+            + b * np.einsum("xb,xat->xtab", X, ex)).reshape(-1, k * k)
+    base = (c * np.einsum("xb,xat->xtab", X, xe)).reshape(-1, k * k)
     if spec.pair:
         # the law on (M, M0), and the plain law on M0 alone
         rows = np.block([[main, base], [np.zeros_like(main), main + base]])
@@ -505,22 +505,13 @@ def _law_row_blocks(R: FinRing, spec: LawSpec) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _hom_rows(R: FinRing, n_maps: int) -> Tuple[np.ndarray, np.ndarray]:
-    k = R.k
-    n_slots = n_maps * k * k
-    rows = []
-    mods = []
-    for b in range(n_maps):
-        for i in range(k):
-            for j in range(k):
-                if R.moduli[j] % R.moduli[i] == 0:
-                    continue  # condition is vacuous
-                row = np.zeros(n_slots, dtype=np.int64)
-                row[b * k * k + i * k + j] = R.moduli[j]
-                rows.append(row)
-                mods.append(R.moduli[i])
-    if not rows:
-        return np.zeros((0, n_slots), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    return np.array(rows, dtype=np.int64), np.array(mods, dtype=np.int64)
+    """Row per slot (map, i, j) with d_i not dividing d_j: d_j M[i, j] == 0
+    modulo d_i, the additive-map condition."""
+    d, k = R._mods, R.k
+    slots = np.flatnonzero(np.tile(d[None, :] % d[:, None] != 0, (n_maps, 1, 1)))
+    rows = np.zeros((slots.size, n_maps * k * k), dtype=np.int64)
+    rows[np.arange(slots.size), slots] = d[slots % k]
+    return rows, d[slots // k % k]
 
 
 @dataclass
@@ -583,57 +574,42 @@ def solve_identity(R: FinRing, spec: LawSpec) -> SolutionSet:
 
 # -- conclusion checks ---------------------------------------------------------------
 #
-# Each conclusion is a set of equation rows on the flattened matrix of a map:
-# both sides are biadditive in (x, y), so imposing it on basis pairs is the
-# same as imposing it everywhere.  Product rows are ordered (i, j, t) and row
-# (i, j, t) is coordinate t, read modulo d_t.
+# Each conclusion is evaluated on a batch of slot vectors: both sides are
+# biadditive in (x, y), so checking it on basis pairs is the same as checking
+# it everywhere.  Product values are ordered (i, j, t), and value (i, j, t) is
+# coordinate t, read modulo d_t.
 
 
-def _product_operators(R: FinRing) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The linear maps M -> M(e_i e_j), M(e_i) e_j, e_i M(e_j), each a
-    (k^3, k^2) integer matrix acting on M flattened row-major."""
+def _conclusion_blocks(R: FinRing, law: Law, G: np.ndarray
+                       ) -> List[Tuple[str, np.ndarray, np.ndarray]]:
+    """The law's conclusion evaluated on the slot vectors G, shape (g,
+    n_slots), as (reason, values, moduli) blocks in the order their reasons
+    are reported: values has shape (g, len(moduli)), and a map meets a block
+    when its values vanish modulo moduli."""
     k, C = R.k, R.constants
-    eye = np.eye(k, dtype=np.int64)
-    ops = (
-        np.einsum("ta,ijb->ijtab", eye, C),  # sum_b M[t, b] C[i, j, b]
-        np.einsum("bi,ajt->ijtab", eye, C),  # sum_a M[a, i] C[a, j, t]
-        np.einsum("bj,iat->ijtab", eye, C),  # sum_a M[a, j] C[i, a, t]
-    )
-    return tuple(op.reshape(k**3, k * k) for op in ops)
-
-
-def _product_mods(R: FinRing, rows: np.ndarray) -> np.ndarray:
-    return np.tile(R._mods, rows.shape[0] // R.k)
-
-
-def _conclusion_blocks(R: FinRing, law: Law) -> List[Tuple[str, np.ndarray, np.ndarray]]:
-    """The law's conclusion as (reason, rows, row moduli) blocks on the slot
-    vector, in the order their reasons are reported."""
-    k = R.k
-    of_xy, mx_y, x_my = _product_operators(R)
+    g, k2 = G.shape[0], k * k
+    M = G[:, :k2].reshape(g, k, k)
+    of_xy = np.einsum("gtb,ijb->gijt", M, C)  # M(e_i e_j)
+    mx_y = np.einsum("gai,ajt->gijt", M, C)   # M(e_i) e_j
+    x_my = np.einsum("gaj,iat->gijt", M, C)   # e_i M(e_j)
     if law.conclusion == TWO_SIDED:
-        # T(e_i e_j) - T(e_i) e_j and T(e_i e_j) - e_i T(e_j)
-        blocks = [("not two-sided", np.vstack([of_xy - mx_y, of_xy - x_my]))]
+        blocks = [("not two-sided", [of_xy - mx_y, of_xy - x_my])]
     else:
-        # D(e_i e_j) - D(e_i) e_j - e_i D(e_j), and row (i, j, t) of
-        # D(e_j) e_i - e_i D(e_j)
-        y_mx = mx_y.reshape(k, k, k, k * k).transpose(1, 0, 2, 3).reshape(k**3, k * k)
-        blocks = [("not a derivation", of_xy - mx_y - x_my),
-                  ("values not central", y_mx - x_my)]
-    blocks = [(reason, rows, _product_mods(R, rows)) for reason, rows in blocks]
+        # value (i, j, t) of the second block is D(e_j) e_i - e_i D(e_j)
+        blocks = [("not a derivation", [of_xy - mx_y - x_my]),
+                  ("values not central", [mx_y.transpose(0, 2, 1, 3) - x_my])]
+    blocks = [(reason, np.concatenate([v.reshape(g, -1) for v in vals], axis=1),
+               np.tile(R._mods, len(vals) * k2)) for reason, vals in blocks]
     if not law.generalized:
         return blocks
-    eye = np.eye(k * k, dtype=np.int64)
-    return [(f"{law.symbols[0]} differs from its base map", np.hstack([eye, -eye]),
-             np.repeat(R._mods, k))] + [
-        (reason, np.hstack([rows, np.zeros_like(rows)]), mods) for reason, rows, mods in blocks
-    ]
+    return [(f"{law.symbols[0]} differs from its base map", G[:, :k2] - G[:, k2:],
+             np.repeat(R._mods, k))] + blocks
 
 
 def _meets(R: FinRing, law: str, block: int, M: AddMap) -> bool:
     """M satisfies conclusion block ``block`` of the plain law ``law``."""
-    _, rows, mods = _conclusion_blocks(R, TABLE[law])[block]
-    return not np.any(rows @ M.matrix.ravel() % mods)
+    _, values, mods = _conclusion_blocks(R, TABLE[law], M.matrix.reshape(1, -1))[block]
+    return not np.any(values % mods)
 
 
 def verify_two_sided(R: FinRing, T: AddMap) -> bool:
@@ -832,23 +808,23 @@ def _conclusion_violations(R: FinRing, spec: LawSpec, sols: SolutionSet
     """How many solutions break the conclusion, and one that does.
 
     The solutions that meet the conclusion form a subgroup S & C, the kernel
-    of the conclusion rows restricted to the generators of S, so the count
-    is |S| - |S & C|.  The example is the first generator outside C, with
-    the first reason it fails.
+    of the conclusion values of the generators of S, so the count is |S| -
+    |S & C|.  The example is the first generator outside C, with the first
+    reason it fails.
     """
     if not sols.generators:
         return 0, []
-    blocks = _conclusion_blocks(R, spec.rule)
-    rows = np.vstack([b[1] for b in blocks])
-    mods = np.concatenate([b[2] for b in blocks])
     G = np.array([g for g, _ in sols.generators], dtype=np.int64)
-    on_gens = rows @ G.T % mods[:, None]
+    blocks = _conclusion_blocks(R, spec.rule, G)
+    mods = np.concatenate([b[2] for b in blocks])
+    on_gens = np.concatenate([b[1] for b in blocks], axis=1).T % mods[:, None]
     outside = np.nonzero(on_gens.any(axis=0))[0]
     if outside.size == 0:
         return 0, []
     kept = intsolve.kernel(on_gens, mods, [order for _, order in sols.generators])
-    vec = G[outside[0]]
-    reason = next(r for r, rows_r, mods_r in blocks if np.any(rows_r @ vec % mods_r))
+    g = outside[0]
+    reason = next(r for r, values, mods_r in blocks if np.any(values[g] % mods_r))
+    vec = G[g]
     k2 = R.k * R.k
     example = {"map": vec[:k2].reshape(R.k, R.k).tolist()}
     if spec.pair and reason == blocks[0][0]:

@@ -128,6 +128,26 @@ def test_ring_too_wide_for_int64_exits_3(capsys, ring_args):
     assert out == "" and err.startswith("error: ") and "64-bit" in err
 
 
+def test_ring_out_of_memory_exits_3():
+    # Mat100(Z2) has k = 10^4 generators; its structure constants alone
+    # need 8 TB, so the child's 2 GiB address space runs out at once
+    resource = pytest.importorskip("resource")
+    limit = 2 * 2**30
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mnjordan.cli", "ring", "--kind", "Mat", "--k", "100", "--p", "2",
+         "--law", "centralizer", "--m", "1", "--n", "2"],
+        env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=cap_memory, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == cli.EXIT_ERROR, proc.stderr
+    assert proc.stdout == "" and proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_ring_counts_violations_without_enumerating(capsys):
     path = Path(__file__).resolve().parents[1] / "src" / "mnjordan" / "rings" / "z2z2_zero.json"
     code, out, _ = run(

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -13,6 +14,7 @@ from tests.util import (
     all_add_maps,
     all_element_law_rows,
     all_element_residual,
+    all_pairs_central,
     all_pairs_derivation,
     all_pairs_two_sided,
     all_x_center,
@@ -20,6 +22,8 @@ from tests.util import (
     all_x_is_semiprime,
     all_x_torsion_free,
     enumerated_solutions,
+    operator_conclusion_rows,
+    operator_law_rows,
     per_map_violations,
     random_add_map,
     upper_triangular,
@@ -253,6 +257,47 @@ def test_polarized_rows_agree_with_all_element_rows():
                     ), (R.name, law, m, n)
 
 
+def test_rows_and_conclusions_match_the_product_operators():
+    # the law rows are array-equal to the former operator sums, so the
+    # kernel generators cannot move; each conclusion value is the former
+    # row applied to the map
+    rng = random.Random(17)
+    rings = [
+        fr.Zn(5),
+        fr.Zn(12),
+        fr.DirectProduct(fr.Zn(2), fr.Zn(3)),
+        fr.DirectProduct(fr.Zn(4), fr.Zn(6)),
+        fr.DirectProduct(fr.Zn(8), fr.Zn(4)),
+        fr.DirectProduct(fr.Zn(9), fr.Zn(3)),
+        fr.MatRing(2, 3),
+        fr.MatRing(2, 4),
+        fr.MatRing(2, 9),
+        fr.MatRing(3, 2),
+        fr.DirectProduct(fr.Zn(5), fr.MatRing(2, 7)),
+    ]
+    for R in rings:
+        for law in fr.LAWS:
+            for m, n in [(1, 2), (2, 3), (3, 1)]:
+                spec = fr.LawSpec(law, m, n)
+                rows, mods = fr._law_row_blocks(R, spec)
+                want_rows, want_mods = operator_law_rows(R, spec)
+                assert rows.dtype == want_rows.dtype, (R.name, law, m, n)
+                assert np.array_equal(rows, want_rows), (R.name, law, m, n)
+                assert np.array_equal(mods, want_mods), (R.name, law, m, n)
+                G = [g for g, _ in fr.solve_identity(R, spec).generators]
+                G += [fr._vector_of_maps([random_add_map(R, rng)
+                                          for _ in range(2 if spec.pair else 1)])
+                      for _ in range(4)]
+                G = np.array(G, dtype=np.int64)
+                blocks = fr._conclusion_blocks(R, spec.rule, G)
+                oracle = operator_conclusion_rows(R, spec.rule)
+                assert [b[0] for b in blocks] == [b[0] for b in oracle]
+                for (reason, values, v_mods), (_, o_rows, o_mods) in zip(blocks, oracle):
+                    assert np.array_equal(v_mods, o_mods), (R.name, law, reason)
+                    assert np.array_equal(values % v_mods, (o_rows @ G.T).T % o_mods), (
+                        R.name, law, m, n, reason)
+
+
 def test_solution_sets_are_groups():
     for R in (fr.Zn(6), fr.MatRing(2, 3)):
         spec = fr.LawSpec("gen-centralizer", 1, 2)
@@ -339,12 +384,26 @@ def test_tensor_checks_agree_with_exhaustive_scan():
         for M in all_add_maps(R):
             assert fr.verify_two_sided(R, M) == all_pairs_two_sided(R, M)
             assert fr.verify_derivation(R, M) == all_pairs_derivation(R, M)
+            assert fr.maps_into_center(R, M) == all_pairs_central(R, M)
     rng = random.Random(3)
     for R in [fr.MatRing(2, 2)] + shipped_rings():
         for _ in range(8):
             M = random_add_map(R, rng)
             assert fr.verify_two_sided(R, M) == all_pairs_two_sided(R, M), R.name
             assert fr.verify_derivation(R, M) == all_pairs_derivation(R, M), R.name
+            assert fr.maps_into_center(R, M) == all_pairs_central(R, M), R.name
+    # maps into the scalars, the center of Mat2, and each with one entry
+    # moved, which puts a non-scalar value in its image
+    for p in (2, 3):
+        R = fr.MatRing(2, p)
+        scalar = np.array([1, 0, 0, 1], dtype=np.int64)
+        for _ in range(8):
+            M = np.outer(scalar, [rng.randrange(p) for _ in range(4)])
+            assert fr.maps_into_center(R, fr.AddMap(R, M))
+            assert all_pairs_central(R, fr.AddMap(R, M))
+            M[rng.randrange(4), rng.randrange(4)] += 1
+            assert not fr.maps_into_center(R, fr.AddMap(R, M))
+            assert not all_pairs_central(R, fr.AddMap(R, M))
 
 
 # -- lemma cross-check ----------------------------------------------------------------
@@ -485,6 +544,21 @@ def test_check_theorem_examples():
     rep = fr.check_theorem(fr.MatRing(2, 5), fr.LawSpec("derivation", 1, 2))
     assert rep.verdict == "conclusion-verified"
     assert rep.solution_count == 1  # only the zero map
+
+
+def test_mat5_z2_is_decided_within_300_mb():
+    # k = 25: the dense k^3 x k^2 product operators once put the traced
+    # peak at 547 MB; the separability system now sets it, at 245 MB
+    tracemalloc.start()
+    try:
+        report = fr.check_theorem(fr.MatRing(5, 2), fr.LawSpec("centralizer", 1, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 300 * 10**6
+    assert report.solution_count == 33_554_432
+    assert report.violation_count == 33_554_430
+    assert report.verdict == "hypotheses-not-met; conclusion fails"
 
 
 def test_check_theorem_rejects_equal_weights_for_derivations():

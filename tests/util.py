@@ -378,6 +378,15 @@ def all_pairs_derivation(R, D) -> bool:
     return all(D(R.mul(x, y)) == R.add(R.mul(D(x), y), R.mul(x, D(y))) for x in E for y in E)
 
 
+def all_pairs_central(R, D) -> bool:
+    """D(x)y = yD(x), checked at every pair of elements."""
+    E = R.element_array()
+    V = D.apply_rows(E)
+    vy = np.einsum("xi,yj,ijt->xyt", V, E, R.constants) % R._mods
+    yv = np.einsum("yi,xj,ijt->xyt", E, V, R.constants) % R._mods
+    return np.array_equal(vy, yv)
+
+
 def random_add_map(R, rng):
     # entry (i, j) must be a multiple of d_i / gcd(d_i, d_j)
     M = [[rng.randrange(0, di, di // math.gcd(di, dj)) for dj in R.moduli] for di in R.moduli]
@@ -464,6 +473,85 @@ def pointwise_value(R, poly, maps, m, n, x, y):
     for word, coeff in poly.terms.items():
         total = R.add(total, R.smul(coeff.evaluate(m, n), word_value(word)))
     return total
+
+
+# -- the dense product operators the law rows and conclusions were built from ----
+
+
+def product_operators(R):
+    """The linear maps M -> M(e_i e_j), M(e_i) e_j, e_i M(e_j), each a
+    (k^3, k^2) integer matrix acting on M flattened row-major."""
+    k, C = R.k, R.constants
+    eye = np.eye(k, dtype=np.int64)
+    ops = (
+        np.einsum("ta,ijb->ijtab", eye, C),  # sum_b M[t, b] C[i, j, b]
+        np.einsum("bi,ajt->ijtab", eye, C),  # sum_a M[a, i] C[a, j, t]
+        np.einsum("bj,iat->ijtab", eye, C),  # sum_a M[a, j] C[i, a, t]
+    )
+    return tuple(op.reshape(k**3, k * k) for op in ops)
+
+
+def _product_mods(R, rows):
+    return np.tile(R._mods, rows.shape[0] // R.k)
+
+
+def operator_law_rows(R, spec):
+    """finring._law_row_blocks summed from the product operators at the
+    polarization points: the same (rows, row_mods), unreduced."""
+    k = R.k
+    i, j = np.triu_indices(k, 1)
+
+    def at_points(op: np.ndarray) -> np.ndarray:
+        """(Q, k, k*k): the (i, j, t) rows of op summed at each point."""
+        pairs = op.reshape(k, k, k, k * k)
+        diag = pairs[np.arange(k), np.arange(k)]
+        return np.concatenate([diag, diag[i] + diag[j] + pairs[i, j] + pairs[j, i]])
+
+    of_x2, mx_x, x_mx = (at_points(op) for op in product_operators(R))
+    of_x2 %= np.tile(R._mods, k)  # slot (t, j) reads coordinate j of x^2
+
+    # row (r, t) is read modulo d_t, so each coefficient is reduced there in
+    # Python ints first: exact at any weight, and below d_t like the entries
+    a, b, c = (
+        np.array([v % d for d in R.moduli], dtype=np.int64)[:, None]
+        for v in spec.rule.coefficients(spec.m, spec.n)
+    )
+    main = (a * of_x2 + b * mx_x).reshape(-1, k * k)
+    base = (c * x_mx).reshape(-1, k * k)
+    if spec.pair:
+        # the law on (M, M0), and the plain law on M0 alone
+        rows = np.block([[main, base], [np.zeros_like(main), main + base]])
+    else:
+        rows = main + base
+    reps = rows.shape[0] // k
+    row_mods = np.tile(R._mods, reps)
+    return rows, row_mods
+
+
+def operator_conclusion_rows(R, law):
+    """The law's conclusion as (reason, rows, row moduli) blocks on the slot
+    vector, in the order their reasons are reported: the row form of
+    finring._conclusion_blocks, whose values on a slot vector u are
+    rows @ u."""
+    k = R.k
+    of_xy, mx_y, x_my = product_operators(R)
+    if law.conclusion == fr.TWO_SIDED:
+        # T(e_i e_j) - T(e_i) e_j and T(e_i e_j) - e_i T(e_j)
+        blocks = [("not two-sided", np.vstack([of_xy - mx_y, of_xy - x_my]))]
+    else:
+        # D(e_i e_j) - D(e_i) e_j - e_i D(e_j), and row (i, j, t) of
+        # D(e_j) e_i - e_i D(e_j)
+        y_mx = mx_y.reshape(k, k, k, k * k).transpose(1, 0, 2, 3).reshape(k**3, k * k)
+        blocks = [("not a derivation", of_xy - mx_y - x_my),
+                  ("values not central", y_mx - x_my)]
+    blocks = [(reason, rows, _product_mods(R, rows)) for reason, rows in blocks]
+    if not law.generalized:
+        return blocks
+    eye = np.eye(k * k, dtype=np.int64)
+    return [(f"{law.symbols[0]} differs from its base map", np.hstack([eye, -eye]),
+             np.repeat(R._mods, k))] + [
+        (reason, np.hstack([rows, np.zeros_like(rows)]), mods) for reason, rows, mods in blocks
+    ]
 
 
 # -- enumerating oracle for the solver and the conclusion count ------------------
