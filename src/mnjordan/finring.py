@@ -34,6 +34,7 @@ from .laws import TABLE, TWO_SIDED, Law
 
 MAX_SOLUTIONS = 10**6          # bound on SolutionSet.maps() and center(); no verdict reads it
 PAIR_CELLS = 2**20             # bound on C(k+Dx, Dx) * C(k+Dy, Dy) * k in PairEvaluator
+INT64_MAX = 2**63 - 1
 
 LAWS = tuple(TABLE)
 
@@ -652,6 +653,9 @@ def _lemma_poly(law: str):
     return parse_poly(LEMMA_TEXTS[law])
 
 
+_GENERATOR_WORDS = ((Gen("x"),), (Gen("y"),))
+
+
 class PairEvaluator:
     """Evaluate polynomial identities in x and y at finitely many pairs of
     ring elements that decide them on all of R x R.
@@ -679,11 +683,18 @@ class PairEvaluator:
         self.ring = R
         self.num = R.order  # read by the pairs counter in bench/tracing.py
         k = R.k
-        # row j of a @ _left is a * e_j, row i of a @ _right is e_i * a,
-        # both before reduction mod _mods_kk
-        self._left = R.constants.reshape(k, k * k)
-        self._right = R.constants.transpose(1, 0, 2).reshape(k, k * k)
+        # row j of a @ _tables[0] is a * e_j, row i of a @ _tables[1] is
+        # e_i * a, both before reduction mod _mods_kk
+        self._tables = (R.constants.reshape(k, k * k),
+                        R.constants.transpose(1, 0, 2).reshape(k, k * k))
         self._mods_kk = np.tile(R._mods, k)
+        self._top = max(R.moduli) - 1
+        # Entries are never negative.  A value whose entries are at most
+        # _limit survives a contraction (k products with a reduced entry,
+        # at most _top) and, times a reduced coefficient, a place in the
+        # running total; FinRing's guard 3k(d - 1)^2 < 2^63 puts _limit at
+        # or above _top, so a reduced value always qualifies.
+        self._limit = INT64_MAX // (3 * k * self._top)
         self._point_sets: Dict[int, np.ndarray] = {}
 
     def _points(self, degree: int) -> np.ndarray:
@@ -697,30 +708,49 @@ class PairEvaluator:
             self._point_sets[degree] = np.array(sorted(points), dtype=np.int64)
         return self._point_sets[degree]
 
-    def _mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Products a*b of broadcast arrays of coordinate vectors; the
-        operand with fewer entries is expanded into k x k matrices."""
-        k = self.ring.k
+    def _mul(self, a: np.ndarray, b: np.ndarray, words=(None, None),
+             expanded: Optional[Dict[tuple, np.ndarray]] = None) -> np.ndarray:
+        """Products a*b of broadcast arrays of coordinate vectors with
+        entries at most _limit, not reduced: each entry is at most k *
+        _top times the larger operand bound.  The operand with fewer
+        entries is expanded into reduced k x k matrices; when it is a
+        generator (``words`` holds the operands' words), its expansion is
+        kept in ``expanded`` and reused."""
         if a.size <= b.size:
-            small, big, table = a, b, self._left
+            small, word, big, side = a, words[0], b, 0
         else:
-            small, big, table = b, a, self._right
-        mat = (small @ table % self._mods_kk).reshape(small.shape[:-1] + (k, k))
-        return (big[..., None, :] @ mat)[..., 0, :] % self.ring._mods
+            small, word, big, side = b, words[1], a, 1
+        keep = expanded is not None and word in _GENERATOR_WORDS
+        mat = expanded.get((word, side)) if keep else None
+        if mat is None:
+            k = self.ring.k
+            mat = (small @ self._tables[side] % self._mods_kk).reshape(small.shape[:-1] + (k, k))
+            if keep:
+                expanded[(word, side)] = mat
+        return (big[..., None, :] @ mat)[..., 0, :]
 
-    def _value(self, word, maps: Dict[str, AddMap], memo: Dict[tuple, np.ndarray]
-               ) -> np.ndarray:
-        """A word's values, left to right; each prefix and each map
-        application is evaluated once per memo."""
+    def _value(self, word, maps: Dict[str, AddMap], memo: Dict[tuple, tuple],
+               expanded: Dict[tuple, np.ndarray]) -> Tuple[np.ndarray, int]:
+        """A word's values, left to right, and a bound on their entries, at
+        most _limit: a product is reduced mod the moduli only when its bound
+        would pass _limit.  Each prefix and each map application is
+        evaluated once per memo."""
         if word not in memo:
             if len(word) > 1:
-                head = self._value(word[:-1], maps, memo)
-                memo[word] = self._mul(head, self._value(word[-1:], maps, memo))
+                head, last = word[:-1], word[-1:]
+                a, bound_a = self._value(head, maps, memo, expanded)
+                b, bound_b = self._value(last, maps, memo, expanded)
+                value = self._mul(a, b, (head, last), expanded)
+                bound = self.ring.k * self._top * max(bound_a, bound_b)
+                if bound > self._limit:
+                    value, bound = value % self.ring._mods, self._top
+                memo[word] = value, bound
             else:
                 atom = word[0]  # the generator words are seeded
                 if atom.sym not in maps:
                     raise ValueError(f"no concrete map bound to {atom.sym}")
-                memo[word] = maps[atom.sym].apply_rows(self._value(atom.arg, maps, memo))
+                arg, _ = self._value(atom.arg, maps, memo, expanded)
+                memo[word] = maps[atom.sym].apply_rows(arg), self._top
         return memo[word]
 
     def first_violation(
@@ -730,14 +760,13 @@ class PairEvaluator:
         lexicographic order, where poly is nonzero; None when it vanishes
         there, and so at every pair of R x R."""
         R = self.ring
-        terms = []
-        for word, coeff in poly.terms.items():
-            # integers act on coordinate t through Z/d_t, so reducing there
-            # in Python ints is exact at any weight and keeps c * value < d^2
-            c = coeff.evaluate(m, n)
-            cv = np.array([c % d for d in R.moduli], dtype=np.int64)
-            if cv.any():
-                terms.append((word, cv))
+        # integers act on coordinate t through Z/d_t, so reducing there in
+        # Python ints is exact at any weight and keeps c * value within
+        # _top times the value's bound
+        weights = [coeff.evaluate(m, n) for coeff in poly.terms.values()]
+        cvs = np.array([[c % d for d in R.moduli] for c in weights],
+                       dtype=np.int64).reshape(len(weights), R.k)
+        terms = [(word, cv) for word, cv, live in zip(poly.terms, cvs, cvs.any(axis=1)) if live]
         dx, dy = (max((word_gen_degree(w, g) for w, _ in terms), default=0) for g in "xy")
         cells = math.comb(R.k + dx, dx) * math.comb(R.k + dy, dy) * R.k
         if cells > PAIR_CELLS:
@@ -747,11 +776,24 @@ class PairEvaluator:
                 f"bound {PAIR_CELLS}"
             )
         xs, ys = self._points(dx), self._points(dy)
-        memo = {(Gen("x"),): xs[:, None, :], (Gen("y"),): ys[None, :, :]}
+        memo = {word: (points, self._top) for word, points in
+                zip(_GENERATOR_WORDS, (xs[:, None, :], ys[None, :, :]))}
+        # left and right product matrices of the generator arrays, built on
+        # first use and dropped with this call
+        expanded: Dict[tuple, np.ndarray] = {}
         total = np.zeros((len(xs), len(ys), R.k), dtype=np.int64)
+        # each term adds at most _top * _limit <= (2^63 - 1) / 3k, so after
+        # a reduction of the total the next term always fits
+        bound = 0
         for word, cv in terms:
-            total += cv * self._value(word, maps, memo)
-            total %= R._mods
+            value, value_bound = self._value(word, maps, memo, expanded)
+            step = self._top * value_bound
+            if bound + step > INT64_MAX:
+                total %= R._mods
+                bound = self._top
+            total += cv * value
+            bound += step
+        total %= R._mods
         bad = total.any(axis=2)
         if not bad.any():
             return None

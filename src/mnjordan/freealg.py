@@ -230,10 +230,10 @@ def _wrap(terms: Dict[Monomial, ScalarPoly]) -> NCPoly:
 
 def _add_into(out: Dict[Monomial, ScalarPoly], p: NCPoly, c: ScalarPoly = ONE) -> None:
     """out += c * p, in place on a terms dict; c must be nonzero."""
-    one = c.is_one()
+    one = c is ONE or c.is_one()
     for w, k in p.terms.items():
         if not one:
-            k = c * k
+            k = c if k is ONE else c * k
         s = out.get(w)
         if s is None:
             out[w] = k
@@ -268,10 +268,10 @@ def app(sym: str, arg: NCPoly) -> NCPoly:
 def scale(c: ScalarPoly, p: NCPoly) -> NCPoly:
     if not c:
         return NCPoly.zero()
-    if c.is_one():
+    if c is ONE or c.is_one():
         return p
     # Z[m, n] has no zero divisors, so no product vanishes
-    return _wrap({w: c * k for w, k in p.terms.items()})
+    return _wrap({w: c if k is ONE else c * k for w, k in p.terms.items()})
 
 
 def mul(p: NCPoly, q: NCPoly) -> NCPoly:
@@ -282,11 +282,17 @@ def mul(p: NCPoly, q: NCPoly) -> NCPoly:
             f"a product of {len(p.terms)} by {len(q.terms)} terms is above the bound "
             f"{MAX_PRODUCT_PAIRS} on pairs of terms"
         )
+    # a coefficient ONE is tested by identity before ScalarPoly.__mul__ is
+    # called; the product returns the other factor itself either way
+    if len(p.terms) == 1 == len(q.terms):
+        ((w1, c1),) = p.terms.items()
+        ((w2, c2),) = q.terms.items()
+        return _wrap({w1 + w2: c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2})
     out: Dict[Monomial, ScalarPoly] = {}
     for w1, c1 in p.terms.items():
         for w2, c2 in q.terms.items():
             w = w1 + w2
-            c = c1 * c2
+            c = c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2
             s = out.get(w)
             if s is None:
                 out[w] = c
@@ -306,14 +312,14 @@ def commutator(p: NCPoly, q: NCPoly) -> NCPoly:
 # -- degree bookkeeping --------------------------------------------------------
 
 
-def atom_gen_degree(a: Atom, g: str) -> int:
-    if isinstance(a, Gen):
-        return 1 if a.name == g else 0
-    return word_gen_degree(a.arg, g)
-
-
 def word_gen_degree(w: Monomial, g: str) -> int:
-    return sum(atom_gen_degree(a, g) for a in w)
+    """How often the generator g occurs in w, map arguments included."""
+    # atoms are interned, so a tuple count finds every occurrence of Gen(g)
+    degree = w.count(_atoms.get(g))
+    for a in w:
+        if isinstance(a, App):
+            degree += word_gen_degree(a.arg, g)
+    return degree
 
 
 # -- substitution ---------------------------------------------------------------

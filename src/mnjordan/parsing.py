@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from . import freealg
 from .freealg import GENERATORS, MAP_KINDS, App, Gen, NCPoly
-from .scalars import ScalarPoly, _term_text
+from .scalars import ONE, ScalarPoly, _term_text
 
 
 class ParseError(ValueError):
@@ -53,32 +53,44 @@ does not bound an expansion (``((x+y)^4)^5`` has 2^20 words);
 """
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<arrow>->)|(?P<op>[-+*^()\[\];|,]))"
+# One scan per text: group 1 is a token, group 2 a character that starts no
+# token.  A token's column is where it starts, after the blanks before it.
+_SCAN_RE = re.compile(
+    r"\s*(?:(\d+|[A-Za-z_][A-Za-z0-9_]*|->|[-+*^()\[\];|,])|(\S))"
 )
 
-_TOKEN_KIND = {"int": "int", "name": "name", "arrow": "op", "op": "op"}
+# the token after the last one; equal to no token the scan makes
+_END = ""
 
 
 def tokenize(text: str) -> List[Tuple[str, str, int]]:
+    """(kind, token, column) of every token, kind one of int, name and op."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            rest = text[pos:].lstrip()
-            if rest:
-                raise ParseError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
-            break
-        kind = m.lastgroup
-        # a token's column is where the token starts, after the blanks before it
-        tokens.append((_TOKEN_KIND[kind], m[kind], m.start(kind)))
-        pos = m.end()
+    for m in _SCAN_RE.finditer(text):
+        tok, bad = m.groups()
+        if bad:
+            raise ParseError(f"unexpected character {bad!r}", m.start(2))
+        kind = "int" if tok.isdigit() else "name" if tok.isidentifier() else "op"
+        tokens.append((kind, tok, m.start(1)))
     return tokens
+
+
+def _scan(text: str) -> Tuple[str, ...]:
+    """The tokens of text followed by ``_END``; columns are left to
+    :func:`tokenize`, which only an error needs."""
+    pairs = _SCAN_RE.findall(text)
+    if not pairs:
+        return (_END,)
+    toks, bad = zip(*pairs)
+    if any(bad):
+        tokenize(text)  # raises at the first character that starts no token
+    return toks + (_END,)
 
 
 # A value during evaluation: exactly one of scalar / poly is set.  A cited
 # value is a ring polynomial that contains exactly one citation per term.
+# Values are never mutated, so the parser shares one value per constant
+# primary.
 @dataclass(slots=True)
 class _Val:
     scalar: Optional[ScalarPoly] = None
@@ -86,37 +98,9 @@ class _Val:
     cited: bool = False
 
 
-def _mul_val(a: _Val, b: _Val, pos: int) -> _Val:
-    if a.scalar is not None and b.scalar is not None:
-        return _Val(scalar=a.scalar * b.scalar)
-    if a.cited or b.cited:
-        if a.cited and b.cited:
-            raise ParseError("a term cites more than one identity", pos)
-        context = b.poly if a.cited else a.poly
-        # a zero context contributes nothing, whatever it is written as
-        if context is not None and len(context.terms) > 1:
-            raise ParseError("the context of a citation must be a single monomial", pos)
-    if a.scalar is not None:
-        poly = freealg.scale(a.scalar, b.poly)
-    elif b.scalar is not None:
-        poly = freealg.scale(b.scalar, a.poly)
-    else:
-        poly = freealg.mul(a.poly, b.poly)
-    return _Val(poly=poly, cited=a.cited or b.cited)
-
-
-def _add_val(a: _Val, b: _Val, pos: int) -> _Val:
-    if a.cited != b.cited:
-        raise ParseError("a witness list mixes terms with and without a citation", pos)
-    if a.scalar is not None and b.scalar is not None:
-        return _Val(scalar=a.scalar + b.scalar)
-    if a.scalar is not None and a.scalar.is_zero():
-        return b
-    if b.scalar is not None and b.scalar.is_zero():
-        return a
-    if a.poly is not None and b.poly is not None:
-        return _Val(poly=a.poly + b.poly, cited=a.cited)
-    raise ParseError("cannot add a scalar to a ring polynomial (no unit element)", pos)
+_CONSTANTS = {g: _Val(poly=freealg.gen(g)) for g in GENERATORS}
+_CONSTANTS.update({v: _Val(scalar=ScalarPoly.var(v)) for v in "mn"})
+_CONSTANTS["1"] = _Val(scalar=ONE)
 
 
 def _neg_val(a: _Val) -> _Val:
@@ -125,161 +109,195 @@ def _neg_val(a: _Val) -> _Val:
     return _Val(poly=-a.poly, cited=a.cited)
 
 
-def _uncited(val: _Val, where: str, pos: int) -> _Val:
-    if val.cited:
-        raise ParseError(f"a citation cannot stand {where}", pos)
-    return val
-
-
 # cite(label, substitution) -> the cited identity with the substitution applied
 Cite = Callable[[str, Dict[str, NCPoly]], NCPoly]
 
 
 class _Parser:
+    """Recursive descent over the token tuple of one text.  ``i`` indexes
+    the next token; reading at the end gives ``_END``, which no rule
+    accepts.  An error names a token by its index, and its column is found
+    only then."""
+
+    __slots__ = ("text", "toks", "i", "cite")
+
     def __init__(self, text: str, cite: Optional[Cite] = None):
         self.text = text
-        self.tokens = tokenize(text)
+        self.toks = _scan(text)
         self.i = 0
         self.cite = cite
 
-    def peek(self) -> Tuple[str, str, int] | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+    def column(self, i: int) -> int:
+        """The column of token i; the end of the text for ``_END``."""
+        return len(self.text) if self.toks[i] == _END else tokenize(self.text)[i][2]
 
-    def next(self) -> Tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of expression", len(self.text))
-        self.i += 1
-        return tok
+    def error(self, message: str, i: int) -> ParseError:
+        """A ParseError at token i; at ``_END`` the text ended too soon."""
+        if self.toks[i] == _END:
+            message = "unexpected end of expression"
+        return ParseError(message, self.column(i))
 
     def expect(self, value: str) -> None:
-        tok = self.next()
-        if tok[1] != value:
-            raise ParseError(f"expected {value!r}, found {tok[1]!r}", tok[2])
+        i = self.i
+        tok = self.toks[i]
+        if tok != value:
+            raise self.error(f"expected {value!r}, found {tok!r}", i)
+        self.i = i + 1
 
     # -- expression grammar ------------------------------------------------
 
     def parse_expr(self) -> _Val:
+        toks = self.toks
         val = self.parse_term()
-        while True:
-            tok = self.peek()
-            if tok and tok[1] in "+-":
-                self.next()
-                rhs = self.parse_term()
-                if tok[1] == "-":
-                    rhs = _neg_val(rhs)
-                val = _add_val(val, rhs, tok[2])
-            else:
-                return val
+        tok = toks[self.i]
+        while tok == "+" or tok == "-":
+            i = self.i
+            self.i = i + 1
+            rhs = self.parse_term()
+            val = self.add(val, _neg_val(rhs) if tok == "-" else rhs, i)
+            tok = toks[self.i]
+        return val
 
     def parse_term(self) -> _Val:
-        val = self.parse_signed_factor()
-        while True:
-            tok = self.peek()
-            if tok and tok[1] == "*":
-                self.next()
-                val = _mul_val(val, self.parse_signed_factor(), tok[2])
-            else:
-                return val
-
-    def parse_signed_factor(self) -> _Val:
-        tok = self.peek()
-        if tok and tok[1] == "-":
-            self.next()
-            return _neg_val(self.parse_signed_factor())
-        return self.parse_factor()
+        toks = self.toks
+        val = self.parse_factor()
+        while toks[self.i] == "*":
+            i = self.i
+            self.i = i + 1
+            val = self.mul(val, self.parse_factor(), i)
+        return val
 
     def parse_factor(self) -> _Val:
+        """A factor with its optional signs: ['-'] factor | primary ('^' INT)*."""
+        toks = self.toks
+        if toks[self.i] == "-":
+            self.i += 1
+            return _neg_val(self.parse_factor())
         val = self.parse_primary()
-        while True:
-            tok = self.peek()
-            if tok and tok[1] == "^":
-                self.next()
-                _uncited(val, "under '^'", tok[2])
-                etok = self.next()
-                if etok[0] != "int":
-                    raise ParseError("exponent must be an integer", etok[2])
-                k = int(etok[1])
-                if k > MAX_EXPONENT:
-                    raise freealg.PowerSizeError(
-                        f"exponent {k} at column {etok[2] + 1} is above the bound "
-                        f"{MAX_EXPONENT} on powers"
-                    )
-                if val.scalar is not None:
-                    val = _Val(scalar=val.scalar**k)
-                else:
-                    if k < 1:
-                        raise ParseError(
-                            "ring polynomials cannot be raised to power 0", etok[2]
-                        )
-                    acc = val.poly
-                    for _ in range(k - 1):
-                        acc = freealg.mul(acc, val.poly)
-                    val = _Val(poly=acc)
+        while toks[self.i] == "^":
+            i = self.i
+            self.uncited(val, "under '^'", i)
+            etok = toks[i + 1]
+            if not etok.isdigit():
+                raise self.error("exponent must be an integer", i + 1)
+            self.i = i + 2
+            k = int(etok)
+            if k > MAX_EXPONENT:
+                raise freealg.PowerSizeError(
+                    f"exponent {k} at column {self.column(i + 1) + 1} is above "
+                    f"the bound {MAX_EXPONENT} on powers"
+                )
+            if val.scalar is not None:
+                val = _Val(scalar=val.scalar**k)
             else:
-                return val
+                if k < 1:
+                    raise self.error("ring polynomials cannot be raised to power 0", i + 1)
+                acc = val.poly
+                for _ in range(k - 1):
+                    acc = freealg.mul(acc, val.poly)
+                val = _Val(poly=acc)
+        return val
 
     def parse_primary(self) -> _Val:
-        tok = self.next()
-        kind, value, pos = tok
-        if kind == "int":
-            return _Val(scalar=ScalarPoly.const(int(value)))
-        if kind == "name":
-            if value in ("m", "n"):
-                return _Val(scalar=ScalarPoly.var(value))
-            if value in GENERATORS:
-                return _Val(poly=freealg.gen(value))
-            if value in MAP_KINDS:
-                self.expect("[")
-                arg = _uncited(self.parse_expr(), "inside a map argument", pos)
-                self.expect("]")
-                if arg.poly is None:
-                    raise ParseError(
-                        f"{value}[...] needs a ring-valued argument", pos
-                    )
-                return _Val(poly=freealg.app(value, arg.poly))
-            raise ParseError(f"unknown symbol {value!r}", pos)
-        if value == "(":
-            inner = _uncited(self.parse_expr(), "inside parentheses", pos)
+        i = self.i
+        tok = self.toks[i]
+        self.i = i + 1
+        val = _CONSTANTS.get(tok)
+        if val is not None:
+            return val
+        if tok in MAP_KINDS:
+            self.expect("[")
+            arg = self.uncited(self.parse_expr(), "inside a map argument", i)
+            self.expect("]")
+            if arg.poly is None:
+                raise self.error(f"{tok}[...] needs a ring-valued argument", i)
+            return _Val(poly=freealg.app(tok, arg.poly))
+        if tok.isdigit():
+            return _Val(scalar=ScalarPoly.const(int(tok)))
+        if tok == "(":
+            inner = self.uncited(self.parse_expr(), "inside parentheses", i)
             self.expect(")")
             return inner
-        if value == "[" and self.cite is not None:
+        if tok == "[" and self.cite is not None:
             return self.parse_citation()
-        raise ParseError(f"unexpected token {value!r}", pos)
+        if tok.isidentifier():
+            raise self.error(f"unknown symbol {tok!r}", i)
+        raise self.error(f"unexpected token {tok!r}", i)
 
     def parse_citation(self) -> _Val:
-        tok = self.next()
-        if tok[0] != "name":
-            raise ParseError("expected an identity label", tok[2])
+        toks = self.toks
+        i = self.i
+        label = toks[i]
+        if not label.isidentifier():
+            raise self.error("expected an identity label", i)
         subst: Dict[str, NCPoly] = {}
-        sep = self.next()
-        if sep[1] == "|":
+        self.i = i + 2
+        sep = toks[i + 1]
+        if sep == "|":
             while True:
-                gtok = self.next()
-                if gtok[0] != "name" or gtok[1] not in GENERATORS:
-                    raise ParseError("substitution target must be a generator", gtok[2])
+                g = self.i
+                target = toks[g]
+                if target not in GENERATORS:
+                    raise self.error("substitution target must be a generator", g)
+                self.i = g + 1
                 self.expect("->")
-                body = _uncited(self.parse_expr(), "inside a substitution body", gtok[2])
+                body = self.uncited(self.parse_expr(), "inside a substitution body", g)
                 if body.poly is None:
-                    raise ParseError("substitution body must be ring-valued", gtok[2])
-                subst[gtok[1]] = body.poly
-                sep = self.next()
-                if sep[1] != ";":
+                    raise self.error("substitution body must be ring-valued", g)
+                subst[target] = body.poly
+                sep = toks[self.i]
+                self.i += 1
+                if sep != ";":
                     break
-        if sep[1] != "]":
-            raise ParseError(f"expected ']', found {sep[1]!r}", sep[2])
-        return _Val(poly=self.cite(tok[1], subst), cited=True)
+        if sep != "]":
+            raise self.error(f"expected ']', found {sep!r}", self.i - 1)
+        return _Val(poly=self.cite(label, subst), cited=True)
 
-    def at_end(self) -> bool:
-        return self.i >= len(self.tokens)
+    # -- the value rules, each failing at token i ------------------------------
+
+    def mul(self, a: _Val, b: _Val, i: int) -> _Val:
+        if a.scalar is not None and b.scalar is not None:
+            return _Val(scalar=a.scalar * b.scalar)
+        if a.cited or b.cited:
+            if a.cited and b.cited:
+                raise self.error("a term cites more than one identity", i)
+            context = b.poly if a.cited else a.poly
+            # a zero context contributes nothing, whatever it is written as
+            if context is not None and len(context.terms) > 1:
+                raise self.error("the context of a citation must be a single monomial", i)
+        if a.scalar is not None:
+            poly = freealg.scale(a.scalar, b.poly)
+        elif b.scalar is not None:
+            poly = freealg.scale(b.scalar, a.poly)
+        else:
+            poly = freealg.mul(a.poly, b.poly)
+        return _Val(poly=poly, cited=a.cited or b.cited)
+
+    def add(self, a: _Val, b: _Val, i: int) -> _Val:
+        if a.cited != b.cited:
+            raise self.error("a witness list mixes terms with and without a citation", i)
+        if a.scalar is not None and b.scalar is not None:
+            return _Val(scalar=a.scalar + b.scalar)
+        if a.scalar is not None and a.scalar.is_zero():
+            return b
+        if b.scalar is not None and b.scalar.is_zero():
+            return a
+        if a.poly is not None and b.poly is not None:
+            return _Val(poly=a.poly + b.poly, cited=a.cited)
+        raise self.error("cannot add a scalar to a ring polynomial (no unit element)", i)
+
+    def uncited(self, val: _Val, where: str, i: int) -> _Val:
+        if val.cited:
+            raise self.error(f"a citation cannot stand {where}", i)
+        return val
 
 
 def parse_value(text: str, cite: Optional[Cite] = None) -> _Val:
     p = _Parser(text, cite)
     val = p.parse_expr()
-    if not p.at_end():
-        tok = p.peek()
-        raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+    tok = p.toks[p.i]
+    if tok != _END:
+        raise p.error(f"trailing input {tok!r}", p.i)
     return val
 
 
@@ -321,13 +339,10 @@ def parse_combination(text: str, cite: Cite) -> NCPoly:
 def cited_labels(text: str) -> List[str]:
     """The labels a witness list cites, in order, read from its tokens: as in
     the grammar, a '[' that does not follow a map symbol opens a citation."""
-    tokens = tokenize(text)
-    labels = []
-    for i, (kind, label, _) in enumerate(tokens[1:], start=1):
-        opens = tokens[i - 1][1] == "[" and (i == 1 or tokens[i - 2][1] not in MAP_KINDS)
-        if opens and kind == "name":
-            labels.append(label)
-    return labels
+    toks = _scan(text)
+    return [toks[i] for i in range(1, len(toks))
+            if toks[i - 1] == "[" and (i == 1 or toks[i - 2] not in MAP_KINDS)
+            and toks[i].isidentifier()]
 
 
 # -- printing ---------------------------------------------------------------------

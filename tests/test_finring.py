@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from mnjordan import finring as fr
+from mnjordan.freealg import word_gen_degree
 from mnjordan.parsing import parse_poly
 from tests.util import (
     all_add_maps,
@@ -22,6 +23,7 @@ from tests.util import (
     all_x_is_semiprime,
     all_x_torsion_free,
     enumerated_solutions,
+    exact_value,
     operator_conclusion_rows,
     operator_law_rows,
     per_map_violations,
@@ -477,6 +479,45 @@ def test_first_violation_reduces_each_coefficient_per_modulus():
     poly = parse_poly("m*T[x]*y + y*T[x]")
     assert ev.first_violation(poly, {"T": T}, p * q - 1, 1) is None
     assert ev.first_violation(poly, {"T": T}, p * q - 2, 1) == ((0, 1), (0, 1))
+
+
+def _at_the_guard(k):
+    """The largest modulus d with 3k(d - 1)^2 < 2^63."""
+    return math.isqrt((2**63 - 1) // (3 * k)) + 1
+
+
+def test_first_violation_reduces_before_an_int64_sum_could_overflow():
+    """Sums of many terms whose entries sit near sqrt(2^63 / 3k): each
+    reduction of the total and of a product must come in time.  The answer
+    must be the first pair of Px x Py where an exact evaluation in Python
+    ints is nonzero."""
+    d1, d2, d3 = _at_the_guard(1), _at_the_guard(2), _at_the_guard(3)
+    rings = [fr.Zn(d1), fr.DirectProduct(fr.Zn(d2), fr.Zn(d2 - 2)), upper_triangular(d3),
+             fr.Zn(2**20 + 7)]  # the last one skips some product reductions
+    assert 3 * (d1 - 1) ** 2 < 2**63 <= 3 * d1**2
+    words = ["x", "y", "x*y", "y*x", "x^2", "x*y*x", "y*x*y", "y^2*x", "x*T[y]", "T[x*y]*x",
+             "T[x]*y^2", "y*T[y*x]*x"]
+    rng = random.Random(19)
+    for R in rings:
+        ev = fr.PairEvaluator(R)
+        top = max(R.moduli) - 1
+        c = top - 1
+        # with T = c * id this vanishes on every ring, term by term, but
+        # every coefficient and value is near the top of its modulus
+        vanishing = " + ".join(f"(n-{i})*T[{w}] - (n-{i})*m*{w}" for i, w in enumerate(words))
+        assert len(vanishing.split(" + ")) * 2 > 3 * R.k
+        for text in (vanishing, vanishing + f" + {top}*x*y*x", vanishing + " - n*y^2*x"):
+            poly = parse_poly(text)
+            for T in (fr.AddMap.scalar(R, c), random_add_map(R, rng)):
+                m, n = c, top - rng.randrange(3)
+                xs, ys = (ev._points(max(word_gen_degree(w, g) for w in poly.terms)) for g in "xy")
+                want = next(((tuple(map(int, x)), tuple(map(int, y)))
+                             for x in xs for y in ys
+                             if any(exact_value(R, poly, {"T": T}, m, n, tuple(map(int, x)),
+                                                tuple(map(int, y))))), None)
+                assert ev.first_violation(poly, {"T": T}, m, n) == want, (R.name, text)
+                if text == vanishing and T.matrix[0, 0] == c:
+                    assert want is None
 
 
 def test_first_violation_binds_only_the_terms_it_evaluates():

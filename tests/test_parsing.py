@@ -1,6 +1,9 @@
+import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mnjordan import freealg as fa
 from mnjordan.freealg import PowerSizeError
@@ -16,8 +19,8 @@ from mnjordan.parsing import (
     tokenize,
 )
 from mnjordan.proofcheck import parse_script
-from mnjordan.scalars import ScalarPoly
-from tests.util import group_by_group_tokenize, shipped_script
+from mnjordan.scalars import ONE, ScalarPoly
+from tests.util import group_by_group_tokenize, peeking_parse_value, shipped_script
 
 
 def test_grammar_examples():
@@ -206,3 +209,106 @@ def test_tokenizer_matches_the_group_by_group_oracle(script):
     for text in texts:
         assert _tokens_or_error(tokenize, text) == _tokens_or_error(group_by_group_tokenize, text)
     assert _tokens_or_error(tokenize, "x $ y") == ("error", "unexpected character '$' (at column 3)", 2)
+
+
+# -- the one-scan parser against the parser that peeked at each token -------------
+
+
+def _parsed(parse, text, cite=None):
+    """A value as (scalar, poly, cited), or an error as (type, message, pos)."""
+    try:
+        val = parse(text, cite)
+    except (ValueError, KeyError) as exc:  # KeyError: cite met an unknown label
+        return type(exc).__name__, str(exc), getattr(exc, "pos", None)
+    return val.scalar, val.poly, val.cited
+
+
+def _assert_same_parse(text, cite=None):
+    got = _parsed(parse_value, text, cite)
+    assert got == _parsed(peeking_parse_value, text, cite), text
+    return got
+
+
+_PRIMARIES = ["x", "y", "m", "n", "0", "1", "2", "3", "12", "007", "z", "T0", "()"]
+
+
+def _grammar_texts():
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from([" + ", "-", "*", " * -", "+-", "  ", "\t*"]),
+                      inner).map("".join),
+            st.tuples(st.sampled_from(["T", "T0", "D", "F", "Fc", "z", ""]),
+                      inner).map(lambda t: f"{t[0]}[{t[1]}]"),
+            inner.map(lambda s: f"({s})"),
+            st.tuples(inner, st.sampled_from(["0", "1", "2", "3", "17", "x", ""])
+                      ).map(lambda t: f"{t[0]}^{t[1]}"),
+            inner.map(lambda s: "-" + s),
+            st.tuples(st.sampled_from(list(BODIES) + ["2", ""]), inner,
+                      st.sampled_from(["x", "y", "T"])
+                      ).map(lambda t: f"[{t[0]} | {t[2]} -> {t[1]}]"),
+            st.sampled_from(list(BODIES)).map(lambda label: f"[{label}]"),
+            st.tuples(inner, st.sampled_from(list(BODIES))
+                      ).map(lambda t: f"{t[0]}*[{t[1]}]*x - [{t[1]}]"),
+        )
+    return st.recursive(st.sampled_from(_PRIMARIES), extend, max_leaves=8)
+
+
+_CORRUPTIONS = list("$@>{ ()[]^-+*;|,0129xyTmn_")
+
+
+def _corrupted(text, rng):
+    """text with one character replaced, inserted or deleted."""
+    i = rng.randrange(len(text) + 1)
+    how = rng.randrange(3)
+    c = rng.choice(_CORRUPTIONS)
+    if how == 0 or i == len(text):
+        return text[:i] + c + text[i:]
+    if how == 1:
+        return text[:i] + c + text[i + 1:]
+    return text[:i] + text[i + 1:]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_grammar_texts(), st.booleans(), st.randoms(use_true_random=False))
+def test_one_scan_parser_matches_the_peeking_parser(text, corrupt, rng):
+    if corrupt:
+        text = _corrupted(text, rng)
+    _assert_same_parse(text)
+    _assert_same_parse(text, _cite([]))
+
+
+POLYNOMIAL_ARGS = ("with", "by", "factor", "w", "a", "b", "c")
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
+def test_one_scan_parser_matches_on_corrupted_script_texts(script):
+    """Every step argument and claim of a shipped script, and seeded
+    one-character corruptions of each, parse alike under both parsers."""
+    rng = random.Random(script)
+    steps = parse_script(shipped_script(script)).steps
+    # (text, a combine witness list, a polynomial); the other arguments are
+    # names, which parse as generators or fail as unknown symbols
+    texts = [(text, step.kind == "combine" and key == "",
+              key in POLYNOMIAL_ARGS or step.kind == "combine")
+             for step in steps for key, text in step.args.items()]
+    texts += [(step.claimed_text, False, True) for step in steps]
+    errors = 0
+    for text, cites, polynomial in texts:
+        cite = (lambda label, subst: BODIES["a"]) if cites else None
+        parsed = _assert_same_parse(text, cite)
+        assert not polynomial or not isinstance(parsed[0], str), parsed
+        for _ in range(4):
+            errors += isinstance(_assert_same_parse(_corrupted(text, rng), cite)[0], str)
+    assert len(texts) > 100 and errors > 100
+
+
+def test_the_literal_one_and_one_term_products_keep_the_unit_object():
+    assert parse_scalar("1") is ONE
+    ((_, c),) = parse_poly("x*1*y").terms.items()
+    assert c is ONE
+    ((_, c),) = fa.mul(parse_poly("T[x]"), parse_poly("y*x")).terms.items()
+    assert c is ONE
+    two_x = parse_poly("2*x")
+    assert fa.scale(ONE, two_x) is two_x
+    ((_, c),) = fa.scale(ScalarPoly.const(3), parse_poly("y")).terms.items()
+    assert c == ScalarPoly.const(3)

@@ -2,14 +2,18 @@
 
 import itertools
 import math
+import re
 from importlib import resources
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from mnjordan import finring as fr
+from mnjordan import freealg
 from mnjordan import freealg as fa
 from mnjordan import intsolve
-from mnjordan.parsing import _TOKEN_RE, ParseError, parse_poly
+from mnjordan.freealg import GENERATORS, MAP_KINDS, NCPoly
+from mnjordan.parsing import MAX_EXPONENT, ParseError, _Val, parse_poly
 from mnjordan.scalars import ScalarPoly
 
 
@@ -66,6 +70,226 @@ def rebuilding_normalize(p, rules=fa.ALL_RULES):
     for w, c in p.terms.items():
         fa._add_into(out, fa._norm_word(w, rules), c)
     return fa._wrap(out)
+
+
+# -- the parser that peeked at each token, the oracle for parsing._Parser ------
+
+
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<arrow>->)|(?P<op>[-+*^()\[\];|,]))"
+)
+
+_TOKEN_KIND = {"int": "int", "name": "name", "arrow": "op", "op": "op"}
+
+
+def peeking_tokenize(text: str) -> List[Tuple[str, str, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m:
+            rest = text[pos:].lstrip()
+            if rest:
+                raise ParseError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
+            break
+        kind = m.lastgroup
+        # a token's column is where the token starts, after the blanks before it
+        tokens.append((_TOKEN_KIND[kind], m[kind], m.start(kind)))
+        pos = m.end()
+    return tokens
+
+
+def _mul_val(a: _Val, b: _Val, pos: int) -> _Val:
+    if a.scalar is not None and b.scalar is not None:
+        return _Val(scalar=a.scalar * b.scalar)
+    if a.cited or b.cited:
+        if a.cited and b.cited:
+            raise ParseError("a term cites more than one identity", pos)
+        context = b.poly if a.cited else a.poly
+        # a zero context contributes nothing, whatever it is written as
+        if context is not None and len(context.terms) > 1:
+            raise ParseError("the context of a citation must be a single monomial", pos)
+    if a.scalar is not None:
+        poly = freealg.scale(a.scalar, b.poly)
+    elif b.scalar is not None:
+        poly = freealg.scale(b.scalar, a.poly)
+    else:
+        poly = freealg.mul(a.poly, b.poly)
+    return _Val(poly=poly, cited=a.cited or b.cited)
+
+
+def _add_val(a: _Val, b: _Val, pos: int) -> _Val:
+    if a.cited != b.cited:
+        raise ParseError("a witness list mixes terms with and without a citation", pos)
+    if a.scalar is not None and b.scalar is not None:
+        return _Val(scalar=a.scalar + b.scalar)
+    if a.scalar is not None and a.scalar.is_zero():
+        return b
+    if b.scalar is not None and b.scalar.is_zero():
+        return a
+    if a.poly is not None and b.poly is not None:
+        return _Val(poly=a.poly + b.poly, cited=a.cited)
+    raise ParseError("cannot add a scalar to a ring polynomial (no unit element)", pos)
+
+
+def _neg_val(a: _Val) -> _Val:
+    if a.scalar is not None:
+        return _Val(scalar=-a.scalar)
+    return _Val(poly=-a.poly, cited=a.cited)
+
+
+def _uncited(val: _Val, where: str, pos: int) -> _Val:
+    if val.cited:
+        raise ParseError(f"a citation cannot stand {where}", pos)
+    return val
+
+
+class PeekingParser:
+    def __init__(self, text: str, cite=None):
+        self.text = text
+        self.tokens = peeking_tokenize(text)
+        self.i = 0
+        self.cite = cite
+
+    def peek(self) -> Tuple[str, str, int] | None:
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
+
+    def next(self) -> Tuple[str, str, int]:
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of expression", len(self.text))
+        self.i += 1
+        return tok
+
+    def expect(self, value: str) -> None:
+        tok = self.next()
+        if tok[1] != value:
+            raise ParseError(f"expected {value!r}, found {tok[1]!r}", tok[2])
+
+    # -- expression grammar ------------------------------------------------
+
+    def parse_expr(self) -> _Val:
+        val = self.parse_term()
+        while True:
+            tok = self.peek()
+            if tok and tok[1] in "+-":
+                self.next()
+                rhs = self.parse_term()
+                if tok[1] == "-":
+                    rhs = _neg_val(rhs)
+                val = _add_val(val, rhs, tok[2])
+            else:
+                return val
+
+    def parse_term(self) -> _Val:
+        val = self.parse_signed_factor()
+        while True:
+            tok = self.peek()
+            if tok and tok[1] == "*":
+                self.next()
+                val = _mul_val(val, self.parse_signed_factor(), tok[2])
+            else:
+                return val
+
+    def parse_signed_factor(self) -> _Val:
+        tok = self.peek()
+        if tok and tok[1] == "-":
+            self.next()
+            return _neg_val(self.parse_signed_factor())
+        return self.parse_factor()
+
+    def parse_factor(self) -> _Val:
+        val = self.parse_primary()
+        while True:
+            tok = self.peek()
+            if tok and tok[1] == "^":
+                self.next()
+                _uncited(val, "under '^'", tok[2])
+                etok = self.next()
+                if etok[0] != "int":
+                    raise ParseError("exponent must be an integer", etok[2])
+                k = int(etok[1])
+                if k > MAX_EXPONENT:
+                    raise freealg.PowerSizeError(
+                        f"exponent {k} at column {etok[2] + 1} is above the bound "
+                        f"{MAX_EXPONENT} on powers"
+                    )
+                if val.scalar is not None:
+                    val = _Val(scalar=val.scalar**k)
+                else:
+                    if k < 1:
+                        raise ParseError(
+                            "ring polynomials cannot be raised to power 0", etok[2]
+                        )
+                    acc = val.poly
+                    for _ in range(k - 1):
+                        acc = freealg.mul(acc, val.poly)
+                    val = _Val(poly=acc)
+            else:
+                return val
+
+    def parse_primary(self) -> _Val:
+        tok = self.next()
+        kind, value, pos = tok
+        if kind == "int":
+            return _Val(scalar=ScalarPoly.const(int(value)))
+        if kind == "name":
+            if value in ("m", "n"):
+                return _Val(scalar=ScalarPoly.var(value))
+            if value in GENERATORS:
+                return _Val(poly=freealg.gen(value))
+            if value in MAP_KINDS:
+                self.expect("[")
+                arg = _uncited(self.parse_expr(), "inside a map argument", pos)
+                self.expect("]")
+                if arg.poly is None:
+                    raise ParseError(
+                        f"{value}[...] needs a ring-valued argument", pos
+                    )
+                return _Val(poly=freealg.app(value, arg.poly))
+            raise ParseError(f"unknown symbol {value!r}", pos)
+        if value == "(":
+            inner = _uncited(self.parse_expr(), "inside parentheses", pos)
+            self.expect(")")
+            return inner
+        if value == "[" and self.cite is not None:
+            return self.parse_citation()
+        raise ParseError(f"unexpected token {value!r}", pos)
+
+    def parse_citation(self) -> _Val:
+        tok = self.next()
+        if tok[0] != "name":
+            raise ParseError("expected an identity label", tok[2])
+        subst: Dict[str, NCPoly] = {}
+        sep = self.next()
+        if sep[1] == "|":
+            while True:
+                gtok = self.next()
+                if gtok[0] != "name" or gtok[1] not in GENERATORS:
+                    raise ParseError("substitution target must be a generator", gtok[2])
+                self.expect("->")
+                body = _uncited(self.parse_expr(), "inside a substitution body", gtok[2])
+                if body.poly is None:
+                    raise ParseError("substitution body must be ring-valued", gtok[2])
+                subst[gtok[1]] = body.poly
+                sep = self.next()
+                if sep[1] != ";":
+                    break
+        if sep[1] != "]":
+            raise ParseError(f"expected ']', found {sep[1]!r}", sep[2])
+        return _Val(poly=self.cite(tok[1], subst), cited=True)
+
+    def at_end(self) -> bool:
+        return self.i >= len(self.tokens)
+
+
+def peeking_parse_value(text, cite=None):
+    p = PeekingParser(text, cite)
+    val = p.parse_expr()
+    if not p.at_end():
+        tok = p.peek()
+        raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+    return val
 
 
 # -- the tokenizer that tested each named group in turn ------------------------
@@ -473,6 +697,34 @@ def pointwise_value(R, poly, maps, m, n, x, y):
     for word, coeff in poly.terms.items():
         total = R.add(total, R.smul(coeff.evaluate(m, n), word_value(word)))
     return total
+
+
+def exact_value(R, poly, maps, m, n, x, y):
+    """poly at the single pair (x, y) in Python ints, reduced once per
+    product, map image and sum, so no step can overflow."""
+    C, mods, k = R.constants.tolist(), R.moduli, R.k
+    point = {"x": x, "y": y}
+
+    def mul(a, b):
+        return tuple(sum(a[i] * b[j] * C[i][j][t] for i in range(k) for j in range(k)) % mods[t]
+                     for t in range(k))
+
+    def word_value(word):
+        acc = None
+        for atom in word:
+            if isinstance(atom, fa.Gen):
+                v = point[atom.name]
+            else:
+                M, arg = maps[atom.sym].matrix.tolist(), word_value(atom.arg)
+                v = tuple(sum(M[t][j] * arg[j] for j in range(k)) % mods[t] for t in range(k))
+            acc = v if acc is None else mul(acc, v)
+        return acc
+
+    total = [0] * k
+    for word, coeff in poly.terms.items():
+        c, v = coeff.evaluate(m, n), word_value(word)
+        total = [s + c * vt for s, vt in zip(total, v)]
+    return tuple(s % d for s, d in zip(total, mods))
 
 
 # -- the dense product operators the law rows and conclusions were built from ----

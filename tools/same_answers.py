@@ -1,13 +1,13 @@
-"""Print one digest of mnjordan's answers on a fixed corpus of rings.
+"""Print digests of mnjordan's answers on two fixed corpora.
 
     python tools/same_answers.py --src path/to/tree/src
 
 Runs ``mnjordan.cli.main`` in-process, from the given source tree, on every
-case of the corpus and prints the number of runs and one SHA-256 over each
-run's (argv, exit code, stdout).  Two trees give the same answers when they
-print the same line.
+case of each corpus and prints, per corpus, the number of runs and one
+SHA-256 over the runs.  Two trees give the same answers when they print the
+same lines.
 
-The corpus is ``mnjordan ring --format json`` on Zn (n <= 30), Za+Zb
+The ring corpus is ``mnjordan ring --format json`` on Zn (n <= 30), Za+Zb
 (a <= b <= 6), the shipped tables, four prime-power products, Mat2(Z_p)
 (p <= 13), Mat2(Z4), Mat2(Z9), Mat3(Z7) and Z5+Mat2(Z7) under all four laws
 at (1,2), (2,1), (2,3) and (3,2); Mat4(Z3) under all four laws at (1,2); and
@@ -15,7 +15,15 @@ at (1,2), (2,1), (2,3) and (3,2); Mat4(Z3) under all four laws at (1,2); and
 at (1,2).  The prime powers are there because the generators of a kernel
 over Z/q^e depend on the order of the rows, so a reordered row changes an
 answer on those rings.  A spec file enters the digest as its JSON text, not
-its path.
+its path, and each run as (argv, exit code, stdout).
+
+The prove corpus is ``mnjordan prove --format json`` on both shipped scripts;
+on each script with one top-level term of one non-``assume`` claim doubled,
+for every such claim; and on each script with one polynomial step argument
+made malformed (a character that starts no token, an unbalanced bracket, a
+power ``^17`` and a citation inside parentheses), for every such argument.
+Each run enters the digest as (script, change, exit code, stdout, stderr),
+with the report's ``seconds`` dropped.
 """
 
 import argparse
@@ -23,6 +31,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -53,6 +62,92 @@ def corpus(src: Path):
     rings.append(_product(_zn(5), _mat(2, 7)))
     cases = [(spec, law, m, n) for spec in rings for law in LAWS for m, n in WEIGHTS]
     return cases + [(_mat(4, 3), law, 1, 2) for law in LAWS]
+
+
+# step arguments that are polynomials; a combine's witness list is the
+# unnamed one
+POLYNOMIAL_ARGS = ("with", "by", "factor", "w", "a", "b", "c")
+_KEY_RE = re.compile(r"(\w[\w-]*)=")
+_STEP_RE = re.compile(r"step\s+(\S+)\s+(\S+)\s*(.*?)\s*=>")
+
+
+def _top_level_terms(claim: str):
+    """(start, end) of each top-level term of a claim, split at ' + ' and
+    ' - ' outside brackets."""
+    spans, depth, start = [], 0, 0
+    for i, ch in enumerate(claim):
+        depth += (ch in "([") - (ch in ")]")
+        if depth == 0 and claim[i - 1: i + 2] in (" + ", " - "):
+            spans.append((start, i - 1))
+            start = i + 2
+    return spans + [(start, len(claim))]
+
+
+def _doubled(line: str, index: int) -> str:
+    """A step line with one top-level term of its claim doubled: the term
+    at ``index`` modulo the number of terms, appended with its sign."""
+    head, _, claim = line.partition("=>")
+    claim = claim.strip()
+    spans = _top_level_terms(claim)
+    start, end = spans[index % len(spans)]
+    sign = "-" if start >= 2 and claim[start - 2] == "-" else "+"
+    term = claim[start:end].strip()
+    if term.startswith("-"):
+        sign, term = "+" if sign == "-" else "-", term[1:].strip()
+    return f"{head.rstrip()} => {claim} {sign} {term}"
+
+
+def _polynomial_args(body: str):
+    """(key, start, end) of each polynomial argument of a step line; the key
+    of a combine's witness list is ''."""
+    step = _STEP_RE.match(body)
+    rest, offset = step.group(3), step.start(3)
+    keys = list(_KEY_RE.finditer(rest))
+    ends = [k.start() for k in keys[1:]] + [len(rest)]
+    spans = [(k.group(1), k.end(), end) for k, end in zip(keys, ends)
+             if k.group(1) in POLYNOMIAL_ARGS]
+    if step.group(2) == "combine":
+        spans.insert(0, ("", 0, keys[0].start() if keys else len(rest)))
+    return [(key, offset + a, offset + a + len(rest[a:b].rstrip())) for key, a, b in spans]
+
+
+MALFORMED = (
+    ("bad character", lambda arg: arg[:1] + " $" + arg[1:]),
+    ("unbalanced bracket", lambda arg: "(" + arg),
+    ("power 17", lambda arg: f"({arg})^17"),
+    ("citation in parentheses", lambda arg: f"{arg} + ([law])"),
+)
+
+
+def prove_corpus(src: Path):
+    """(script name, change, script text) for every ``prove`` run."""
+    for path in sorted((src / "mnjordan" / "proofs").glob("*.steps")):
+        text = path.read_text()
+        lines = text.splitlines()
+        yield path.name, "shipped", text
+        for i, line in enumerate(lines):
+            body = line.split("#", 1)[0].strip()
+            if not body.startswith("step ") or "=>" not in body:
+                continue
+            label, kind = body.split()[1:3]
+            if kind != "assume":
+                changed = lines[:i] + [_doubled(body, i)] + lines[i + 1:]
+                yield path.name, f"{label}: doubled term", "\n".join(changed) + "\n"
+            for key, start, end in _polynomial_args(body):
+                for what, malform in MALFORMED:
+                    bad = body[:start] + malform(body[start:end]) + body[end:]
+                    changed = lines[:i] + [bad] + lines[i + 1:]
+                    yield path.name, f"{label} {key or 'witnesses'}: {what}", \
+                        "\n".join(changed) + "\n"
+
+
+def _without_seconds(stdout: str) -> str:
+    try:
+        report = json.loads(stdout)
+    except ValueError:
+        return stdout
+    report.pop("seconds", None)
+    return json.dumps(report)
 
 
 def main() -> int:
@@ -89,7 +184,22 @@ def main() -> int:
         argv = ["search", "--family", "mat2", "--primes", "3,5,7,11,13",
                 "--law", law, "--m", "1", "--n", "2", "--format", "json"]
         run(argv, argv)
-    print(f"{runs} runs  sha256 {digest.hexdigest()}")
+    print(f"ring:  {runs} runs  sha256 {digest.hexdigest()}")
+
+    digest = hashlib.sha256()
+    runs = 0
+    with tempfile.TemporaryDirectory() as work:
+        path = str(Path(work) / "script.steps")
+        for name, change, text in prove_corpus(src):
+            Path(path).write_text(text)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(["prove", path, "--format", "json"])
+            record = [name, change, code, _without_seconds(out.getvalue()),
+                      err.getvalue().replace(path, "<script>")]
+            digest.update(json.dumps(record).encode() + b"\n")
+            runs += 1
+    print(f"prove: {runs} runs  sha256 {digest.hexdigest()}")
     return 0
 
 
