@@ -108,17 +108,8 @@ def cmd_ring(args) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    if args.format == "json":
-        print(json.dumps(report.to_json(), indent=2))
-    else:
-        print(f"ring: {report.ring}   law: {report.law}   (m, n) = ({report.m}, {report.n})")
-        for key, val in report.hypotheses.items():
-            print(f"  {key}: {val}")
-        print(f"  solutions: {report.solution_count}")
-        print(f"  violations: {report.violation_count}")
-        print(f"  verdict: {report.verdict}")
-        for v in report.violations:
-            print(f"  example: {v}")
+    if not _print_rendered(lambda: _ring_lines(report, args.format)):
+        return EXIT_ERROR
     if report.applicable and report.violation_count:
         return EXIT_FAILED
     return EXIT_OK
@@ -144,15 +135,43 @@ def cmd_search(args) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    if args.format == "json":
-        print(json.dumps([r.to_json() for r in rows], indent=2))
-    else:
-        for r in rows:
-            flag = "" if r.applicable else "  [hypotheses fail]"
-            print(
-                f"{r.ring:14s} solutions={r.solution_count:<8d} {r.verdict}{flag}"
-            )
+    if not _print_rendered(lambda: _search_lines(rows, args.format)):
+        return EXIT_ERROR
     return EXIT_OK
+
+
+def _ring_lines(report, fmt: str) -> list:
+    if fmt == "json":
+        return [json.dumps(report.to_json(), indent=2)]
+    return ([f"ring: {report.ring}   law: {report.law}   (m, n) = ({report.m}, {report.n})"]
+            + [f"  {key}: {val}" for key, val in report.hypotheses.items()]
+            + [f"  solutions: {report.solution_count}",
+               f"  violations: {report.violation_count}",
+               f"  verdict: {report.verdict}"]
+            + [f"  example: {v}" for v in report.violations])
+
+
+def _search_lines(rows, fmt: str) -> list:
+    if fmt == "json":
+        return [json.dumps([r.to_json() for r in rows], indent=2)]
+    return [f"{r.ring:14s} solutions={r.solution_count:<8d} {r.verdict}"
+            + ("" if r.applicable else "  [hypotheses fail]") for r in rows]
+
+
+def _print_rendered(render) -> bool:
+    """Print the lines render() returns, once all are built; False, after a
+    one-line error, when one holds an integer of more digits than Python
+    prints (a torsion product of very large weights)."""
+    try:
+        lines = render()
+    except ValueError:  # int -> str past sys.get_int_max_str_digits()
+        print(f"error: the report holds an integer of more than "
+              f"{sys.get_int_max_str_digits()} digits, above the limit for printing one",
+              file=sys.stderr)
+        return False
+    for line in lines:
+        print(line)
+    return True
 
 
 @functools.cache

@@ -23,7 +23,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -50,6 +50,17 @@ class RingSizeError(ValueError):
 
 
 class FinRing:
+    """A ring on Z_{d1} + ... + Z_{dk} with structure constants c[i][j][t],
+    the e_t coordinate of e_i * e_j.
+
+    The constructor checks the moduli, the int64 guard and that the
+    constants fit in int64, but not the ring axioms: a table that enters
+    from outside goes through ``FromTable``, which does.  ``Zn``,
+    ``MatRing`` and ``DirectProduct`` build rings whose axioms hold by
+    construction ([[[1]]], the matrix units, block-diagonal products of
+    rings), so they skip that check.
+    """
+
     def __init__(self, moduli: Sequence[int], constants, name: str = ""):
         self.moduli = tuple(int(d) for d in moduli)
         if not self.moduli:
@@ -76,7 +87,6 @@ class FinRing:
         self.name = name or f"ring{self.moduli}"
         self._elements: Optional[np.ndarray] = None
         self._pairs: Optional["PairEvaluator"] = None
-        self._validate()
 
     # -- construction checks -------------------------------------------------
 
@@ -186,7 +196,13 @@ def DirectProduct(*rings: FinRing) -> FinRing:
 
 
 def FromTable(moduli: Sequence[int], constants, name: str = "") -> FinRing:
-    return FinRing(moduli, constants, name=name)
+    """A ring from a multiplication table given from outside: each product
+    e_i e_j must be compatible with the moduli, and the table associative on
+    basis triples; otherwise ``RingConstructionError``.  This is the one
+    place a table is checked (see ``FinRing``)."""
+    R = FinRing(moduli, constants, name=name)
+    R._validate()
+    return R
 
 
 def from_spec(spec: Union[dict, str]) -> FinRing:
@@ -480,7 +496,9 @@ def _law_row_blocks(R: FinRing, spec: LawSpec) -> Tuple[np.ndarray, np.ndarray]:
     """
     k, C = R.k, R.constants
     eye = np.eye(k, dtype=np.int64)
-    i, j = np.triu_indices(k, 1)
+    # the pairs i < j, in row-major order
+    i = [a for a in range(k) for _ in range(a + 1, k)]
+    j = [b for a in range(k) for b in range(a + 1, k)]
     X = np.concatenate([eye, eye[i] + eye[j]])
     xe = (X @ C.reshape(k, k * k)).reshape(-1, k, k)  # [x, a, t]: (x e_a)_t
     ex = (X @ C.transpose(1, 0, 2).reshape(k, k * k)).reshape(-1, k, k)  # (e_a x)_t
@@ -488,20 +506,22 @@ def _law_row_blocks(R: FinRing, spec: LawSpec) -> Tuple[np.ndarray, np.ndarray]:
 
     # row (x, t) is read modulo d_t, so each coefficient is reduced there in
     # Python ints first: exact at any weight, and below d_t like the entries
-    a, b, c = (
-        np.array([v % d for d in R.moduli], dtype=np.int64)[:, None, None]
-        for v in spec.rule.coefficients(spec.m, spec.n)
-    )
+    a, b, c = np.array([[v % d for d in R.moduli] for v in spec.rule.coefficients(spec.m, spec.n)],
+                       dtype=np.int64)[:, :, None, None]
     main = (a * np.einsum("ta,xb->xtab", eye, x2)
             + b * np.einsum("xb,xat->xtab", X, ex)).reshape(-1, k * k)
     base = (c * np.einsum("xb,xat->xtab", X, xe)).reshape(-1, k * k)
+    q, k2 = main.shape
     if spec.pair:
         # the law on (M, M0), and the plain law on M0 alone
-        rows = np.block([[main, base], [np.zeros_like(main), main + base]])
+        rows = np.zeros((2 * q, 2 * k2), dtype=np.int64)
+        rows[:q, :k2] = main
+        rows[:q, k2:] = base
+        np.add(main, base, out=rows[q:, k2:])
     else:
-        rows = main + base
-    reps = rows.shape[0] // k
-    row_mods = np.tile(R._mods, reps)
+        rows = main
+        rows += base
+    row_mods = np.tile(R._mods, rows.shape[0] // k)
     return rows, row_mods
 
 
@@ -727,6 +747,8 @@ class PairEvaluator:
             mat = (small @ self._tables[side] % self._mods_kk).reshape(small.shape[:-1] + (k, k))
             if keep:
                 expanded[(word, side)] = mat
+        if small.shape[1] == 1:  # an x-side array: one matrix per x point
+            return big @ mat[:, 0]
         return (big[..., None, :] @ mat)[..., 0, :]
 
     def _value(self, word, maps: Dict[str, AddMap], memo: Dict[tuple, tuple],
@@ -842,7 +864,10 @@ class TheoremReport:
     verdict: str
 
     def to_json(self) -> dict:
-        return asdict(self)
+        """The fields in declaration order, the keys ``asdict`` would give,
+        without its deep copy: the dict shares ``hypotheses`` and
+        ``violations`` with the report."""
+        return dict(vars(self))
 
 
 def _conclusion_violations(R: FinRing, spec: LawSpec, sols: SolutionSet

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, Mapping, Set, Tuple, Union
 
-from .scalars import ONE, ExactDivisionError, ScalarPoly
+from .scalars import ONE, ExactDivisionError, PowerSizeError, ScalarPoly
 
 GENERATORS = ("x", "y")
 
@@ -63,12 +63,6 @@ class NormalizeError(ValueError):
 
 class NestingError(ValueError):
     """A substitution would nest a generator inside a map applied to it."""
-
-
-class PowerSizeError(ValueError):
-    """An expansion above a size bound: a product of more than
-    ``MAX_PRODUCT_PAIRS`` pairs of terms, or a power whose exponent is above
-    ``parsing.MAX_EXPONENT``.  It is a size limit, not a malformed input."""
 
 
 MAX_PRODUCT_PAIRS = 2**16

@@ -215,30 +215,41 @@ def kernel(rows, row_mods: Sequence[int], col_mods: Sequence[int]
     rows = np.asarray(rows, dtype=np.int64)
     row_mods = np.asarray(row_mods, dtype=np.int64)
     col_mods = [int(d) for d in col_mods]
+    distinct = sorted(set(row_mods.tolist()))  # a few values: ring moduli
+    row_at = np.searchsorted(distinct, row_mods)
     primes = sorted({q for d in set(col_mods) for q in factorize(d)})
     gens: List[Tuple[np.ndarray, int]] = []
     for q in primes:
         cols = [s for s, d in enumerate(col_mods) if d % q == 0]
         v = [_valuation(col_mods[s], q) for s in cols]
-        keep = np.nonzero(row_mods % q == 0)[0]
-        w = np.array([_valuation(int(d), q) for d in row_mods[keep]], dtype=np.int64)
-        sub = rows[np.ix_(keep, cols)] % (q**w)[:, None]
-        live = np.any(sub != 0, axis=1)  # rows that vanish on the q-part go
+        w = np.array([_valuation(d, q) for d in distinct], dtype=np.int64)[row_at]
+        keep = np.flatnonzero(w)
+        w = w[keep]
+        # the q-part, selected in two plain steps, each skipped when it
+        # keeps everything: on a large system a copy costs as much as the
+        # reduction, and ``%`` makes the one copy ``sub`` needs
+        sub = rows if len(keep) == len(rows) else rows[keep]
+        if len(cols) < len(col_mods):
+            sub = sub[:, cols]
+        sub = sub % (q**w)[:, None]
+        live = (sub != 0).any(axis=1)  # rows that vanish on the q-part go
         sub, w = sub[live], w[live]
         e = max(v + w.tolist())
         if e == 1:
-            local = [(b, q) for b in gf_nullspace(sub, q)]
+            local = gf_nullspace(sub, q)
+            orders = [q] * len(local)
         else:
-            local = _prime_power_kernel(sub, w.tolist(), v, q, e)
+            pairs = _prime_power_kernel(sub, w.tolist(), v, q, e)
+            local = np.array([vec for vec, _ in pairs], dtype=np.int64).reshape(-1, len(cols))
+            orders = [order for _, order in pairs]
         # CRT: the q-part of Z_d is (d / q^v) Z_d, and x maps to x * lam
         # with lam == 1 mod q^v and lam == 0 mod d / q^v
         lam = np.array([(col_mods[s] // q**vs) * pow(col_mods[s] // q**vs, -1, q**vs)
                         for s, vs in zip(cols, v)], dtype=np.int64)
         mods = np.array([col_mods[s] for s in cols], dtype=np.int64)
-        for vec, order in local:
-            full = np.zeros(len(col_mods), dtype=np.int64)
-            full[cols] = np.asarray(vec, dtype=np.int64) * lam % mods
-            gens.append((full, order))
+        full = np.zeros((len(orders), len(col_mods)), dtype=np.int64)
+        full[:, cols] = local * lam % mods
+        gens.extend(zip(full, orders))
     return gens
 
 

@@ -24,6 +24,7 @@ parentheses, a map argument or a substitution body, or under ``^``.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -213,7 +214,13 @@ class _Parser:
                 raise self.error(f"{tok}[...] needs a ring-valued argument", i)
             return _Val(poly=freealg.app(tok, arg.poly))
         if tok.isdigit():
-            return _Val(scalar=ScalarPoly.const(int(tok)))
+            try:
+                return _Val(scalar=ScalarPoly.const(int(tok)))
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                raise freealg.PowerSizeError(
+                    f"an integer of {len(tok)} digits at column {self.column(i) + 1} is "
+                    f"above the limit of {sys.get_int_max_str_digits()} digits"
+                ) from None
         if tok == "(":
             inner = self.uncited(self.parse_expr(), "inside parentheses", i)
             self.expect(")")

@@ -57,8 +57,10 @@ step, like a wrong claim: the replay reports FAILED and ``prove`` exits 1.
 A parse error in an argument is reported with the argument's name
 (``by=: ...``).  An expansion above a size bound (an exponent above
 ``parsing.MAX_EXPONENT``, or a product of more than
-``freealg.MAX_PRODUCT_PAIRS`` pairs of terms) is a size limit, not a failed
-step: its ``freealg.PowerSizeError`` ends the replay, and ``prove`` exits 3.
+``freealg.MAX_PRODUCT_PAIRS`` pairs of terms), and an integer of more
+digits than Python reads or prints (a literal in the script, or a
+coefficient of a result), are size limits, not failed steps: their
+``freealg.PowerSizeError`` ends the replay, and ``prove`` exits 3.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ must never be mutated by any caller either.
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, Iterator, Tuple
 
 Exponent = Tuple[int, int]
@@ -21,6 +22,15 @@ Exponent = Tuple[int, int]
 
 class ExactDivisionError(ArithmeticError):
     """Raised when a division that must be remainder-free is not."""
+
+
+class PowerSizeError(ValueError):
+    """An expansion or a number above a size bound: a product of more than
+    ``freealg.MAX_PRODUCT_PAIRS`` pairs of terms, a power whose exponent is
+    above ``parsing.MAX_EXPONENT``, or an integer of more decimal digits
+    than Python reads or prints (``sys.get_int_max_str_digits()``).  It is
+    a size limit, not a malformed input.  It lives here, below ``freealg``
+    (which re-exports it), so that printing a coefficient can raise it."""
 
 
 def _deglex_key(e: Exponent) -> Tuple[int, int, int]:
@@ -210,7 +220,13 @@ def _term_text(e: Exponent, c: int) -> str:
     i, j = e
     factors = []
     if c != 1 or (i == 0 and j == 0):
-        factors.append(str(c))
+        try:
+            factors.append(str(c))
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise PowerSizeError(
+                f"a coefficient of more than {sys.get_int_max_str_digits()} digits "
+                "is above the limit for printing an integer"
+            ) from None
     if i == 1:
         factors.append("m")
     elif i > 1:

@@ -411,3 +411,36 @@ def test_a_bad_generator_fails_its_step(tmp_path, kind, gen):
     report = json.loads(proc.stdout)
     assert report["overall"] == "FAILED" and report["failed_step"] == "s"
     assert report["error"].startswith(f"{kind} needs gen=x or gen=y"), report["error"]
+
+
+_LONG = "1" * 5000  # above Python's default limit of 4 300 digits for int <-> str
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("factor=m*n", f"factor={_LONG}*m*n", "an integer of 5000 digits"),
+    ("budget 2 m n", f"budget {_LONG} 2 m n", "an integer of 5000 digits"),
+    ("gen=x with=x+y ", f"gen=x with=({'7' * 300})^16*x+y ", "a coefficient of more than"),
+], ids=["literal-in-factor", "literal-in-budget", "coefficient-of-a-power"])
+def test_prove_refuses_an_integer_too_long_for_python_with_exit_3(tmp_path, old, new, message):
+    # the first two are literals int() cannot read, the third a 4 800-digit
+    # coefficient of lin_sub's result that str() cannot print
+    text = shipped_script("theorem_centralizer.steps")
+    assert old in text
+    proc = prove_in_subprocess(tmp_path, text.replace(old, new, 1))
+    assert proc.returncode == cli.EXIT_ERROR, proc.stdout + proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: {message}") and proc.stderr.count("\n") == 1
+
+
+def test_ring_refuses_a_report_integer_too_long_to_print_with_exit_3():
+    # a 4 000-digit weight is read, but the torsion product has more digits
+    # than json.dumps can write
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mnjordan.cli", "ring", "--kind", "Zn", "--n", "5", "--n", "2",
+         "--law", "centralizer", "--m", "9" * 4000, "--format", "json"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=30)
+    assert proc.returncode == cli.EXIT_ERROR, proc.stdout + proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: the report holds an integer of more than")
+    assert proc.stderr.count("\n") == 1

@@ -76,6 +76,37 @@ def test_incompatible_table_is_rejected():
         fr.FromTable([2, 4], [[[0, 1], [0, 0]], [[0, 0], [0, 0]]])
 
 
+def test_builtin_constructors_build_rings_that_pass_the_table_check():
+    # Zn, MatRing and DirectProduct skip _validate: their axioms hold by
+    # construction, and only FromTable checks a table
+    built = [fr.Zn(n) for n in range(2, 31)]
+    built += [fr.MatRing(k, p) for k in range(1, 5) for p in (2, 3, 4, 9)]
+    for R in built + [fr.DirectProduct(R, T) for R in built for T in shipped_rings()]:
+        R._validate()
+
+
+BAD_TABLES = [
+    # e0*e0 = e1, e0*e1 = e0 over Z2+Z2 breaks associativity on (e0,e0,e0)
+    ({"moduli": [2, 2], "mult": [[[0, 1], [1, 0]], [[0, 0], [0, 0]]]},
+     "associativity fails on basis triple (e0, e0, e0)"),
+    # e0*e0 = e1 over Z2+Z4 has order 2, not a multiple of 4
+    ({"moduli": [2, 4], "mult": [[[0, 1], [0, 0]], [[0, 0], [0, 0]]]},
+     "product e0*e0 is incompatible with the moduli"),
+]
+
+
+@pytest.mark.parametrize("table, message", BAD_TABLES, ids=["non-associative", "incompatible"])
+@pytest.mark.parametrize("where", ["alone", "first-factor", "second-factor"])
+def test_a_bad_table_is_refused_through_from_spec(table, message, where):
+    zn = {"kind": "Zn", "n": 3}
+    spec = {"alone": table,
+            "first-factor": {"kind": "product", "of": [table, zn]},
+            "second-factor": {"kind": "product", "of": [zn, table]}}[where]
+    with pytest.raises(fr.RingConstructionError) as err:
+        fr.from_spec(spec)
+    assert str(err.value) == message
+
+
 def test_moduli_too_wide_for_int64_are_refused():
     # 3k(d-1)^2 >= 2^63: a conclusion row applied to a map could overflow
     for build in (lambda: fr.MatRing(2, 1099511627791), lambda: fr.Zn(2**61 - 1),

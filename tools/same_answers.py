@@ -14,8 +14,11 @@ at (1,2), (2,1), (2,3) and (3,2); Mat4(Z3) under all four laws at (1,2); and
 ``mnjordan search --family mat2 --primes 3,5,7,11,13`` under all four laws
 at (1,2).  The prime powers are there because the generators of a kernel
 over Z/q^e depend on the order of the rows, so a reordered row changes an
-answer on those rings.  A spec file enters the digest as its JSON text, not
-its path, and each run as (argv, exit code, stdout).
+answer on those rings.  Construction errors are in it too: a
+non-associative and an incompatible multiplication table, each alone and as
+a factor of a product, and ``Mat`` with k = 0.  A spec file enters the
+digest as its JSON text, not its path, and each run as (argv, exit code,
+stdout, stderr).
 
 The prove corpus is ``mnjordan prove --format json`` on both shipped scripts;
 on each script with one top-level term of one non-``assume`` claim doubled,
@@ -52,6 +55,12 @@ def _product(*specs):
     return {"kind": "product", "of": list(specs)}
 
 
+# over Z2+Z2, e0*e0 = e1 and e0*e1 = e0 break associativity on (e0, e0, e0);
+# over Z2+Z4, e0*e0 = e1 has order 2, not a multiple of 4
+BAD_TABLES = ({"moduli": [2, 2], "mult": [[[0, 1], [1, 0]], [[0, 0], [0, 0]]]},
+              {"moduli": [2, 4], "mult": [[[0, 1], [0, 0]], [[0, 0], [0, 0]]]})
+
+
 def corpus(src: Path):
     """(ring spec, law, m, n) for every ``ring`` run."""
     rings = [_zn(n) for n in range(2, 31)]
@@ -60,6 +69,8 @@ def corpus(src: Path):
     rings += [_product(*map(_zn, ns)) for ns in ((8, 4), (9, 3), (25, 5), (8, 8, 4))]
     rings += [_mat(2, p) for p in (2, 3, 5, 7, 11, 13)] + [_mat(2, 4), _mat(2, 9), _mat(3, 7)]
     rings.append(_product(_zn(5), _mat(2, 7)))
+    rings += [table for bad in BAD_TABLES for table in (bad, _product(_zn(3), bad))]
+    rings.append(_mat(0, 5))
     cases = [(spec, law, m, n) for spec in rings for law in LAWS for m, n in WEIGHTS]
     return cases + [(_mat(4, 3), law, 1, 2) for law in LAWS]
 
@@ -165,12 +176,13 @@ def main() -> int:
     digest = hashlib.sha256()
     runs = 0
 
-    def run(label, argv):
+    def run(label, argv, path=None):
         nonlocal runs
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
-        digest.update(json.dumps([label, code, out.getvalue()]).encode() + b"\n")
+        stderr = err.getvalue().replace(path, "<spec>") if path else err.getvalue()
+        digest.update(json.dumps([label, code, out.getvalue(), stderr]).encode() + b"\n")
         runs += 1
 
     with tempfile.TemporaryDirectory() as work:
@@ -179,7 +191,7 @@ def main() -> int:
             Path(path).write_text(json.dumps(spec))
             tail = ["--law", law, "--m", str(m), "--n", str(n), "--format", "json"]
             run(["ring", "--spec", json.dumps(spec, sort_keys=True)] + tail,
-                ["ring", "--spec", path] + tail)
+                ["ring", "--spec", path] + tail, path)
     for law in LAWS:
         argv = ["search", "--family", "mat2", "--primes", "3,5,7,11,13",
                 "--law", law, "--m", "1", "--n", "2", "--format", "json"]
