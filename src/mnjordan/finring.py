@@ -232,8 +232,8 @@ def from_spec(spec: Union[dict, str]) -> FinRing:
 
 
 def _nested_ints(value, depth: int) -> bool:
-    if depth == 0:
-        return isinstance(value, int)
+    if depth == 0:  # a JSON true or false is a bool, which is an int to Python
+        return isinstance(value, int) and not isinstance(value, bool)
     return isinstance(value, list) and all(_nested_ints(v, depth - 1) for v in value)
 
 
@@ -243,7 +243,7 @@ def _spec_field(spec: dict, key: str, kind: type, default=None):
             raise RingConstructionError(f"ring spec has no {key!r}")
         return default
     value = spec[key]
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise RingConstructionError(
             f"ring spec field {key!r} must be {kind.__name__}, not {type(value).__name__}"
         )

@@ -4,31 +4,47 @@ The functional-identity solver reduces to: find the group of u in Z_{d(0)} x
 ... x Z_{d(N-1)} with sum_s A[r,s] * u[s] == 0 (mod M[r]) for every row r.
 ``kernel`` splits the system by primes and returns independent generators
 with their orders, so the group's order is the product of the orders and
-nothing is enumerated.  A prime appearing to the first power everywhere is
-handled by sparse Gaussian elimination over GF(q) (``gf_nullspace``); a
-prime power q^e by an elimination over Z_{q^e} in Python ints
-(``kernel_mod``).
+nothing is enumerated.  Each prime's part is a system over Z_{q^e}, and one
+sparse elimination (``_smith_kernel``) solves it for every e: a prime that
+appears to the first power everywhere enters it through ``gf_nullspace``,
+a prime power through ``kernel_mod``.
 
 Z_{q^e} is a local principal ideal ring: a nonzero entry is u * q^v with u
-a unit, so an entry of least valuation v divides every other entry.
-``kernel_mod`` takes such an entry as its pivot, scales its row by u^-1 and
-clears its column by row operations and its row by column operations, all
-exact; no Euclidean step is needed.  This is the Smith form over Z/NZ
-(Storjohann, Algorithms for Matrix Canonical Forms, 2000; Cohen, GTM 138,
-section 2.4).
+a unit, so an entry of least valuation v divides every other entry.  The
+elimination takes such an entry as its pivot: the least valuation v, then
+the first live row, in the original order, that holds an entry of
+valuation v, then that row's first such column.  It scales the pivot row
+by u^-1, clears the pivot column by row operations and the pivot row by
+column operations on V, all exact; no Euclidean step is needed.  This is
+the Smith form over Z/NZ (Storjohann, Algorithms for Matrix Canonical
+Forms, 2000; Cohen, GTM 138, section 2.4).  Row operations only ever
+subtract multiples of q^v from multiples of q^v, so the least valuation
+never falls and no row without an entry of valuation v ever gains one:
+one pass over the rows per valuation finds every pivot.
 
-The GF(q) elimination (``gf_nullspace``) is sparse (structured Gaussian
-elimination; LaMacchia and Odlyzko, "Solving large sparse linear systems
-over finite fields", CRYPTO 1990).  The systems the ring checks build are
-a few percent nonzero or less, so each row is a dict {column: entry mod q}
-in Python ints, and an index lists, per column, the rows with a nonzero
-there.  Columns are taken left to right.  The pivot for column c is the
-shortest unused row holding c (ties to the lowest row index), and it is
-subtracted from exactly the rows listed under c, earlier pivot rows
-included, so the result is the full reduced row echelon form.  Which row
-is the pivot changes only the fill-in: the RREF of a matrix is unique and
-its pivot columns are still found left to right, so the basis does not
-depend on that choice, nor on the order of the rows or on repeated rows.
+The elimination is sparse (structured Gaussian elimination; LaMacchia and
+Odlyzko, "Solving large sparse linear systems over finite fields", CRYPTO
+1990).  The systems the ring checks build are a few percent nonzero or
+less, so each row is a dict {column: entry mod q^e} in Python ints, an
+index lists, per column, the rows with a nonzero there, and each column of
+V is a dict too.  A pivot is subtracted from exactly the rows listed under
+its column.
+
+For e = 1 the result is the basis read off the reduced row echelon form,
+vector for vector.  Every entry has valuation 0, so the pivot is the
+leftmost entry of the first live row.  The column operations never touch a
+column to the left of the pivot, because the pivot row is 0 there, so V is
+unit upper triangular.  The elimination ends at U A V = D with U invertible
+and D holding one 1 per pivot column, each in its own row, and zeros
+elsewhere.  So the first c columns of A have the rank of the first c
+columns of D, the number of pivot columns among them, and the pivot
+columns are the RREF's: the columns not in the span of the columns to
+their left.  V's column for a free column f is a kernel vector that is 1 at
+f and 0 at every other free column (it is e_f plus multiples of earlier
+pivot columns' vectors, each of which is its own column plus pivot
+columns).  The pivot columns are independent, so that kernel vector is
+unique, and it is the RREF basis vector.  The basis therefore depends
+neither on the order of the rows nor on repeated rows.
 """
 
 from __future__ import annotations
@@ -52,69 +68,90 @@ def factorize(n: int) -> Dict[int, int]:
     return out
 
 
+def _smith_kernel(A: np.ndarray, q: int, e: int) -> List[Tuple[Dict[int, int], int]]:
+    """Generators of {u in Z_M^n : A @ u == 0 mod M}, M = q^e for a prime q,
+    as (sparse vector, order) pairs: the elimination of the module
+    docstring brings A to U * A * V = diag(q^v_i) with U and V invertible
+    mod M, so u = V x is in the kernel exactly when q^v_i * x_i == 0.
+    Column i of V times q^(e - v_i) generates a part of order q^v_i, for
+    each pivot with v_i > 0 in pivot order, and then each column that never
+    holds a pivot (v_i = e) generates a part of order M, in column order.
+    Vectors are {coordinate: entry}, entries in [0, M), absent ones 0."""
+    M = q**e
+    n_cols = A.shape[1]
+    R: Dict[int, Dict[int, int]] = {}  # row index -> {column: entry}
+    holders: List[Set[int]] = [set() for _ in range(n_cols)]
+    nz_rows, nz_cols = A.nonzero()
+    for i, c, a in zip(nz_rows.tolist(), nz_cols.tolist(),
+                       (A[nz_rows, nz_cols] % M).tolist()):
+        if a:
+            R.setdefault(i, {})[c] = a
+            holders[c].add(i)
+    V = {c: {c: 1} for c in range(n_cols)}  # columns of V not yet pivots
+    gens: List[Tuple[Dict[int, int], int]] = []
+    order = list(R)  # ascending, as nonzero() lists the entries row by row
+    for v in range(e):
+        d = q**v  # divides every entry from here on
+        for p in order:
+            row = R.get(p)
+            if row is None:
+                continue
+            if v == e - 1:  # the last valuation: every live entry has it
+                j = min(row)
+            else:
+                j = min((c for c, a in row.items() if a % (d * q)), default=None)
+            if j is None:
+                continue
+            del R[p]
+            for c in row:
+                holders[c].discard(p)
+            inv = pow(row.pop(j) // d, -1, M)
+            rest = [(c, a * inv % M) for c, a in row.items()]  # the pivot row off j
+            for i in holders[j]:  # clear column j by row operations
+                target = R[i]
+                f = target.pop(j) // d
+                for c, b in rest:
+                    a = (target.get(c, 0) - f * b) % M
+                    if a:
+                        target[c] = a
+                        holders[c].add(i)
+                    elif c in target:
+                        del target[c]
+                        holders[c].discard(i)
+                if not target:
+                    del R[i]
+            col = V.pop(j)
+            for c, a in rest:  # clear the pivot row by column operations
+                f, vec = a // d, V[c]
+                for x, y in col.items():
+                    b = (vec.get(x, 0) - f * y) % M
+                    if b:
+                        vec[x] = b
+                    else:
+                        vec.pop(x, None)
+            if v:
+                scale = q ** (e - v)
+                gens.append(({x: y * scale % M for x, y in col.items()}, d))
+    return gens + [(V[c], M) for c in sorted(V)]
+
+
 def gf_nullspace(rows: np.ndarray, q: int) -> np.ndarray:
     """Basis of {u : rows @ u == 0 mod q} for prime q; shape (dim, N).
 
     Basis vector i is 1 at the i-th free column f of the reduced row echelon
     form, 0 at the other free columns, and -RREF[j, f] mod q at the pivot
     column of RREF row j.  The RREF is unique, so the basis depends neither
-    on the order of the rows, nor on repeated rows, nor on the pivot rows
-    the sparse elimination picks (see the module docstring).  ``rows`` is
-    not modified.
+    on the order of the rows nor on repeated rows (see the module
+    docstring).  ``rows`` is not modified.
     """
     # The elimination is exact in Python ints, but the basis is returned as
     # int64 and ``kernel`` multiplies it by CRT factors in int64.
     if (q - 1) * q > 2**62:
         raise OverflowError(f"modulus {q} is too wide for int64 elimination")
     A = np.asarray(rows, dtype=np.int64)
-    n_cols = A.shape[1]
-    if A.size == 0:
-        return np.eye(n_cols, dtype=np.int64)
-    R: Dict[int, Dict[int, int]] = {}  # row index -> {column: entry}
-    holders: List[Set[int]] = [set() for _ in range(n_cols)]
-    nz_rows, nz_cols = A.nonzero()
-    for i, c, a in zip(nz_rows.tolist(), nz_cols.tolist(),
-                       (A[nz_rows, nz_cols] % q).tolist()):
-        if a:
-            R.setdefault(i, {})[c] = a
-            holders[c].add(i)
-    pivots: Dict[int, int] = {}  # pivot column -> its row index
-    used: Set[int] = set()
-    for c in range(n_cols):
-        rows_at_c = holders[c]
-        unused = [i for i in rows_at_c if i not in used]
-        if not unused:
-            continue
-        p = min(unused, key=lambda i: (len(R[i]), i)) if len(unused) > 1 else unused[0]
-        used.add(p)
-        pivots[c] = p
-        row = R[p]
-        inv = pow(row.pop(c), q - 2, q)
-        if inv != 1:
-            for j in row:
-                row[j] = row[j] * inv % q
-        rest = list(row.items())  # the pivot row off column c
-        row[c] = 1
-        holders[c] = {p}
-        for i in rows_at_c:
-            if i == p:
-                continue
-            target = R[i]
-            f = target.pop(c)
-            for j, b in rest:
-                a = (target.get(j, 0) - f * b) % q
-                if a:
-                    target[j] = a
-                    holders[j].add(i)
-                else:  # j was in target, since f * b != 0 mod q
-                    del target[j]
-                    holders[j].discard(i)
-    free = [c for c in range(n_cols) if c not in pivots]
-    basis = np.zeros((len(free), n_cols), dtype=np.int64)
-    basis[range(len(free)), free] = 1
-    index = {f: b for b, f in enumerate(free)}
-    at = [(index[f], c, q - a) for c, p in pivots.items()
-          for f, a in R[p].items() if f != c]
+    gens = _smith_kernel(A, q, 1)
+    basis = np.zeros((len(gens), A.shape[1]), dtype=np.int64)
+    at = [(b, c, a) for b, (vec, _) in enumerate(gens) for c, a in vec.items()]
     if at:
         b, c, a = zip(*at)
         basis[b, c] = a
@@ -128,45 +165,16 @@ def kernel_mod(rows: Sequence[Sequence[int]], modulus: int, n_cols: int
 
     Returns independent generators as (vector, order) pairs; every kernel
     element is a unique combination sum c_g * g with 0 <= c_g < order_g.
-    The elimination (see the module docstring) brings the rows to
-    U * rows * V = diag(q^v_i) with U and V invertible mod M, so u = V x is
-    in the kernel exactly when q^v_i * x_i == 0: column i of V times
-    q^(e - v_i) generates a part of order q^v_i, and a column that never
-    holds a pivot has v_i = e.
+    See ``_smith_kernel`` for the order of the generators.  The entries of
+    ``rows`` must fit int64.
     """
     factors = factorize(modulus)
     if len(factors) != 1:
         raise ValueError(f"modulus {modulus} is not a prime power")
     (q, e), = factors.items()
-    A = [[int(a) % modulus for a in row] for row in rows]
-    # V[c]: the column of V for the c-th column of A that has no pivot yet
-    V = [[int(i == c) for i in range(n_cols)] for c in range(n_cols)]
-    gens: List[Tuple[List[int], int]] = []
-    while True:
-        A = [row for row in A if any(row)]
-        if not A:
-            break
-        # the first entry that q^(v+1) does not divide, for the least such v
-        v, i, j = next((v, i, j) for v in range(e) for i, row in enumerate(A)
-                       for j, a in enumerate(row) if a % q ** (v + 1))
-        d = q**v  # divides every entry of A, before and after this step
-        pivot = A.pop(i)
-        inv = pow(pivot[j] // d, -1, modulus)
-        pivot = [a * inv % modulus for a in pivot]  # now pivot[j] == d
-        for r, row in enumerate(A):  # clear column j by row operations
-            f = row[j] // d
-            if f:
-                A[r] = [(a - f * b) % modulus for a, b in zip(row, pivot)]
-            del A[r][j]
-        del pivot[j]
-        col = V.pop(j)
-        for c, a in enumerate(pivot):  # clear the pivot row by column operations
-            f = a // d
-            if f:
-                V[c] = [(x - f * y) % modulus for x, y in zip(V[c], col)]
-        if v:
-            gens.append(([x * q ** (e - v) % modulus for x in col], q**v))
-    return gens + [(vec, modulus) for vec in V]
+    A = np.asarray(rows, dtype=np.int64).reshape(len(rows), n_cols)
+    return [([vec.get(x, 0) for x in range(n_cols)], order)
+            for vec, order in _smith_kernel(A, q, e)]
 
 
 def enumerate_group(gens: Sequence[Tuple[Sequence[int], int]],
@@ -239,9 +247,7 @@ def kernel(rows, row_mods: Sequence[int], col_mods: Sequence[int]
             local = gf_nullspace(sub, q)
             orders = [q] * len(local)
         else:
-            pairs = _prime_power_kernel(sub, w.tolist(), v, q, e)
-            local = np.array([vec for vec, _ in pairs], dtype=np.int64).reshape(-1, len(cols))
-            orders = [order for _, order in pairs]
+            local, orders = _prime_power_kernel(sub, w, v, q, e)
         # CRT: the q-part of Z_d is (d / q^v) Z_d, and x maps to x * lam
         # with lam == 1 mod q^v and lam == 0 mod d / q^v
         lam = np.array([(col_mods[s] // q**vs) * pow(col_mods[s] // q**vs, -1, q**vs)
@@ -253,21 +259,22 @@ def kernel(rows, row_mods: Sequence[int], col_mods: Sequence[int]
     return gens
 
 
-def _prime_power_kernel(sub: np.ndarray, w: List[int], v: List[int], q: int, e: int
-                        ) -> List[Tuple[List[int], int]]:
+def _prime_power_kernel(sub: np.ndarray, w: np.ndarray, v: List[int], q: int, e: int
+                        ) -> Tuple[np.ndarray, List[int]]:
     """kernel() on the q-part: coordinates Z_{q^v_s}, rows (reduced, none
-    zero) modulo q^w_r."""
+    zero) modulo q^w_r.  Returns the generators as the rows of an array, and
+    their orders."""
     M = q**e
-    scaled = []
-    for row, wr in zip(sub.tolist(), w):
-        out = []
-        for a, vs in zip(row, v):
-            num = a * q**vs
-            if num % q**wr:
-                raise ValueError("a row is not well defined on the coordinate group")
-            out.append(num // q**wr % M)
-        scaled.append(out)
-    n = len(v)
-    scaled += [[q**vs if j == s else 0 for j in range(n)] for s, vs in enumerate(v) if vs < e]
-    return [([u // q ** (e - vs) for u, vs in zip(vec, v)], order)
-            for vec, order in kernel_mod(scaled, M, n)]
+    qv = q ** np.array(v, dtype=np.int64)
+    qw = (q**w)[:, None]
+    # the rows times q^v_s, then the relations q^v_s * u_s == 0 for v_s < e;
+    # sub < q^w_r <= M and q^v_s <= M, so the products stay below M^2, which
+    # fits int64 wherever the CRT lift in ``kernel`` does
+    scaled = np.vstack([sub * qv, np.diag(qv)[qv < M]])
+    head = scaled[: len(sub)]
+    if (head % qw).any():
+        raise ValueError("a row is not well defined on the coordinate group")
+    head //= qw
+    pairs = kernel_mod(scaled, M, len(v))
+    local = np.array([vec for vec, _ in pairs], dtype=np.int64).reshape(len(pairs), len(v))
+    return local // (M // qv), [order for _, order in pairs]

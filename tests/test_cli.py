@@ -244,11 +244,16 @@ def test_ring_malformed_spec(capsys, tmp_path):
         '{"moduli": [99999999999999999999], "mult": [[[1]]]}',
         '{"kind": "Zn", "n": 99999999999999999999}',
         '{"moduli": [2], "mult": [[[99999999999999999999]]]}',
+        '{"kind": "Mat", "k": true, "p": 5}',
+        '{"kind": "Zn", "n": false}',
+        '{"moduli": [true], "mult": [[[1]]]}',
+        '{"moduli": [2], "mult": [[[true]]]}',
     ],
     ids=["list", "string", "no-mult", "no-moduli", "no-n", "no-p", "no-of", "n-list",
          "k-string", "of-int", "of-entry-int", "moduli-int", "moduli-nested", "mult-null",
          "mult-float", "k-negative", "k-zero", "of-empty", "moduli-above-int64",
-         "n-above-int64", "mult-above-int64"],
+         "n-above-int64", "mult-above-int64", "k-true", "n-false", "moduli-true",
+         "mult-true"],
 )
 def test_ring_spec_shapes_exit_3(capsys, tmp_path, spec):
     path = tmp_path / "spec.json"

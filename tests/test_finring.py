@@ -125,6 +125,20 @@ def test_from_spec_shorthand():
     assert prod.order == 5 * 2401
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "Mat", "k": True, "p": 5},
+    {"kind": "Mat", "k": 2, "p": True},
+    {"kind": "Zn", "n": True},
+    {"moduli": [2], "mult": [[[True]]]},
+    {"moduli": [True], "mult": [[[1]]]},
+    {"kind": "product", "of": [{"kind": "Zn", "n": 3}, {"kind": "Zn", "n": False}]},
+], ids=["k", "p", "n", "mult", "moduli", "factor"])
+def test_from_spec_refuses_a_boolean_as_an_integer(spec):
+    """JSON true and false load as bools, which Python counts as ints."""
+    with pytest.raises(fr.RingConstructionError):
+        fr.from_spec(spec)
+
+
 # -- hypothesis predicates ------------------------------------------------------
 
 

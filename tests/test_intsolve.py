@@ -8,7 +8,7 @@ import pytest
 from mnjordan import finring as fr
 from mnjordan import intsolve
 from mnjordan.laws import TABLE
-from tests.util import eager_gf_nullspace, euclid_kernel_mod
+from tests.util import dense_kernel_mod, eager_gf_nullspace, euclid_kernel_mod
 
 
 def brute_kernel(rows, modulus, n_cols):
@@ -135,8 +135,9 @@ def test_sparse_systems_are_sparse():
 
 @pytest.mark.parametrize("q", [2, 3, 7, WIDEST_PRIME])
 def test_gf_nullspace_ignores_row_order_and_repeated_rows(q):
-    """The basis is read off the RREF, which is unique, so the rows a pivot
-    is taken from (the shortest one) cannot change it."""
+    """The basis is read off the RREF, which is unique, so the order in
+    which the elimination meets the rows, and so its pivot rows, cannot
+    change it."""
     rng = np.random.default_rng(100 + q)
     for _ in range(40):
         A = _sparse_system(rng, q) if rng.random() < 0.5 else _random_system(rng, q)
@@ -146,6 +147,19 @@ def test_gf_nullspace_ignores_row_order_and_repeated_rows(q):
         if A.shape[0]:
             repeated = np.vstack([A, A[rng.integers(0, A.shape[0], size=A.shape[0])]])
             assert np.array_equal(intsolve.gf_nullspace(repeated[::-1], q), basis)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 101, WIDEST_PRIME])
+def test_gf_nullspace_is_kernel_mod_at_a_prime(q):
+    """One elimination behind both: at a prime, kernel_mod's generators are
+    the basis vectors, in order, each of order q."""
+    rng = np.random.default_rng(200 + q)
+    for _ in range(60):
+        A = _random_system(rng, q)
+        gens = intsolve.kernel_mod(A, q, A.shape[1])
+        assert all(order == q for _, order in gens)
+        vectors = np.array([vec for vec, _ in gens], dtype=np.int64).reshape(len(gens), A.shape[1])
+        assert np.array_equal(intsolve.gf_nullspace(A, q), vectors), A.shape
 
 
 def test_gf_nullspace_refuses_a_modulus_too_wide_for_int64():
@@ -273,6 +287,22 @@ def test_kernel_mod_matches_the_euclidean_oracle(modulus):
             assert set(elems) == brute_kernel(rows, modulus, n_cols), rows
 
 
+@pytest.mark.parametrize("modulus", PRIME_POWERS)
+def test_kernel_mod_matches_the_dense_oracle(modulus):
+    """The sparse elimination keeps the dense one's pivot sequence, so the
+    generators are the same, in the same order; rows are given with any
+    representatives, and some repeat."""
+    rng = random.Random(1000 + modulus)
+    for _ in range(60):
+        rows = _random_prime_power_system(rng, modulus)
+        n_cols = len(rows[0]) if rows else rng.randint(1, 12)
+        if rows and rng.random() < 0.5:
+            rows += [list(rng.choice(rows)) for _ in range(rng.randint(1, 5))]
+            rng.shuffle(rows)
+        rows = [[a + modulus * rng.randint(-3, 3) for a in row] for row in rows]
+        assert intsolve.kernel_mod(rows, modulus, n_cols) == dense_kernel_mod(rows, modulus, n_cols), rows
+
+
 @pytest.mark.parametrize("ring, laws", [
     pytest.param(R, laws, id=R.name) for R, laws in
     [(fr.DirectProduct(*map(fr.Zn, mods)), TABLE)
@@ -298,6 +328,7 @@ def test_kernel_mod_matches_the_oracle_on_every_theorem_system(monkeypatch, ring
         expected = euclid_kernel_mod(rows, modulus, n_cols)
         assert math.prod(o for _, o in gens) == math.prod(o for _, o in expected)
         _check_generators(rows, modulus, n_cols, gens)
+        assert gens == dense_kernel_mod(rows, modulus, n_cols)
 
 
 def test_enumerate_group_is_duplicate_free():

@@ -502,6 +502,45 @@ def euclid_kernel_mod(rows, modulus, n_cols):
     return gens
 
 
+def dense_kernel_mod(rows, modulus, n_cols):
+    """intsolve.kernel_mod before the sparse elimination: the same pivot
+    rule on dense lists of Python ints, the whole matrix scanned for every
+    pivot.  The sparse elimination must give these generators, in order."""
+    factors = intsolve.factorize(modulus)
+    if len(factors) != 1:
+        raise ValueError(f"modulus {modulus} is not a prime power")
+    (q, e), = factors.items()
+    A = [[int(a) % modulus for a in row] for row in rows]
+    # V[c]: the column of V for the c-th column of A that has no pivot yet
+    V = [[int(i == c) for i in range(n_cols)] for c in range(n_cols)]
+    gens = []
+    while True:
+        A = [row for row in A if any(row)]
+        if not A:
+            break
+        # the first entry that q^(v+1) does not divide, for the least such v
+        v, i, j = next((v, i, j) for v in range(e) for i, row in enumerate(A)
+                       for j, a in enumerate(row) if a % q ** (v + 1))
+        d = q**v  # divides every entry of A, before and after this step
+        pivot = A.pop(i)
+        inv = pow(pivot[j] // d, -1, modulus)
+        pivot = [a * inv % modulus for a in pivot]  # now pivot[j] == d
+        for r, row in enumerate(A):  # clear column j by row operations
+            f = row[j] // d
+            if f:
+                A[r] = [(a - f * b) % modulus for a, b in zip(row, pivot)]
+            del A[r][j]
+        del pivot[j]
+        col = V.pop(j)
+        for c, a in enumerate(pivot):  # clear the pivot row by column operations
+            f = a // d
+            if f:
+                V[c] = [(x - f * y) % modulus for x, y in zip(V[c], col)]
+        if v:
+            gens.append(([x * q ** (e - v) % modulus for x in col], q**v))
+    return gens + [(vec, modulus) for vec in V]
+
+
 # -- all-element oracles for the finite-ring solver and scans ------------------
 
 
@@ -860,7 +899,7 @@ def enumerated_solutions(R, spec, max_solutions=10**6):
             keep = row_mods % q == 0
             sub = rows[np.ix_(keep, slots_q)]
             if e == 1:
-                basis = intsolve.gf_nullspace(sub, q)
+                basis = eager_gf_nullspace(sub, q)
                 elements_q = intsolve.enumerate_group(
                     [(b.tolist(), q) for b in basis], q, len(slots_q), max_solutions
                 )
