@@ -293,21 +293,27 @@ def _is_separable(c: np.ndarray, p: int) -> bool:
     conditions are one linear system in (u, E, lam); it has a solution with
     lam = 1 exactly when some nullspace vector has lam != 0.  Row (i, x, y)
     of the commuting block compares the f_x (x) f_y coefficients of f_i e,
-    sum_a c[i, a, x] E_ay, and of e f_i, sum_b c[b, i, y] E_xb.
+    sum_a c[i, a, x] E_ay, and of e f_i, sum_b c[b, i, y] E_xb.  The rows
+    are written from the nonzero c[a, b, t].
     """
     d = c.shape[0]
-    dd = d * d
-    eye = np.eye(d, dtype=np.int64)
-    A = np.zeros((2 * dd + d + d**3, d + dd + 1), dtype=np.int64)  # columns u, E, lam
-    A[:dd, :d] = c.transpose(1, 2, 0).reshape(dd, d)          # u f_i = lam f_i
-    A[dd:2 * dd, :d] = c.transpose(0, 2, 1).reshape(dd, d)    # f_i u = lam f_i
-    A[:2 * dd, -1] = np.tile(-eye.ravel(), 2)
-    A[2 * dd:2 * dd + d, :d] = -eye                           # mu(e) = u
-    A[2 * dd:2 * dd + d, d:-1] = c.reshape(dd, d).T
-    A[2 * dd + d:, d:-1] = (np.einsum("iax,yb->ixyab", c, eye)  # f_i e = e f_i
-                            - np.einsum("xa,biy->ixyab", eye, c)).reshape(d**3, dd)
-    null = intsolve.gf_nullspace(A, p)
-    return bool(np.any(null[:, -1]))
+    dd, lam = d * d, d * d + d  # columns: u, then E_ab at d + a*d + b, then lam
+    n, base = lam + 1, 2 * dd + d  # row (i, x, y) of the commuting block: base + i*dd + x*d + y
+    # entries by row * n + column: u f_i = lam f_i and f_i u = lam f_i at rows (i, i), mu(e) = u
+    cells = {key: -1 for i in range(d)
+             for key in ((i * d + i) * n + lam, (dd + i * d + i) * n + lam, (2 * dd + i) * n + i)}
+    for (a, b, t), v in zip(np.argwhere(c).tolist(), c[c != 0].tolist()):  # v = c[a, b, t]
+        cells[(b * d + t) * n + a] = cells[(dd + a * d + t) * n + b] = v
+        cells[(2 * dd + t) * n + d + a * d + b] = v
+        for y in range(d):  # c[i, a, x] E_ay, -c[b, i, y] E_xb at (i, a, x) = (b, i, y) = (a, b, t)
+            first = (base + a * dd + t * d + y) * n + d + b * d + y
+            second = (base + b * dd + y * d + t) * n + d + y * d + a  # meets first at (x, y)
+            cells[first] = cells.get(first, 0) + v
+            cells[second] = cells.get(second, 0) - v
+    keys = sorted(key for key, entry in cells.items() if entry)
+    rows = intsolve.SparseRows((base + d**3, n), *np.divmod(np.array(keys, dtype=np.int64), n),
+                               np.array([cells[key] for key in keys], dtype=np.int64))
+    return bool(np.any(intsolve.gf_nullspace(rows, p)[:, -1]))
 
 
 def _algebra_mul(c: np.ndarray, p: int, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -475,7 +481,7 @@ class LawSpec:
         return self.rule.torsion_product(self.m, self.n)
 
 
-def _law_row_blocks(R: FinRing, spec: LawSpec) -> Tuple[np.ndarray, np.ndarray]:
+def _law_row_blocks(R: FinRing, spec: LawSpec) -> Tuple[intsolve.SparseRows, np.ndarray]:
     """Equation rows for the law imposed at the polarization points.
 
     Each law is a quadratic form L(x) = B(x, x) with B(x, y) = a M(xy) +
@@ -488,18 +494,17 @@ def _law_row_blocks(R: FinRing, spec: LawSpec) -> Tuple[np.ndarray, np.ndarray]:
 
     At point x, row t and slot (a, b), the coefficient of M[a, b] is
     delta_ta (x^2)_b in M(x^2), with x^2 reduced mod d_b, x_b (e_a x)_t in
-    M(x)x and x_b (x e_a)_t in xM(x).
+    M(x)x and x_b (x e_a)_t in xM(x).  x_b is 1 on the one or two
+    coordinates of x and 0 elsewhere, so row (x, t) is nonzero only at 3k
+    places, and the rows are read back from those, never formed over all
+    slots.
 
     Returns (rows, row_mods): rows has shape (Q, n_maps*k*k) with slot
     ordering (map, i, j); row r states sum_s rows[r, s]*u_s == 0 modulo
     row_mods[r].
     """
     k, C = R.k, R.constants
-    eye = np.eye(k, dtype=np.int64)
-    # the pairs i < j, in row-major order
-    i = [a for a in range(k) for _ in range(a + 1, k)]
-    j = [b for a in range(k) for b in range(a + 1, k)]
-    X = np.concatenate([eye, eye[i] + eye[j]])
+    X, off, two, at_x, at_t = _polarization(k)
     xe = (X @ C.reshape(k, k * k)).reshape(-1, k, k)  # [x, a, t]: (x e_a)_t
     ex = (X @ C.transpose(1, 0, 2).reshape(k, k * k)).reshape(-1, k, k)  # (e_a x)_t
     x2 = np.einsum("xa,xat->xt", X, xe) % R._mods
@@ -507,32 +512,51 @@ def _law_row_blocks(R: FinRing, spec: LawSpec) -> Tuple[np.ndarray, np.ndarray]:
     # row (x, t) is read modulo d_t, so each coefficient is reduced there in
     # Python ints first: exact at any weight, and below d_t like the entries
     a, b, c = np.array([[v % d for d in R.moduli] for v in spec.rule.coefficients(spec.m, spec.n)],
-                       dtype=np.int64)[:, :, None, None]
-    main = (a * np.einsum("ta,xb->xtab", eye, x2)
-            + b * np.einsum("xb,xat->xtab", X, ex)).reshape(-1, k * k)
-    base = (c * np.einsum("xb,xat->xtab", X, xe)).reshape(-1, k * k)
-    q, k2 = main.shape
-    if spec.pair:
-        # the law on (M, M0), and the plain law on M0 alone
-        rows = np.zeros((2 * q, 2 * k2), dtype=np.int64)
-        rows[:q, :k2] = main
-        rows[:q, k2:] = base
-        np.add(main, base, out=rows[q:, k2:])
+                       dtype=np.int64)
+
+    def places(Y, A):
+        """Rows (x, t) at 3k places (see ``_polarization``): Y[x, a, t] x_b
+        at slot (a, b), and A[x, t, b] at slot (t, b), where Y[x, t, t] x_b
+        goes too."""
+        Yt, diag = Y.transpose(0, 2, 1) * off, Y.diagonal(0, 1, 2)[:, :, None] * X[:, None, :]
+        return np.concatenate([Yt, Yt * two, A + diag], axis=2).reshape(-1, 3 * k)
+
+    if spec.pair:  # the law on (M, M0), and the plain law on M0 alone; a_t (x^2)_b is at (t, b)
+        m, m0 = places(b * ex, a[:, None] * x2[:, None, :]), places(c * xe, 0)  # on M and on M0
+        V = np.zeros((2 * len(m), 6 * k), dtype=np.int64)
+        V[:len(m), :3 * k], V[:len(m), 3 * k:], V[len(m):, 3 * k:] = m, m0, m + m0
     else:
-        rows = main
-        rows += base
-    row_mods = np.tile(R._mods, rows.shape[0] // k)
-    return rows, row_mods
+        V = places(b * ex + c * xe, a[:, None] * x2[:, None, :])
+    r, l = V.nonzero()
+    rows = intsolve.SparseRows((len(V), V.shape[1] // 3 * k), r,
+                               at_x[r // k % len(X), l] + at_t[r % k, l], V[r, l])
+    return rows, np.tile(R._mods, len(V) // k)
 
 
-def _hom_rows(R: FinRing, n_maps: int) -> Tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=16)
+def _polarization(k: int) -> Tuple[np.ndarray, ...]:
+    """What the law rows of every ring on k generators share: the points
+    X, the e_i and then the e_i + e_j for i < j in row-major order; the
+    masks a != t and x != e_i; and the slot at_x[x, l] + at_t[t, l] of
+    place l of row (x, t).  Place s*k + a is slot (a, b_s) for the
+    coordinates b_0 < b_1 of x (b_0 alone for e_i), place 2k + b is slot
+    (t, b), and places 3k to 6k are the same slots of the second map.  No
+    caller writes to them."""
+    eye, ak = np.eye(k, dtype=np.int64), np.arange(k) * k
+    b = np.array([(i, i) for i in range(k)] + list(itertools.combinations(range(k), 2)))
+    at_x = np.pad(np.concatenate([ak + b[:, :1], ak + b[:, 1:]], axis=1), ((0, 0), (0, k)))
+    at_t = np.pad(ak[:, None] + np.arange(k), ((0, 0), (2 * k, 0)))
+    return (eye[b[:, 0]] | eye[b[:, 1]], eye == 0, (b[:, :1] != b[:, 1:])[:, :, None],
+            np.concatenate([at_x, at_x + k * k], axis=1), np.tile(at_t, 2))
+
+
+def _hom_rows(R: FinRing, n_maps: int) -> Tuple[intsolve.SparseRows, np.ndarray]:
     """Row per slot (map, i, j) with d_i not dividing d_j: d_j M[i, j] == 0
     modulo d_i, the additive-map condition."""
     d, k = R._mods, R.k
     slots = np.flatnonzero(np.tile(d[None, :] % d[:, None] != 0, (n_maps, 1, 1)))
-    rows = np.zeros((slots.size, n_maps * k * k), dtype=np.int64)
-    rows[np.arange(slots.size), slots] = d[slots % k]
-    return rows, d[slots // k % k]
+    return (intsolve.SparseRows((slots.size, n_maps * k * k), np.arange(slots.size), slots,
+                                d[slots % k]), d[slots // k % k])
 
 
 @dataclass
@@ -584,12 +608,10 @@ def _vector_of_maps(maps: Sequence[AddMap]) -> Tuple[int, ...]:
 def solve_identity(R: FinRing, spec: LawSpec) -> SolutionSet:
     """All additive maps (or pairs) satisfying the law at every element."""
     n_maps = 2 if spec.pair else 1
-    law_rows, law_mods = _law_row_blocks(R, spec)
-    hom_rows, hom_mods = _hom_rows(R, n_maps)
+    law, law_mods = _law_row_blocks(R, spec)
+    hom, hom_mods = _hom_rows(R, n_maps)
     slot_mods = np.tile(np.repeat(R._mods, R.k), n_maps)
-    generators = intsolve.kernel(
-        np.vstack([law_rows, hom_rows]), np.concatenate([law_mods, hom_mods]), slot_mods
-    )
+    generators = intsolve.kernel(law.above(hom), np.concatenate([law_mods, hom_mods]), slot_mods)
     return SolutionSet(ring=R, n_maps=n_maps, slot_mods=slot_mods, generators=generators)
 
 
@@ -656,8 +678,10 @@ def maps_into_center(R: FinRing, D: AddMap) -> bool:
 def _law_residual(R: FinRing, spec: LawSpec, maps: Sequence[AddMap]) -> bool:
     """True when the maps satisfy the defining law at every element."""
     rows, row_mods = _law_row_blocks(R, spec)
-    vec = np.array(_vector_of_maps(maps), dtype=np.int64)
-    return bool(np.all((rows @ vec) % row_mods == 0))
+    vec, total = _vector_of_maps(maps), [0] * rows.shape[0]
+    for r, s, a in zip(rows.rows.tolist(), rows.cols.tolist(), rows.vals.tolist()):
+        total[r] += a * vec[s]  # in Python ints: no product or sum can overflow
+    return all(t % d == 0 for t, d in zip(total, row_mods.tolist()))
 
 
 # -- the xyx expansion, checked numerically -------------------------------------------

@@ -30,6 +30,15 @@ index lists, per column, the rows with a nonzero there, and each column of
 V is a dict too.  A pivot is subtracted from exactly the rows listed under
 its column.
 
+A system travels in one format from the builder that writes it to the
+elimination, ``SparseRows``: its shape and its nonzero entries as
+(row, column, value) in three int64 arrays, row by row in ascending order,
+each cell at most once.  ``kernel`` selects and reduces each prime's part
+on those entries, and the elimination reads them as they are.  A dense
+system, one that is dense by nature or a test's, enters through
+``SparseRows.from_dense``; ``gf_nullspace``, ``kernel_mod`` and ``kernel``
+call it on their input, so each takes either form.
+
 For e = 1 the result is the basis read off the reduced row echelon form,
 vector for vector.  Every entry has valuation 0, so the pivot is the
 leftmost entry of the first live row.  The column operations never touch a
@@ -50,7 +59,7 @@ neither on the order of the rows nor on repeated rows.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Set, Tuple, Union
+from typing import Dict, List, NamedTuple, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -68,7 +77,36 @@ def factorize(n: int) -> Dict[int, int]:
     return out
 
 
-def _smith_kernel(A: np.ndarray, q: int, e: int) -> List[Tuple[Dict[int, int], int]]:
+class SparseRows(NamedTuple):
+    """A system of linear rows by its nonzero entries: ``shape`` is (rows,
+    columns), and entry i is ``vals[i]`` at (``rows[i]``, ``cols[i]``), three
+    int64 arrays, row by row in ascending order and each cell at most once.
+    Every system a ring check builds travels in this form from its builder
+    to the elimination."""
+
+    shape: Tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    @classmethod
+    def from_dense(cls, A, n_cols: int) -> "SparseRows":
+        """The nonzero entries of a dense system: an array, or a sequence
+        of rows of n_cols integers each, that fits int64.  A SparseRows is
+        returned as it is."""
+        if isinstance(A, cls):
+            return A
+        A = np.asarray(A, dtype=np.int64).reshape(len(A), n_cols)
+        return cls(A.shape, *(at := A.nonzero()), A[at])
+
+    def above(self, other: "SparseRows") -> "SparseRows":
+        """These rows, then the rows of ``other``: a row offset, no copy of
+        a dense system."""
+        return SparseRows((self.shape[0] + other.shape[0], self.shape[1]), *map(
+            np.concatenate, zip(self[1:], other._replace(rows=self.shape[0] + other.rows)[1:])))
+
+
+def _smith_kernel(A: SparseRows, q: int, e: int) -> List[Tuple[Dict[int, int], int]]:
     """Generators of {u in Z_M^n : A @ u == 0 mod M}, M = q^e for a prime q,
     as (sparse vector, order) pairs: the elimination of the module
     docstring brings A to U * A * V = diag(q^v_i) with U and V invertible
@@ -78,18 +116,15 @@ def _smith_kernel(A: np.ndarray, q: int, e: int) -> List[Tuple[Dict[int, int], i
     holds a pivot (v_i = e) generates a part of order M, in column order.
     Vectors are {coordinate: entry}, entries in [0, M), absent ones 0."""
     M = q**e
-    n_cols = A.shape[1]
     R: Dict[int, Dict[int, int]] = {}  # row index -> {column: entry}
-    holders: List[Set[int]] = [set() for _ in range(n_cols)]
-    nz_rows, nz_cols = A.nonzero()
-    for i, c, a in zip(nz_rows.tolist(), nz_cols.tolist(),
-                       (A[nz_rows, nz_cols] % M).tolist()):
+    holders: List[Set[int]] = [set() for _ in range(A.shape[1])]
+    for i, c, a in zip(A.rows.tolist(), A.cols.tolist(), (A.vals % M).tolist()):
         if a:
             R.setdefault(i, {})[c] = a
             holders[c].add(i)
-    V = {c: {c: 1} for c in range(n_cols)}  # columns of V not yet pivots
+    V = {c: {c: 1} for c in range(A.shape[1])}  # columns of V not yet pivots
     gens: List[Tuple[Dict[int, int], int]] = []
-    order = list(R)  # ascending, as nonzero() lists the entries row by row
+    order = list(R)  # ascending, as A lists its entries row by row
     for v in range(e):
         d = q**v  # divides every entry from here on
         for p in order:
@@ -135,7 +170,7 @@ def _smith_kernel(A: np.ndarray, q: int, e: int) -> List[Tuple[Dict[int, int], i
     return gens + [(V[c], M) for c in sorted(V)]
 
 
-def gf_nullspace(rows: np.ndarray, q: int) -> np.ndarray:
+def gf_nullspace(rows: Union[SparseRows, np.ndarray], q: int) -> np.ndarray:
     """Basis of {u : rows @ u == 0 mod q} for prime q; shape (dim, N).
 
     Basis vector i is 1 at the i-th free column f of the reduced row echelon
@@ -148,17 +183,14 @@ def gf_nullspace(rows: np.ndarray, q: int) -> np.ndarray:
     # int64 and ``kernel`` multiplies it by CRT factors in int64.
     if (q - 1) * q > 2**62:
         raise OverflowError(f"modulus {q} is too wide for int64 elimination")
-    A = np.asarray(rows, dtype=np.int64)
-    gens = _smith_kernel(A, q, 1)
-    basis = np.zeros((len(gens), A.shape[1]), dtype=np.int64)
-    at = [(b, c, a) for b, (vec, _) in enumerate(gens) for c, a in vec.items()]
-    if at:
-        b, c, a = zip(*at)
-        basis[b, c] = a
+    gens = _smith_kernel(SparseRows.from_dense(rows, rows.shape[1]), q, 1)
+    basis = np.zeros((len(gens), rows.shape[1]), dtype=np.int64)
+    for b, (vec, _) in enumerate(gens):
+        basis[b, list(vec)] = list(vec.values())
     return basis
 
 
-def kernel_mod(rows: Sequence[Sequence[int]], modulus: int, n_cols: int
+def kernel_mod(rows: Union[SparseRows, Sequence[Sequence[int]]], modulus: int, n_cols: int
                ) -> List[Tuple[List[int], int]]:
     """Generators of {u in Z_M^n : rows @ u == 0 mod M} for a prime power
     M = q^e; any other modulus raises ``ValueError``.
@@ -166,15 +198,14 @@ def kernel_mod(rows: Sequence[Sequence[int]], modulus: int, n_cols: int
     Returns independent generators as (vector, order) pairs; every kernel
     element is a unique combination sum c_g * g with 0 <= c_g < order_g.
     See ``_smith_kernel`` for the order of the generators.  The entries of
-    ``rows`` must fit int64.
+    dense ``rows`` must fit int64.
     """
     factors = factorize(modulus)
     if len(factors) != 1:
         raise ValueError(f"modulus {modulus} is not a prime power")
     (q, e), = factors.items()
-    A = np.asarray(rows, dtype=np.int64).reshape(len(rows), n_cols)
     return [([vec.get(x, 0) for x in range(n_cols)], order)
-            for vec, order in _smith_kernel(A, q, e)]
+            for vec, order in _smith_kernel(SparseRows.from_dense(rows, n_cols), q, e)]
 
 
 def enumerate_group(gens: Sequence[Tuple[Sequence[int], int]],
@@ -195,14 +226,6 @@ def enumerate_group(gens: Sequence[Tuple[Sequence[int], int]],
     return [tuple(int(v) for v in row) for row in elems]
 
 
-def _valuation(n: int, q: int) -> int:
-    v = 0
-    while n % q == 0:
-        n //= q
-        v += 1
-    return v
-
-
 def kernel(rows, row_mods: Sequence[int], col_mods: Sequence[int]
            ) -> List[Tuple[np.ndarray, int]]:
     """Independent generators of {u in prod_s Z_{col_mods[s]} : rows @ u ==
@@ -211,70 +234,56 @@ def kernel(rows, row_mods: Sequence[int], col_mods: Sequence[int]
     Every kernel element is a unique combination sum c_g * g with 0 <= c_g <
     order_g, so the kernel has prod(order_g) elements.  Each row must be well
     defined on the group: rows[r, s] * col_mods[s] == 0 mod row_mods[r].
+    ``rows`` is a SparseRows or a dense system.
 
     The group is the direct sum of its q-parts.  On the q-part, coordinate s
     is Z_{q^v_s} and row r is an equation modulo q^w_r; with e the largest
     exponent it is solved over Z_{q^e}, where Z_{q^v} embeds as
     q^{e-v} Z_{q^e}: u_s = q^{e-v_s} x_s turns row r into the row
     rows[r, s] * q^{v_s - w_r} modulo q^e, and the relations q^v_s * u_s ==
-    0 cut the embedded subgroup out.  The generators are then lifted back
-    by the Chinese remainder theorem.
+    0 cut the embedded subgroup out; an entry below q^w_r <= q^e times
+    q^v_s <= q^e fits int64 wherever the CRT lift does.  Where e = 1 every
+    v_s and w_r is 1: the rows are the q-part's, and there is no relation.  The generators
+    are then lifted back by the Chinese remainder theorem.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    row_mods = np.asarray(row_mods, dtype=np.int64)
     col_mods = [int(d) for d in col_mods]
-    distinct = sorted(set(row_mods.tolist()))  # a few values: ring moduli
-    row_at = np.searchsorted(distinct, row_mods)
-    primes = sorted({q for d in set(col_mods) for q in factorize(d)})
+    A = SparseRows.from_dense(rows, len(col_mods))
+    distinct = sorted(set(np.asarray(row_mods).tolist()))  # a few values: ring moduli
+    row_at = np.asarray(distinct, dtype=np.int64).searchsorted(row_mods)[A.rows]  # per entry
+    powers = {d: factorize(d) for d in set(col_mods).union(distinct)}
     gens: List[Tuple[np.ndarray, int]] = []
-    for q in primes:
-        cols = [s for s, d in enumerate(col_mods) if d % q == 0]
-        v = [_valuation(col_mods[s], q) for s in cols]
-        w = np.array([_valuation(d, q) for d in distinct], dtype=np.int64)[row_at]
-        keep = np.flatnonzero(w)
-        w = w[keep]
-        # the q-part, selected in two plain steps, each skipped when it
-        # keeps everything: on a large system a copy costs as much as the
-        # reduction, and ``%`` makes the one copy ``sub`` needs
-        sub = rows if len(keep) == len(rows) else rows[keep]
-        if len(cols) < len(col_mods):
-            sub = sub[:, cols]
-        sub = sub % (q**w)[:, None]
-        live = (sub != 0).any(axis=1)  # rows that vanish on the q-part go
-        sub, w = sub[live], w[live]
+    for q in sorted({q for d in set(col_mods) for q in powers[d]}):
+        inq = np.array([d % q == 0 for d in col_mods])
+        cols = inq.nonzero()[0]  # the columns of the q-part
+        v = [powers[col_mods[s]][q] for s in cols]
+        # the q-part: the entries on its columns, each reduced modulo q^w_r
+        # (to 0 where w_r = 0); the rows that keep one stay, in order
+        w = np.array([powers[d].get(q, 0) for d in distinct], dtype=np.int64)[row_at]
+        a = A.vals % q**w * inq[A.cols]
+        keep = a.nonzero()[0]
+        r, w, j = A.rows[keep], w[keep], cols.searchsorted(A.cols[keep])  # column j of the part
+        opens = np.concatenate([[True], r[1:] != r[:-1]])[:len(r)]  # each live row's first entry
+        part = SparseRows((int(opens.sum()), len(cols)), opens.cumsum() - 1, j, a[keep])
         e = max(v + w.tolist())
-        if e == 1:
-            local = gf_nullspace(sub, q)
-            orders = [q] * len(local)
+        if e > 1:  # over Z_{q^e}: the entries times q^v_s / q^w_r, and the relations
+            qv = q ** np.array(v, dtype=np.int64)
+            vals, rest = np.divmod(part.vals * qv[part.cols], q**w)
+            if rest.any():
+                raise ValueError("a row is not well defined on the coordinate group")
+            short = np.flatnonzero(qv < q**e)  # a row q^v_s * u_s == 0 for each v_s < e
+            part = SparseRows(part.shape, part.rows, part.cols, vals).above(
+                SparseRows((len(short), len(v)), np.arange(len(short)), short, qv[short]))
+            pairs = kernel_mod(part, q**e, len(v))
+            local = np.array([vec for vec, _ in pairs], dtype=np.int64).reshape(len(pairs), len(v))
+            local, orders = local // (q**e // qv), [order for _, order in pairs]
         else:
-            local, orders = _prime_power_kernel(sub, w, v, q, e)
+            local = gf_nullspace(part, q)
+            orders = [q] * len(local)
         # CRT: the q-part of Z_d is (d / q^v) Z_d, and x maps to x * lam
         # with lam == 1 mod q^v and lam == 0 mod d / q^v
         lam = np.array([(col_mods[s] // q**vs) * pow(col_mods[s] // q**vs, -1, q**vs)
                         for s, vs in zip(cols, v)], dtype=np.int64)
-        mods = np.array([col_mods[s] for s in cols], dtype=np.int64)
         full = np.zeros((len(orders), len(col_mods)), dtype=np.int64)
-        full[:, cols] = local * lam % mods
+        full[:, cols] = local * lam % np.array(col_mods)[cols]
         gens.extend(zip(full, orders))
     return gens
-
-
-def _prime_power_kernel(sub: np.ndarray, w: np.ndarray, v: List[int], q: int, e: int
-                        ) -> Tuple[np.ndarray, List[int]]:
-    """kernel() on the q-part: coordinates Z_{q^v_s}, rows (reduced, none
-    zero) modulo q^w_r.  Returns the generators as the rows of an array, and
-    their orders."""
-    M = q**e
-    qv = q ** np.array(v, dtype=np.int64)
-    qw = (q**w)[:, None]
-    # the rows times q^v_s, then the relations q^v_s * u_s == 0 for v_s < e;
-    # sub < q^w_r <= M and q^v_s <= M, so the products stay below M^2, which
-    # fits int64 wherever the CRT lift in ``kernel`` does
-    scaled = np.vstack([sub * qv, np.diag(qv)[qv < M]])
-    head = scaled[: len(sub)]
-    if (head % qw).any():
-        raise ValueError("a row is not well defined on the coordinate group")
-    head //= qw
-    pairs = kernel_mod(scaled, M, len(v))
-    local = np.array([vec for vec, _ in pairs], dtype=np.int64).reshape(len(pairs), len(v))
-    return local // (M // qv), [order for _, order in pairs]

@@ -148,6 +148,28 @@ def test_ring_out_of_memory_exits_3():
     assert "Traceback" not in proc.stderr
 
 
+def test_ring_decides_mat6_z2_gen_centralizer_within_1_gib():
+    # the law system is 47 952 x 2 592 with 57 672 nonzero entries; written
+    # densely it was 948 MB, and the separability einsums needed a
+    # (36, 36, 36, 36, 36) array of 461 MiB, so the child ran out of memory
+    resource = pytest.importorskip("resource")
+    limit = 2**30
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mnjordan.cli", "ring", "--kind", "Mat", "--k", "6", "--p", "2",
+         "--law", "gen-centralizer", "--m", "1", "--n", "2", "--format", "json"],
+        env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=cap_memory, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["solution_count"] == 4722366482869645213696
+    assert payload["verdict"] == "hypotheses-not-met; conclusion fails"
+
+
 def test_ring_counts_violations_without_enumerating(capsys):
     path = Path(__file__).resolve().parents[1] / "src" / "mnjordan" / "rings" / "z2z2_zero.json"
     code, out, _ = run(

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from mnjordan import finring as fr
+from mnjordan import intsolve
 from mnjordan.freealg import word_gen_degree
 from mnjordan.parsing import parse_poly
 from tests.util import (
@@ -22,6 +23,10 @@ from tests.util import (
     all_x_is_prime,
     all_x_is_semiprime,
     all_x_torsion_free,
+    check_sparse_form,
+    dense_hom_rows,
+    dense_separability_rows,
+    densify,
     enumerated_solutions,
     exact_value,
     operator_conclusion_rows,
@@ -304,31 +309,52 @@ def test_polarized_rows_agree_with_all_element_rows():
                     ), (R.name, law, m, n)
 
 
+def test_law_residual_is_exact_near_the_int64_guard():
+    # Z_p with e*e = -e and p = 10 000 019 passes the guard 3k(d - 1)^2 <
+    # 2^63, but its law rows reach about 5p^2, and their products with a map
+    # vector used to leave int64: maps that meet the law were refused
+    p = 10_000_019
+    R = fr.FromTable([p], [[[p - 1]]])
+    T, zero = fr.AddMap.scalar(R, p - 2), fr.AddMap.zero(R)
+    for law, maps in [("centralizer", T), ("gen-centralizer", (T, T))]:
+        spec = fr.LawSpec(law, 1, 2)
+        assert fr._law_residual(R, spec, list(maps) if spec.pair else [maps])
+        assert R.pair_evaluator().first_violation(
+            fr._lemma_poly(law), dict(zip(spec.rule.symbols, [T, T])), 1, 2) is None
+        assert fr.cross_check_lemma(R, spec, maps)
+    # and (T, 0) does not meet the generalized law
+    assert not fr._law_residual(R, fr.LawSpec("gen-centralizer", 1, 2), [T, zero])
+
+
+OPERATOR_RINGS = [
+    fr.Zn(5),
+    fr.Zn(12),
+    fr.DirectProduct(fr.Zn(2), fr.Zn(3)),
+    fr.DirectProduct(fr.Zn(4), fr.Zn(6)),
+    fr.DirectProduct(fr.Zn(8), fr.Zn(4)),
+    fr.DirectProduct(fr.Zn(9), fr.Zn(3)),
+    fr.MatRing(2, 3),
+    fr.MatRing(2, 4),
+    fr.MatRing(2, 9),
+    fr.MatRing(3, 2),
+    fr.DirectProduct(fr.Zn(5), fr.MatRing(2, 7)),
+]
+
+
 def test_rows_and_conclusions_match_the_product_operators():
     # the law rows are array-equal to the former operator sums, so the
     # kernel generators cannot move; each conclusion value is the former
     # row applied to the map
     rng = random.Random(17)
-    rings = [
-        fr.Zn(5),
-        fr.Zn(12),
-        fr.DirectProduct(fr.Zn(2), fr.Zn(3)),
-        fr.DirectProduct(fr.Zn(4), fr.Zn(6)),
-        fr.DirectProduct(fr.Zn(8), fr.Zn(4)),
-        fr.DirectProduct(fr.Zn(9), fr.Zn(3)),
-        fr.MatRing(2, 3),
-        fr.MatRing(2, 4),
-        fr.MatRing(2, 9),
-        fr.MatRing(3, 2),
-        fr.DirectProduct(fr.Zn(5), fr.MatRing(2, 7)),
-    ]
+    rings = OPERATOR_RINGS
     for R in rings:
         for law in fr.LAWS:
             for m, n in [(1, 2), (2, 3), (3, 1)]:
                 spec = fr.LawSpec(law, m, n)
-                rows, mods = fr._law_row_blocks(R, spec)
+                sparse, mods = fr._law_row_blocks(R, spec)
+                check_sparse_form(sparse)
+                rows = densify(sparse)
                 want_rows, want_mods = operator_law_rows(R, spec)
-                assert rows.dtype == want_rows.dtype, (R.name, law, m, n)
                 assert np.array_equal(rows, want_rows), (R.name, law, m, n)
                 assert np.array_equal(mods, want_mods), (R.name, law, m, n)
                 G = [g for g, _ in fr.solve_identity(R, spec).generators]
@@ -343,6 +369,33 @@ def test_rows_and_conclusions_match_the_product_operators():
                     assert np.array_equal(v_mods, o_mods), (R.name, law, reason)
                     assert np.array_equal(values % v_mods, (o_rows @ G.T).T % o_mods), (
                         R.name, law, m, n, reason)
+
+
+def test_hom_and_separability_rows_match_the_dense_builders(monkeypatch):
+    # the sparse systems, densified, are the dense arrays the former
+    # builders gave, integer for integer: the hom rows for one and two
+    # maps, and the separability rows of the structure constants (any
+    # integer tensor) and of each p-part, as _is_separable hands them over
+    systems = []
+    solve = intsolve.gf_nullspace
+
+    def recording(rows, q):
+        systems.append(rows)
+        return solve(rows, q)
+
+    monkeypatch.setattr(intsolve, "gf_nullspace", recording)
+    for R in OPERATOR_RINGS:
+        for n_maps in (1, 2):
+            sparse, mods = fr._hom_rows(R, n_maps)
+            check_sparse_form(sparse)
+            rows, want_mods = dense_hom_rows(R, n_maps)
+            assert np.array_equal(densify(sparse), rows), (R.name, n_maps)
+            assert np.array_equal(mods, want_mods), (R.name, n_maps)
+        for p, c in [(2, R.constants)] + (fr._prime_parts(R) or []):
+            systems.clear()
+            fr._is_separable(c, p)
+            check_sparse_form(systems[0])
+            assert np.array_equal(densify(systems[0]), dense_separability_rows(c)), R.name
 
 
 def test_solution_sets_are_groups():

@@ -8,7 +8,8 @@ import pytest
 from mnjordan import finring as fr
 from mnjordan import intsolve
 from mnjordan.laws import TABLE
-from tests.util import dense_kernel_mod, eager_gf_nullspace, euclid_kernel_mod
+from tests.util import (check_sparse_form, dense_kernel_mod, densify, eager_gf_nullspace,
+                        euclid_kernel_mod)
 
 
 def brute_kernel(rows, modulus, n_cols):
@@ -169,17 +170,18 @@ def test_gf_nullspace_refuses_a_modulus_too_wide_for_int64():
 
 def _record_gf_nullspace(monkeypatch):
     """Route intsolve.gf_nullspace through a recorder; returns the list of
-    (rows, q, basis) it fills."""
+    (rows, q, basis) it fills, each system densified."""
     calls = []
     solve = intsolve.gf_nullspace
 
     def recording(rows, q):
-        # the benchmark's tracer reads rows.shape[0], so every caller passes
-        # an ndarray
-        assert isinstance(rows, np.ndarray), type(rows)
-        before = np.array(rows, copy=True)
+        # the benchmark's tracer reads rows.shape[0], the live rows handed
+        # over, so every caller passes its system in the sparse row format
+        assert isinstance(rows, intsolve.SparseRows), type(rows)
+        check_sparse_form(rows)
+        before = densify(rows)
         basis = solve(rows, q)
-        assert np.array_equal(rows, before)  # callers pass views
+        assert np.array_equal(densify(rows), before)  # the system is not modified
         calls.append((before, q, basis))
         return basis
 
@@ -315,8 +317,10 @@ def test_kernel_mod_matches_the_oracle_on_every_theorem_system(monkeypatch, ring
     solve = intsolve.kernel_mod
 
     def recording(rows, modulus, n_cols):
+        assert isinstance(rows, intsolve.SparseRows), type(rows)
+        check_sparse_form(rows)
         gens = solve(rows, modulus, n_cols)
-        calls.append((rows, modulus, n_cols, gens))
+        calls.append((densify(rows).tolist(), modulus, n_cols, gens))
         return gens
 
     monkeypatch.setattr(intsolve, "kernel_mod", recording)

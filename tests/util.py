@@ -541,6 +541,56 @@ def dense_kernel_mod(rows, modulus, n_cols):
     return gens + [(vec, modulus) for vec in V]
 
 
+# -- the dense systems the sparse builders replaced ------------------------------
+
+
+def check_sparse_form(rows):
+    """The SparseRows invariant: three int64 arrays of one length, entries
+    inside the shape, row by row in ascending order, each cell at most
+    once, none zero."""
+    n_rows, n_cols = rows.shape
+    assert all(x.dtype == np.int64 and x.shape == rows.rows.shape for x in rows[1:])
+    assert ((0 <= rows.rows) & (rows.rows < n_rows) & (0 <= rows.cols) & (rows.cols < n_cols)).all()
+    cells = rows.rows * n_cols + rows.cols
+    assert (np.diff(rows.rows) >= 0).all() and len(np.unique(cells)) == len(cells)
+    assert rows.vals.all()
+
+
+def densify(rows):
+    """A SparseRows as the dense int64 array it stands for."""
+    A = np.zeros(rows.shape, dtype=np.int64)
+    A[rows.rows, rows.cols] = rows.vals
+    return A
+
+
+def dense_hom_rows(R, n_maps):
+    """finring._hom_rows as a dense array: a row per slot (map, i, j) with
+    d_i not dividing d_j, d_j at the slot, read modulo d_i."""
+    d, k = R._mods, R.k
+    slots = np.flatnonzero(np.tile(d[None, :] % d[:, None] != 0, (n_maps, 1, 1)))
+    rows = np.zeros((slots.size, n_maps * k * k), dtype=np.int64)
+    rows[np.arange(slots.size), slots] = d[slots % k]
+    return rows, d[slots // k % k]
+
+
+def dense_separability_rows(c):
+    """The system of finring._is_separable from two einsums of d^5 entries:
+    columns u, E_ab, lam; rows u f_i = lam f_i, f_i u = lam f_i, mu(e) = u
+    and f_i e = e f_i."""
+    d = c.shape[0]
+    dd = d * d
+    eye = np.eye(d, dtype=np.int64)
+    A = np.zeros((2 * dd + d + d**3, d + dd + 1), dtype=np.int64)
+    A[:dd, :d] = c.transpose(1, 2, 0).reshape(dd, d)
+    A[dd:2 * dd, :d] = c.transpose(0, 2, 1).reshape(dd, d)
+    A[:2 * dd, -1] = np.tile(-eye.ravel(), 2)
+    A[2 * dd:2 * dd + d, :d] = -eye
+    A[2 * dd:2 * dd + d, d:-1] = c.reshape(dd, d).T
+    A[2 * dd + d:, d:-1] = (np.einsum("iax,yb->ixyab", c, eye)
+                            - np.einsum("xa,biy->ixyab", eye, c)).reshape(d**3, dd)
+    return A
+
+
 # -- all-element oracles for the finite-ring solver and scans ------------------
 
 
@@ -883,9 +933,9 @@ def enumerated_solutions(R, spec, max_solutions=10**6):
     n_maps = 2 if spec.pair else 1
     k = R.k
     n_slots = n_maps * k * k
-    law_rows, law_mods = fr._law_row_blocks(R, spec)
-    hom_rows, hom_mods = fr._hom_rows(R, n_maps)
-    rows = np.vstack([law_rows, hom_rows]) if hom_rows.size else law_rows
+    law_rows, law_mods = operator_law_rows(R, spec)
+    hom_rows, hom_mods = dense_hom_rows(R, n_maps)
+    rows = np.vstack([law_rows, hom_rows])
     row_mods = np.concatenate([law_mods, hom_mods])
     slot_mods = [R.moduli[i] for _ in range(n_maps) for i in range(k) for _ in range(k)]
     primes = {}

@@ -12,12 +12,14 @@ The ring corpus is ``mnjordan ring --format json`` on Zn (n <= 30), Za+Zb
 (p <= 13), Mat2(Z4), Mat2(Z9), Mat3(Z4), Mat3(Z7), Mat3(Z8) and Z5+Mat2(Z7)
 under all four laws at (1,2), (2,1), (2,3) and (3,2); Mat4(Z3) under all
 four laws at (1,2); Mat4(Z4) under the generalized centralizer law at
-(1,2); and ``mnjordan search --family mat2 --primes 3,5,7,11,13`` under all
-four laws at (1,2).  The prime powers are there because the generators of
+(1,2); Mat5(Z2) under the centralizer and the generalized centralizer law
+at (1,2); and ``mnjordan search --family mat2 --primes 3,5,7,11,13`` under
+all four laws at (1,2).  The prime powers are there because the generators of
 a kernel over Z/q^e depend on the order of the rows and on the pivots, so
 a reordered row or another pivot changes an answer on those rings; Mat3
 and Mat4 over Z4 and Z8 give systems of hundreds to thousands of rows with
-many pivots of positive valuation.  Construction errors are in it too: a
+many pivots of positive valuation.  Mat5(Z2) gives GF(2) law and
+separability systems of thousands of rows.  Construction errors are in it too: a
 non-associative and an incompatible multiplication table, each alone and as
 a factor of a product, and ``Mat`` with k = 0.  A spec file enters the
 digest as its JSON text, not its path, and each run as (argv, exit code,
@@ -76,7 +78,8 @@ def corpus(src: Path):
     rings += [table for bad in BAD_TABLES for table in (bad, _product(_zn(3), bad))]
     rings.append(_mat(0, 5))
     cases = [(spec, law, m, n) for spec in rings for law in LAWS for m, n in WEIGHTS]
-    return cases + [(_mat(4, 3), law, 1, 2) for law in LAWS] + [(_mat(4, 4), "gen-centralizer", 1, 2)]
+    cases += [(_mat(4, 3), law, 1, 2) for law in LAWS] + [(_mat(4, 4), "gen-centralizer", 1, 2)]
+    return cases + [(_mat(5, 2), law, 1, 2) for law in ("centralizer", "gen-centralizer")]
 
 
 # step arguments that are polynomials; a combine's witness list is the
