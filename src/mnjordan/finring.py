@@ -263,17 +263,18 @@ def _prime_parts(R: FinRing) -> Optional[List[Tuple[int, np.ndarray]]]:
     coordinate x = s_a s_b C[a, b, t] mod d_t, a multiple s_t y of s_t, and
     its f_t coefficient is y = x / s_t, which is x * s_t^-1 mod p.
     """
-    factors = [intsolve.factorize(d) for d in R.moduli]
-    if any(e > 1 for f in factors for e in f.values()):
+    factors = {d: intsolve.factorize(d) for d in set(R.moduli)}
+    if any(e > 1 for f in factors.values() for e in f.values()):
         return None
     parts = []
-    for p in sorted({q for f in factors for q in f}):
+    for p in sorted({q for f in factors.values() for q in f}):
         idx = [i for i, d in enumerate(R.moduli) if d % p == 0]
-        s = np.array([R.moduli[i] // p % p for i in idx], dtype=np.int64)
-        s_inv = np.array([pow(int(v), -1, p) for v in s], dtype=np.int64)
-        c = R.constants[np.ix_(idx, idx, idx)] % p
-        c = c * s[:, None, None] % p * s[None, :, None] % p * s_inv % p
-        parts.append((p, c))
+        s = [R.moduli[i] // p % p for i in idx]
+        c = R.constants if len(idx) == R.k else R.constants[idx][:, idx][:, :, idx]
+        if any(x != 1 for x in s):  # c[a, b, t] s_a s_b s_t^-1, reduced after each product
+            ab = np.array([[x * y % p for y in s] for x in s], dtype=np.int64)
+            c = c % p * ab[:, :, None] % p * np.array([pow(x, -1, p) for x in s], dtype=np.int64)
+        parts.append((p, c % p))
     return parts
 
 

@@ -30,14 +30,16 @@ index lists, per column, the rows with a nonzero there, and each column of
 V is a dict too.  A pivot is subtracted from exactly the rows listed under
 its column.
 
-A system travels in one format from the builder that writes it to the
-elimination, ``SparseRows``: its shape and its nonzero entries as
+A system travels in one format from the builder that writes it to
+``kernel``, ``SparseRows``: its shape and its nonzero entries as
 (row, column, value) in three int64 arrays, row by row in ascending order,
-each cell at most once.  ``kernel`` selects and reduces each prime's part
-on those entries, and the elimination reads them as they are.  A dense
-system, one that is dense by nature or a test's, enters through
-``SparseRows.from_dense``; ``gf_nullspace``, ``kernel_mod`` and ``kernel``
-call it on their input, so each takes either form.
+each cell at most once.  ``kernel`` reads the entries into Python lists
+once and makes one pass over them per prime, which writes that prime's
+part as ``DictRows``, the rows {column: entry} the elimination reads.
+``gf_nullspace`` and ``kernel_mod`` take DictRows as they are and read a
+SparseRows or a dense system into them (``DictRows.of``); a dense system,
+one that is dense by nature or a test's, enters through
+``SparseRows.from_dense``.
 
 For e = 1 the result is the basis read off the reduced row echelon form,
 vector for vector.  Every entry has valuation 0, so the pivot is the
@@ -59,7 +61,7 @@ neither on the order of the rows nor on repeated rows.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, NamedTuple, Sequence, Set, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -106,7 +108,34 @@ class SparseRows(NamedTuple):
             np.concatenate, zip(self[1:], other._replace(rows=self.shape[0] + other.rows)[1:])))
 
 
-def _smith_kernel(A: SparseRows, q: int, e: int) -> List[Tuple[Dict[int, int], int]]:
+class DictRows(NamedTuple):
+    """A system as its nonzero rows, each a dict {column: entry} with the
+    entry reduced modulo the elimination's modulus and not 0, in order:
+    the form in which ``kernel`` writes each prime's part and the one the
+    elimination reads.  ``shape`` is (rows, columns)."""
+
+    rows: List[Dict[int, int]]
+    n_cols: int
+
+    @property
+    def shape(self) -> Tuple[int, int]:
+        return len(self.rows), self.n_cols
+
+    @classmethod
+    def of(cls, A, n_cols: int, M: int) -> "DictRows":
+        """A system in any of the three forms, modulo M: a DictRows is
+        returned as it is, a SparseRows or a dense system is read once."""
+        if isinstance(A, cls):
+            return A
+        A = SparseRows.from_dense(A, n_cols)
+        R: Dict[int, Dict[int, int]] = {}
+        for i, c, a in zip(A.rows.tolist(), A.cols.tolist(), (A.vals % M).tolist()):
+            if a:
+                R.setdefault(i, {})[c] = a
+        return cls(list(R.values()), A.shape[1])
+
+
+def _smith_kernel(A: DictRows, q: int, e: int) -> List[Tuple[Dict[int, int], int]]:
     """Generators of {u in Z_M^n : A @ u == 0 mod M}, M = q^e for a prime q,
     as (sparse vector, order) pairs: the elimination of the module
     docstring brings A to U * A * V = diag(q^v_i) with U and V invertible
@@ -114,20 +143,20 @@ def _smith_kernel(A: SparseRows, q: int, e: int) -> List[Tuple[Dict[int, int], i
     Column i of V times q^(e - v_i) generates a part of order q^v_i, for
     each pivot with v_i > 0 in pivot order, and then each column that never
     holds a pivot (v_i = e) generates a part of order M, in column order.
-    Vectors are {coordinate: entry}, entries in [0, M), absent ones 0."""
+    Vectors are {coordinate: entry}, entries in [0, M), absent ones 0.
+    ``A`` is not modified."""
     M = q**e
     R: Dict[int, Dict[int, int]] = {}  # row index -> {column: entry}
-    holders: List[Set[int]] = [set() for _ in range(A.shape[1])]
-    for i, c, a in zip(A.rows.tolist(), A.cols.tolist(), (A.vals % M).tolist()):
-        if a:
-            R.setdefault(i, {})[c] = a
+    holders: List[Set[int]] = [set() for _ in range(A.n_cols)]
+    for i, row in enumerate(A.rows):
+        R[i] = dict(row)
+        for c in row:
             holders[c].add(i)
-    V = {c: {c: 1} for c in range(A.shape[1])}  # columns of V not yet pivots
+    V = {c: {c: 1} for c in range(A.n_cols)}  # columns of V not yet pivots
     gens: List[Tuple[Dict[int, int], int]] = []
-    order = list(R)  # ascending, as A lists its entries row by row
     for v in range(e):
         d = q**v  # divides every entry from here on
-        for p in order:
+        for p in range(len(A.rows)):
             row = R.get(p)
             if row is None:
                 continue
@@ -170,7 +199,7 @@ def _smith_kernel(A: SparseRows, q: int, e: int) -> List[Tuple[Dict[int, int], i
     return gens + [(V[c], M) for c in sorted(V)]
 
 
-def gf_nullspace(rows: Union[SparseRows, np.ndarray], q: int) -> np.ndarray:
+def gf_nullspace(rows: Union[DictRows, SparseRows, np.ndarray], q: int) -> np.ndarray:
     """Basis of {u : rows @ u == 0 mod q} for prime q; shape (dim, N).
 
     Basis vector i is 1 at the i-th free column f of the reduced row echelon
@@ -180,18 +209,18 @@ def gf_nullspace(rows: Union[SparseRows, np.ndarray], q: int) -> np.ndarray:
     docstring).  ``rows`` is not modified.
     """
     # The elimination is exact in Python ints, but the basis is returned as
-    # int64 and ``kernel`` multiplies it by CRT factors in int64.
+    # int64, and its users multiply its entries modulo q in int64.
     if (q - 1) * q > 2**62:
         raise OverflowError(f"modulus {q} is too wide for int64 elimination")
-    gens = _smith_kernel(SparseRows.from_dense(rows, rows.shape[1]), q, 1)
+    gens = _smith_kernel(DictRows.of(rows, rows.shape[1], q), q, 1)
     basis = np.zeros((len(gens), rows.shape[1]), dtype=np.int64)
     for b, (vec, _) in enumerate(gens):
         basis[b, list(vec)] = list(vec.values())
     return basis
 
 
-def kernel_mod(rows: Union[SparseRows, Sequence[Sequence[int]]], modulus: int, n_cols: int
-               ) -> List[Tuple[List[int], int]]:
+def kernel_mod(rows: Union[DictRows, SparseRows, Sequence[Sequence[int]]], modulus: int,
+               n_cols: int) -> List[Tuple[List[int], int]]:
     """Generators of {u in Z_M^n : rows @ u == 0 mod M} for a prime power
     M = q^e; any other modulus raises ``ValueError``.
 
@@ -205,7 +234,7 @@ def kernel_mod(rows: Union[SparseRows, Sequence[Sequence[int]]], modulus: int, n
         raise ValueError(f"modulus {modulus} is not a prime power")
     (q, e), = factors.items()
     return [([vec.get(x, 0) for x in range(n_cols)], order)
-            for vec, order in _smith_kernel(SparseRows.from_dense(rows, n_cols), q, e)]
+            for vec, order in _smith_kernel(DictRows.of(rows, n_cols, modulus), q, e)]
 
 
 def enumerate_group(gens: Sequence[Tuple[Sequence[int], int]],
@@ -241,49 +270,64 @@ def kernel(rows, row_mods: Sequence[int], col_mods: Sequence[int]
     exponent it is solved over Z_{q^e}, where Z_{q^v} embeds as
     q^{e-v} Z_{q^e}: u_s = q^{e-v_s} x_s turns row r into the row
     rows[r, s] * q^{v_s - w_r} modulo q^e, and the relations q^v_s * u_s ==
-    0 cut the embedded subgroup out; an entry below q^w_r <= q^e times
-    q^v_s <= q^e fits int64 wherever the CRT lift does.  Where e = 1 every
-    v_s and w_r is 1: the rows are the q-part's, and there is no relation.  The generators
-    are then lifted back by the Chinese remainder theorem.
+    0 cut the embedded subgroup out.  Where e = 1 every v_s and w_r is 1:
+    the rows are the q-part's, and there is no relation.
+
+    Each prime takes one pass over the entries, in Python ints: it keeps
+    the entries on the q-part's columns, reduces each modulo q^w_r, drops
+    the zeros and scales the rest by q^(v_s - w_r), writing the part's
+    live rows, in order, as the DictRows the elimination reads.  The
+    generators are lifted back by the Chinese remainder theorem in Python
+    ints too, and each prime's come out as one int64 array.
     """
     col_mods = [int(d) for d in col_mods]
     A = SparseRows.from_dense(rows, len(col_mods))
-    distinct = sorted(set(np.asarray(row_mods).tolist()))  # a few values: ring moduli
-    row_at = np.asarray(distinct, dtype=np.int64).searchsorted(row_mods)[A.rows]  # per entry
-    powers = {d: factorize(d) for d in set(col_mods).union(distinct)}
+    row_mods = np.asarray(row_mods, dtype=np.int64)
+    entries = list(zip(A.rows.tolist(), A.cols.tolist(), A.vals.tolist(),
+                       row_mods[A.rows].tolist()))  # (row, column, entry, row modulus)
+    powers = {d: factorize(d) for d in set(col_mods).union(row_mods.tolist())}
     gens: List[Tuple[np.ndarray, int]] = []
     for q in sorted({q for d in set(col_mods) for q in powers[d]}):
-        inq = np.array([d % q == 0 for d in col_mods])
-        cols = inq.nonzero()[0]  # the columns of the q-part
-        v = [powers[col_mods[s]][q] for s in cols]
-        # the q-part: the entries on its columns, each reduced modulo q^w_r
-        # (to 0 where w_r = 0); the rows that keep one stay, in order
-        w = np.array([powers[d].get(q, 0) for d in distinct], dtype=np.int64)[row_at]
-        a = A.vals % q**w * inq[A.cols]
-        keep = a.nonzero()[0]
-        r, w, j = A.rows[keep], w[keep], cols.searchsorted(A.cols[keep])  # column j of the part
-        opens = np.concatenate([[True], r[1:] != r[:-1]])[:len(r)]  # each live row's first entry
-        part = SparseRows((int(opens.sum()), len(cols)), opens.cumsum() - 1, j, a[keep])
-        e = max(v + w.tolist())
-        if e > 1:  # over Z_{q^e}: the entries times q^v_s / q^w_r, and the relations
-            qv = q ** np.array(v, dtype=np.int64)
-            vals, rest = np.divmod(part.vals * qv[part.cols], q**w)
-            if rest.any():
-                raise ValueError("a row is not well defined on the coordinate group")
-            short = np.flatnonzero(qv < q**e)  # a row q^v_s * u_s == 0 for each v_s < e
-            part = SparseRows(part.shape, part.rows, part.cols, vals).above(
-                SparseRows((len(short), len(v)), np.arange(len(short)), short, qv[short]))
-            pairs = kernel_mod(part, q**e, len(v))
-            local = np.array([vec for vec, _ in pairs], dtype=np.int64).reshape(len(pairs), len(v))
-            local, orders = local // (q**e // qv), [order for _, order in pairs]
+        cols = [s for s, d in enumerate(col_mods) if d % q == 0]
+        at: List[Optional[int]] = [None] * len(col_mods)  # column s -> column of the part
+        for j, s in enumerate(cols):
+            at[s] = j
+        qv = [q ** powers[col_mods[s]][q] for s in cols]
+        qw = {m: q ** f.get(q, 0) for m, f in powers.items()}  # modulus -> its q-part
+        M = max(qv)  # q^e: e is the largest v_s, or w_r of a kept entry if larger
+        part: Dict[int, Dict[int, int]] = {}
+        for r, s, a, m in entries:
+            j = at[s]
+            if j is None:
+                continue
+            m = qw[m]
+            a %= m
+            if a:
+                if m > M:
+                    M = m
+                if m != qv[j]:  # times q^v_s / q^w_r, which must be exact
+                    a, rest = divmod(a * qv[j], m)
+                    if rest:
+                        raise ValueError("a row is not well defined on the coordinate group")
+                part.setdefault(r, {})[j] = a
+        live = list(part.values())
+        if M > q:  # over Z_{q^e}: a row q^v_s * u_s == 0 for each v_s < e
+            live += [{j: x} for j, x in enumerate(qv) if x < M]
+            pairs = kernel_mod(DictRows(live, len(cols)), M, len(cols))
+            local = [[x // (M // y) for x, y in zip(vec, qv)] for vec, _ in pairs]
+            orders = [order for _, order in pairs]
         else:
-            local = gf_nullspace(part, q)
+            local = gf_nullspace(DictRows(live, len(cols)), q).tolist()
             orders = [q] * len(local)
         # CRT: the q-part of Z_d is (d / q^v) Z_d, and x maps to x * lam
         # with lam == 1 mod q^v and lam == 0 mod d / q^v
-        lam = np.array([(col_mods[s] // q**vs) * pow(col_mods[s] // q**vs, -1, q**vs)
-                        for s, vs in zip(cols, v)], dtype=np.int64)
-        full = np.zeros((len(orders), len(col_mods)), dtype=np.int64)
-        full[:, cols] = local * lam % np.array(col_mods)[cols]
-        gens.extend(zip(full, orders))
+        lift = []
+        for s, x in zip(cols, qv):
+            d = col_mods[s]
+            lift.append((s, d // x * pow(d // x, -1, x), d))
+        full = [[0] * len(col_mods) for _ in orders]
+        for row, vec in zip(full, local):
+            for (s, lam, d), x in zip(lift, vec):
+                row[s] = x * lam % d
+        gens.extend(zip(np.array(full, dtype=np.int64).reshape(len(orders), len(col_mods)), orders))
     return gens

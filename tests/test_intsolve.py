@@ -8,8 +8,17 @@ import pytest
 from mnjordan import finring as fr
 from mnjordan import intsolve
 from mnjordan.laws import TABLE
-from tests.util import (check_sparse_form, dense_kernel_mod, densify, eager_gf_nullspace,
-                        euclid_kernel_mod)
+from tests.util import (check_dict_form, check_sparse_form, dense_kernel_mod, densify,
+                        eager_gf_nullspace, euclid_kernel_mod, numpy_kernel)
+
+
+def check_row_form(rows, modulus):
+    """A system in one of the two sparse row formats, with its invariant."""
+    assert isinstance(rows, (intsolve.SparseRows, intsolve.DictRows)), type(rows)
+    if isinstance(rows, intsolve.DictRows):
+        check_dict_form(rows, modulus)
+    else:
+        check_sparse_form(rows)
 
 
 def brute_kernel(rows, modulus, n_cols):
@@ -176,9 +185,9 @@ def _record_gf_nullspace(monkeypatch):
 
     def recording(rows, q):
         # the benchmark's tracer reads rows.shape[0], the live rows handed
-        # over, so every caller passes its system in the sparse row format
-        assert isinstance(rows, intsolve.SparseRows), type(rows)
-        check_sparse_form(rows)
+        # over, so every caller passes its system in a sparse row format:
+        # kernel one prime's part as DictRows, _is_separable a SparseRows
+        check_row_form(rows, q)
         before = densify(rows)
         basis = solve(rows, q)
         assert np.array_equal(densify(rows), before)  # the system is not modified
@@ -317,8 +326,7 @@ def test_kernel_mod_matches_the_oracle_on_every_theorem_system(monkeypatch, ring
     solve = intsolve.kernel_mod
 
     def recording(rows, modulus, n_cols):
-        assert isinstance(rows, intsolve.SparseRows), type(rows)
-        check_sparse_form(rows)
+        check_row_form(rows, modulus)
         gens = solve(rows, modulus, n_cols)
         calls.append((densify(rows).tolist(), modulus, n_cols, gens))
         return gens
@@ -355,8 +363,9 @@ def test_kernel_matches_brute_force_on_mixed_moduli():
         # entry (r, s) must be a multiple of M_r / gcd(M_r, d_s) to be well defined
         rows = [[rng.randrange(0, mr, mr // math.gcd(mr, d)) for d in col_mods]
                 for mr in row_mods]
-        gens = intsolve.kernel(np.array(rows, dtype=np.int64).reshape(len(rows), len(col_mods)),
-                               row_mods, col_mods)
+        A = np.array(rows, dtype=np.int64).reshape(len(rows), len(col_mods))
+        gens = intsolve.kernel(A, row_mods, col_mods)
+        assert_same_generators(gens, numpy_kernel(A, row_mods, col_mods))
         elems = intsolve.enumerate_group(gens, col_mods, len(col_mods), 10**6)
         brute = {
             u for u in itertools.product(*(range(d) for d in col_mods))
@@ -364,3 +373,69 @@ def test_kernel_matches_brute_force_on_mixed_moduli():
         }
         assert len(elems) == len(set(elems)) == math.prod(o for _, o in gens)
         assert set(elems) == brute, (rows, row_mods, col_mods)
+
+
+def assert_same_generators(gens, expected):
+    """Array-identical generators, int64 and in the same order, with the
+    same orders."""
+    assert [order for _, order in gens] == [order for _, order in expected]
+    for (vec, _), (want, _) in zip(gens, expected):
+        assert vec.dtype == np.int64 and np.array_equal(vec, want), (vec, want)
+
+
+def _zn_sum(*mods):
+    return fr.DirectProduct(*map(fr.Zn, mods)) if len(mods) > 1 else fr.Zn(mods[0])
+
+
+@pytest.mark.parametrize("ring", [
+    pytest.param(R, id=R.name) for R in
+    [_zn_sum(n) for n in range(2, 31)]
+    + [_zn_sum(a, b) for a in range(2, 7) for b in range(a, 7)]
+    + [_zn_sum(*mods) for mods in [(8, 4), (9, 3), (25, 5), (8, 8, 4), (12, 18), (4, 6, 9)]]
+    + [fr.MatRing(2, p) for p in (2, 3, 4, 5, 7, 9, 11, 13)] + [fr.MatRing(3, 4)]
+])
+def test_kernel_matches_the_numpy_oracle_on_every_theorem_system(monkeypatch, ring):
+    """Every kernel call check_theorem makes, under all four laws at four
+    weights: the one pass per prime gives the generators of the former
+    array set-up, in order.  Z12+Z18 and Z4+Z6+Z9 have two primes with
+    e > 1 in one system."""
+    calls = []
+    solve = intsolve.kernel
+
+    def recording(rows, row_mods, col_mods):
+        gens = solve(rows, row_mods, col_mods)
+        assert_same_generators(gens, numpy_kernel(rows, row_mods, col_mods))
+        calls.append(len(gens))
+        return gens
+
+    monkeypatch.setattr(intsolve, "kernel", recording)
+    for law in TABLE:
+        for m, n in [(1, 2), (2, 1), (2, 3), (3, 2)]:
+            fr.check_theorem(ring, fr.LawSpec(law, m, n))
+    assert calls
+
+
+def test_kernel_lifts_exactly_above_int64():
+    """The CRT lift of a part of Z_d multiplies entries below q by factors
+    below d; with d = 7 (2^31 - 1) that passes 2^63, and an int64 lift
+    returned [6442450936, 12884901883], which does not solve x + y == 0."""
+    d = 7 * (2**31 - 1)
+    gens = intsolve.kernel([[1, 1]], [d], [d, d])
+    assert [order for _, order in gens] == [7, 2**31 - 1]  # coprime: they generate Z_d
+    for vec, order in gens:
+        x, y = (int(a) for a in vec)
+        assert vec.dtype == np.int64 and 0 < x < d and 0 < y < d
+        assert (x + y) % d == 0 and x * order % d == 0
+
+
+def test_kernel_refuses_a_row_that_is_not_well_defined():
+    # x_0 in Z_2 times 1 is not defined modulo 4
+    for solve in (intsolve.kernel, numpy_kernel):
+        with pytest.raises(ValueError, match="not well defined"):
+            solve(np.array([[1, 0]]), [4], [2, 4])
+
+
+def test_kernel_keeps_the_width_check_of_gf_nullspace():
+    q = 2**31 + 11
+    with pytest.raises(OverflowError):
+        intsolve.kernel(np.array([[1, 1]]), [q], [q, q])

@@ -541,6 +541,59 @@ def dense_kernel_mod(rows, modulus, n_cols):
     return gens + [(vec, modulus) for vec in V]
 
 
+# -- intsolve.kernel with its per-prime set-up on numpy arrays ------------------
+
+
+def numpy_kernel(rows, row_mods, col_mods):
+    """intsolve.kernel before the one pass per prime: each prime's part is
+    selected, reduced and scaled with array operations on the SparseRows
+    entries, and the generators are lifted by CRT in int64 (which wraps
+    where a column modulus d has d * q >= 2^63).  The production kernel
+    must give these generators, in order, on every system the oracle lifts
+    exactly."""
+    col_mods = [int(d) for d in col_mods]
+    A = intsolve.SparseRows.from_dense(rows, len(col_mods))
+    distinct = sorted(set(np.asarray(row_mods).tolist()))  # a few values: ring moduli
+    row_at = np.asarray(distinct, dtype=np.int64).searchsorted(row_mods)[A.rows]  # per entry
+    powers = {d: intsolve.factorize(d) for d in set(col_mods).union(distinct)}
+    gens = []
+    for q in sorted({q for d in set(col_mods) for q in powers[d]}):
+        inq = np.array([d % q == 0 for d in col_mods])
+        cols = inq.nonzero()[0]  # the columns of the q-part
+        v = [powers[col_mods[s]][q] for s in cols]
+        # the q-part: the entries on its columns, each reduced modulo q^w_r
+        # (to 0 where w_r = 0); the rows that keep one stay, in order
+        w = np.array([powers[d].get(q, 0) for d in distinct], dtype=np.int64)[row_at]
+        a = A.vals % q**w * inq[A.cols]
+        keep = a.nonzero()[0]
+        r, w, j = A.rows[keep], w[keep], cols.searchsorted(A.cols[keep])  # column j of the part
+        opens = np.concatenate([[True], r[1:] != r[:-1]])[:len(r)]  # each live row's first entry
+        part = intsolve.SparseRows((int(opens.sum()), len(cols)), opens.cumsum() - 1, j, a[keep])
+        e = max(v + w.tolist())
+        if e > 1:  # over Z_{q^e}: the entries times q^v_s / q^w_r, and the relations
+            qv = q ** np.array(v, dtype=np.int64)
+            vals, rest = np.divmod(part.vals * qv[part.cols], q**w)
+            if rest.any():
+                raise ValueError("a row is not well defined on the coordinate group")
+            short = np.flatnonzero(qv < q**e)  # a row q^v_s * u_s == 0 for each v_s < e
+            part = intsolve.SparseRows(part.shape, part.rows, part.cols, vals).above(
+                intsolve.SparseRows((len(short), len(v)), np.arange(len(short)), short, qv[short]))
+            pairs = intsolve.kernel_mod(part, q**e, len(v))
+            local = np.array([vec for vec, _ in pairs], dtype=np.int64).reshape(len(pairs), len(v))
+            local, orders = local // (q**e // qv), [order for _, order in pairs]
+        else:
+            local = intsolve.gf_nullspace(part, q)
+            orders = [q] * len(local)
+        # CRT: the q-part of Z_d is (d / q^v) Z_d, and x maps to x * lam
+        # with lam == 1 mod q^v and lam == 0 mod d / q^v
+        lam = np.array([(col_mods[s] // q**vs) * pow(col_mods[s] // q**vs, -1, q**vs)
+                        for s, vs in zip(cols, v)], dtype=np.int64)
+        full = np.zeros((len(orders), len(col_mods)), dtype=np.int64)
+        full[:, cols] = local * lam % np.array(col_mods)[cols]
+        gens.extend(zip(full, orders))
+    return gens
+
+
 # -- the dense systems the sparse builders replaced ------------------------------
 
 
@@ -556,10 +609,22 @@ def check_sparse_form(rows):
     assert rows.vals.all()
 
 
+def check_dict_form(rows, modulus):
+    """The DictRows invariant: every row holds an entry, each column inside
+    the shape, each entry in [1, modulus)."""
+    assert all(row for row in rows.rows)
+    assert all(0 <= c < rows.n_cols and 0 < a < modulus for row in rows.rows for c, a in row.items())
+    assert all(type(c) is int and type(a) is int for row in rows.rows for c, a in row.items())
+
+
 def densify(rows):
-    """A SparseRows as the dense int64 array it stands for."""
+    """A SparseRows or a DictRows as the dense int64 array it stands for."""
     A = np.zeros(rows.shape, dtype=np.int64)
-    A[rows.rows, rows.cols] = rows.vals
+    if isinstance(rows, intsolve.DictRows):
+        for i, row in enumerate(rows.rows):
+            A[i, list(row)] = list(row.values())
+    else:
+        A[rows.rows, rows.cols] = rows.vals
     return A
 
 

@@ -8,7 +8,7 @@ SHA-256 over the runs.  Two trees give the same answers when they print the
 same lines.
 
 The ring corpus is ``mnjordan ring --format json`` on Zn (n <= 30), Za+Zb
-(a <= b <= 6), the shipped tables, four prime-power products, Mat2(Z_p)
+(a <= b <= 6), the shipped tables, six prime-power products, Mat2(Z_p)
 (p <= 13), Mat2(Z4), Mat2(Z9), Mat3(Z4), Mat3(Z7), Mat3(Z8) and Z5+Mat2(Z7)
 under all four laws at (1,2), (2,1), (2,3) and (3,2); Mat4(Z3) under all
 four laws at (1,2); Mat4(Z4) under the generalized centralizer law at
@@ -16,7 +16,8 @@ four laws at (1,2); Mat4(Z4) under the generalized centralizer law at
 at (1,2); and ``mnjordan search --family mat2 --primes 3,5,7,11,13`` under
 all four laws at (1,2).  The prime powers are there because the generators of
 a kernel over Z/q^e depend on the order of the rows and on the pivots, so
-a reordered row or another pivot changes an answer on those rings; Mat3
+a reordered row or another pivot changes an answer on those rings; in
+Z12+Z18 and Z4+Z6+Z9 two primes have a square in one system, and Mat3
 and Mat4 over Z4 and Z8 give systems of hundreds to thousands of rows with
 many pivots of positive valuation.  Mat5(Z2) gives GF(2) law and
 separability systems of thousands of rows.  Construction errors are in it too: a
@@ -71,7 +72,8 @@ def corpus(src: Path):
     rings = [_zn(n) for n in range(2, 31)]
     rings += [_product(_zn(a), _zn(b)) for a in range(2, 7) for b in range(a, 7)]
     rings += [json.loads(p.read_text()) for p in sorted((src / "mnjordan" / "rings").glob("*.json"))]
-    rings += [_product(*map(_zn, ns)) for ns in ((8, 4), (9, 3), (25, 5), (8, 8, 4))]
+    rings += [_product(*map(_zn, ns))
+              for ns in ((8, 4), (9, 3), (25, 5), (8, 8, 4), (12, 18), (4, 6, 9))]
     rings += [_mat(2, p) for p in (2, 3, 5, 7, 11, 13)] + [_mat(2, 4), _mat(2, 9), _mat(3, 7)]
     rings += [_mat(3, 4), _mat(3, 8)]
     rings.append(_product(_zn(5), _mat(2, 7)))
