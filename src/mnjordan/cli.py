@@ -41,7 +41,11 @@ def shipped_script_path(name: str):
 
 def cmd_prove(args) -> int:
     try:
-        text = open(args.script).read()
+        with open(args.script, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        print(f"cannot read script: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     except OSError as exc:
         # bare names fall back to the scripts shipped with the package
         shipped = shipped_script_path(args.script.split("/")[-1])
@@ -55,7 +59,7 @@ def cmd_prove(args) -> int:
     except proofcheck.ScriptError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except PowerSizeError as exc:
+    except (PowerSizeError, RecursionError) as exc:  # a claim nested past the recursion limit
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     if args.format == "json":
@@ -102,7 +106,7 @@ def cmd_ring(args) -> int:
         ring, weight_n = _ring_from_args(args)
         spec = finring.LawSpec(args.law, args.m, weight_n)
         report = finring.check_theorem(ring, spec)
-    except (ValueError, OSError) as exc:  # RingConstructionError is a ValueError
+    except (ValueError, OSError, RecursionError) as exc:  # RingConstructionError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except MemoryError as exc:

@@ -299,22 +299,19 @@ def _is_separable(c: np.ndarray, p: int) -> bool:
     """
     d = c.shape[0]
     dd, lam = d * d, d * d + d  # columns: u, then E_ab at d + a*d + b, then lam
-    n, base = lam + 1, 2 * dd + d  # row (i, x, y) of the commuting block: base + i*dd + x*d + y
-    # entries by row * n + column: u f_i = lam f_i and f_i u = lam f_i at rows (i, i), mu(e) = u
-    cells = {key: -1 for i in range(d)
-             for key in ((i * d + i) * n + lam, (dd + i * d + i) * n + lam, (2 * dd + i) * n + i)}
+    base = 2 * dd + d  # row (i, x, y) of the commuting block: base + i*dd + x*d + y
+    rows: List[Dict[int, int]] = [{} for _ in range(base + d**3)]
+    for i in range(d):  # u f_i = lam f_i and f_i u = lam f_i at rows (i, i), mu(e) = u
+        rows[i * d + i][lam] = rows[dd + i * d + i][lam] = rows[2 * dd + i][i] = -1
     for (a, b, t), v in zip(np.argwhere(c).tolist(), c[c != 0].tolist()):  # v = c[a, b, t]
-        cells[(b * d + t) * n + a] = cells[(dd + a * d + t) * n + b] = v
-        cells[(2 * dd + t) * n + d + a * d + b] = v
+        rows[b * d + t][a] = rows[dd + a * d + t][b] = v
+        rows[2 * dd + t][d + a * d + b] = v
         for y in range(d):  # c[i, a, x] E_ay, -c[b, i, y] E_xb at (i, a, x) = (b, i, y) = (a, b, t)
-            first = (base + a * dd + t * d + y) * n + d + b * d + y
-            second = (base + b * dd + y * d + t) * n + d + y * d + a  # meets first at (x, y)
-            cells[first] = cells.get(first, 0) + v
-            cells[second] = cells.get(second, 0) - v
-    keys = sorted(key for key, entry in cells.items() if entry)
-    rows = intsolve.SparseRows((base + d**3, n), *np.divmod(np.array(keys, dtype=np.int64), n),
-                               np.array([cells[key] for key in keys], dtype=np.int64))
-    return bool(np.any(intsolve.gf_nullspace(rows, p)[:, -1]))
+            first, col = rows[base + a * dd + t * d + y], d + b * d + y
+            first[col] = first.get(col, 0) + v
+            second, col = rows[base + b * dd + y * d + t], d + y * d + a  # meets first at (x, y)
+            second[col] = second.get(col, 0) - v
+    return bool(np.any(intsolve.gf_nullspace(intsolve.DictRows(rows, lam + 1), p)[:, -1]))
 
 
 def _algebra_mul(c: np.ndarray, p: int, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -482,7 +479,7 @@ class LawSpec:
         return self.rule.torsion_product(self.m, self.n)
 
 
-def _law_row_blocks(R: FinRing, spec: LawSpec) -> Tuple[intsolve.SparseRows, np.ndarray]:
+def _law_row_blocks(R: FinRing, spec: LawSpec) -> Tuple[intsolve.DictRows, List[int]]:
     """Equation rows for the law imposed at the polarization points.
 
     Each law is a quadratic form L(x) = B(x, x) with B(x, y) = a M(xy) +
@@ -498,11 +495,13 @@ def _law_row_blocks(R: FinRing, spec: LawSpec) -> Tuple[intsolve.SparseRows, np.
     M(x)x and x_b (x e_a)_t in xM(x).  x_b is 1 on the one or two
     coordinates of x and 0 elsewhere, so row (x, t) is nonzero only at 3k
     places, and the rows are read back from those, never formed over all
-    slots.
+    slots.  A generalized law's top rows are the law on (M, M0), its M
+    places and its M0 places read into the same rows, the latter at the
+    second map's slots; its bottom rows are the plain law on M0 alone.
 
     Returns (rows, row_mods): rows has shape (Q, n_maps*k*k) with slot
     ordering (map, i, j); row r states sum_s rows[r, s]*u_s == 0 modulo
-    row_mods[r].
+    row_mods[r], a Python int.
     """
     k, C = R.k, R.constants
     X, off, two, at_x, at_t = _polarization(k)
@@ -522,16 +521,24 @@ def _law_row_blocks(R: FinRing, spec: LawSpec) -> Tuple[intsolve.SparseRows, np.
         Yt, diag = Y.transpose(0, 2, 1) * off, Y.diagonal(0, 1, 2)[:, :, None] * X[:, None, :]
         return np.concatenate([Yt, Yt * two, A + diag], axis=2).reshape(-1, 3 * k)
 
+    def read(P, shift, rows=None):
+        """The rows of the places P, each a dict {slot + shift: entry}, or
+        ``rows`` with those entries written in."""
+        if rows is None:
+            rows = [{} for _ in range(len(P))]
+        r, l = P.nonzero()
+        slots = (at_x[r // k % len(X), l] + at_t[r % k, l] + shift).tolist()
+        for i, s, v in zip(r.tolist(), slots, P[r, l].tolist()):
+            rows[i][s] = v
+        return rows
+
     if spec.pair:  # the law on (M, M0), and the plain law on M0 alone; a_t (x^2)_b is at (t, b)
         m, m0 = places(b * ex, a[:, None] * x2[:, None, :]), places(c * xe, 0)  # on M and on M0
-        V = np.zeros((2 * len(m), 6 * k), dtype=np.int64)
-        V[:len(m), :3 * k], V[:len(m), 3 * k:], V[len(m):, 3 * k:] = m, m0, m + m0
+        rows = read(m0, k * k, read(m, 0)) + read(m + m0, k * k)
     else:
-        V = places(b * ex + c * xe, a[:, None] * x2[:, None, :])
-    r, l = V.nonzero()
-    rows = intsolve.SparseRows((len(V), V.shape[1] // 3 * k), r,
-                               at_x[r // k % len(X), l] + at_t[r % k, l], V[r, l])
-    return rows, np.tile(R._mods, len(V) // k)
+        rows = read(places(b * ex + c * xe, a[:, None] * x2[:, None, :]), 0)
+    n_maps = 2 if spec.pair else 1
+    return intsolve.DictRows(rows, n_maps * k * k), list(R.moduli) * (len(rows) // k)
 
 
 @functools.lru_cache(maxsize=16)
@@ -540,24 +547,22 @@ def _polarization(k: int) -> Tuple[np.ndarray, ...]:
     X, the e_i and then the e_i + e_j for i < j in row-major order; the
     masks a != t and x != e_i; and the slot at_x[x, l] + at_t[t, l] of
     place l of row (x, t).  Place s*k + a is slot (a, b_s) for the
-    coordinates b_0 < b_1 of x (b_0 alone for e_i), place 2k + b is slot
-    (t, b), and places 3k to 6k are the same slots of the second map.  No
-    caller writes to them."""
+    coordinates b_0 < b_1 of x (b_0 alone for e_i), and place 2k + b is
+    slot (t, b).  No caller writes to them."""
     eye, ak = np.eye(k, dtype=np.int64), np.arange(k) * k
     b = np.array([(i, i) for i in range(k)] + list(itertools.combinations(range(k), 2)))
     at_x = np.pad(np.concatenate([ak + b[:, :1], ak + b[:, 1:]], axis=1), ((0, 0), (0, k)))
     at_t = np.pad(ak[:, None] + np.arange(k), ((0, 0), (2 * k, 0)))
-    return (eye[b[:, 0]] | eye[b[:, 1]], eye == 0, (b[:, :1] != b[:, 1:])[:, :, None],
-            np.concatenate([at_x, at_x + k * k], axis=1), np.tile(at_t, 2))
+    return eye[b[:, 0]] | eye[b[:, 1]], eye == 0, (b[:, :1] != b[:, 1:])[:, :, None], at_x, at_t
 
 
-def _hom_rows(R: FinRing, n_maps: int) -> Tuple[intsolve.SparseRows, np.ndarray]:
+def _hom_rows(R: FinRing, n_maps: int) -> Tuple[intsolve.DictRows, List[int]]:
     """Row per slot (map, i, j) with d_i not dividing d_j: d_j M[i, j] == 0
     modulo d_i, the additive-map condition."""
     d, k = R._mods, R.k
     slots = np.flatnonzero(np.tile(d[None, :] % d[:, None] != 0, (n_maps, 1, 1)))
-    return (intsolve.SparseRows((slots.size, n_maps * k * k), np.arange(slots.size), slots,
-                                d[slots % k]), d[slots // k % k])
+    return (intsolve.DictRows([{s: v} for s, v in zip(slots.tolist(), d[slots % k].tolist())],
+                              n_maps * k * k), d[slots // k % k].tolist())
 
 
 @dataclass
@@ -612,7 +617,8 @@ def solve_identity(R: FinRing, spec: LawSpec) -> SolutionSet:
     law, law_mods = _law_row_blocks(R, spec)
     hom, hom_mods = _hom_rows(R, n_maps)
     slot_mods = np.tile(np.repeat(R._mods, R.k), n_maps)
-    generators = intsolve.kernel(law.above(hom), np.concatenate([law_mods, hom_mods]), slot_mods)
+    generators = intsolve.kernel(intsolve.DictRows(law.rows + hom.rows, law.n_cols),
+                                 law_mods + hom_mods, slot_mods)
     return SolutionSet(ring=R, n_maps=n_maps, slot_mods=slot_mods, generators=generators)
 
 
@@ -679,10 +685,9 @@ def maps_into_center(R: FinRing, D: AddMap) -> bool:
 def _law_residual(R: FinRing, spec: LawSpec, maps: Sequence[AddMap]) -> bool:
     """True when the maps satisfy the defining law at every element."""
     rows, row_mods = _law_row_blocks(R, spec)
-    vec, total = _vector_of_maps(maps), [0] * rows.shape[0]
-    for r, s, a in zip(rows.rows.tolist(), rows.cols.tolist(), rows.vals.tolist()):
-        total[r] += a * vec[s]  # in Python ints: no product or sum can overflow
-    return all(t % d == 0 for t, d in zip(total, row_mods.tolist()))
+    vec = _vector_of_maps(maps)  # in Python ints: no product or sum can overflow
+    return all(sum(a * vec[s] for s, a in row.items()) % d == 0
+               for row, d in zip(rows.rows, row_mods))
 
 
 # -- the xyx expansion, checked numerically -------------------------------------------
@@ -913,7 +918,8 @@ def _conclusion_violations(R: FinRing, spec: LawSpec, sols: SolutionSet
     outside = np.nonzero(on_gens.any(axis=0))[0]
     if outside.size == 0:
         return 0, []
-    kept = intsolve.kernel(on_gens, mods, [order for _, order in sols.generators])
+    broken = on_gens.any(axis=1)  # the other rows hold no entry
+    kept = intsolve.kernel(on_gens[broken], mods[broken], [order for _, order in sols.generators])
     g = outside[0]
     reason = next(r for r, values, mods_r in blocks if np.any(values[g] % mods_r))
     vec = G[g]

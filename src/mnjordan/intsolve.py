@@ -30,16 +30,14 @@ index lists, per column, the rows with a nonzero there, and each column of
 V is a dict too.  A pivot is subtracted from exactly the rows listed under
 its column.
 
-A system travels in one format from the builder that writes it to
-``kernel``, ``SparseRows``: its shape and its nonzero entries as
-(row, column, value) in three int64 arrays, row by row in ascending order,
-each cell at most once.  ``kernel`` reads the entries into Python lists
-once and makes one pass over them per prime, which writes that prime's
-part as ``DictRows``, the rows {column: entry} the elimination reads.
-``gf_nullspace`` and ``kernel_mod`` take DictRows as they are and read a
-SparseRows or a dense system into them (``DictRows.of``); a dense system,
-one that is dense by nature or a test's, enters through
-``SparseRows.from_dense``.
+A system travels in one format, ``DictRows``, from the builder that
+writes it to the elimination: its rows in order, each a dict {column:
+entry} in Python ints, where an entry may be any integer and a row may be
+empty.  ``kernel`` makes one pass over the rows per prime, which writes
+that prime's part as DictRows too.  ``gf_nullspace`` and ``kernel_mod``
+take DictRows as they are and read a dense system into them
+(``DictRows.of``).  The elimination's copy of the rows is the one place
+an entry is reduced modulo q^e; zeros and empty rows go there.
 
 For e = 1 the result is the basis read off the reduced row echelon form,
 vector for vector.  Every entry has valuation 0, so the pivot is the
@@ -79,40 +77,12 @@ def factorize(n: int) -> Dict[int, int]:
     return out
 
 
-class SparseRows(NamedTuple):
-    """A system of linear rows by its nonzero entries: ``shape`` is (rows,
-    columns), and entry i is ``vals[i]`` at (``rows[i]``, ``cols[i]``), three
-    int64 arrays, row by row in ascending order and each cell at most once.
-    Every system a ring check builds travels in this form from its builder
-    to the elimination."""
-
-    shape: Tuple[int, int]
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-
-    @classmethod
-    def from_dense(cls, A, n_cols: int) -> "SparseRows":
-        """The nonzero entries of a dense system: an array, or a sequence
-        of rows of n_cols integers each, that fits int64.  A SparseRows is
-        returned as it is."""
-        if isinstance(A, cls):
-            return A
-        A = np.asarray(A, dtype=np.int64).reshape(len(A), n_cols)
-        return cls(A.shape, *(at := A.nonzero()), A[at])
-
-    def above(self, other: "SparseRows") -> "SparseRows":
-        """These rows, then the rows of ``other``: a row offset, no copy of
-        a dense system."""
-        return SparseRows((self.shape[0] + other.shape[0], self.shape[1]), *map(
-            np.concatenate, zip(self[1:], other._replace(rows=self.shape[0] + other.rows)[1:])))
-
-
 class DictRows(NamedTuple):
-    """A system as its nonzero rows, each a dict {column: entry} with the
-    entry reduced modulo the elimination's modulus and not 0, in order:
-    the form in which ``kernel`` writes each prime's part and the one the
-    elimination reads.  ``shape`` is (rows, columns)."""
+    """A system of linear rows, in order, each a dict {column: entry} with
+    Python int entries, any integer, 0 included; a row may be empty.
+    Every system a ring check builds travels in this form from its builder
+    to the elimination, and ``kernel`` writes each prime's part in it.
+    ``shape`` is (rows, columns)."""
 
     rows: List[Dict[int, int]]
     n_cols: int
@@ -122,17 +92,18 @@ class DictRows(NamedTuple):
         return len(self.rows), self.n_cols
 
     @classmethod
-    def of(cls, A, n_cols: int, M: int) -> "DictRows":
-        """A system in any of the three forms, modulo M: a DictRows is
-        returned as it is, a SparseRows or a dense system is read once."""
+    def of(cls, A, n_cols: int) -> "DictRows":
+        """A DictRows as it is, or a dense system, an array or a sequence of
+        rows of n_cols integers each that fits int64, read once through its
+        nonzero entries."""
         if isinstance(A, cls):
             return A
-        A = SparseRows.from_dense(A, n_cols)
-        R: Dict[int, Dict[int, int]] = {}
-        for i, c, a in zip(A.rows.tolist(), A.cols.tolist(), (A.vals % M).tolist()):
-            if a:
-                R.setdefault(i, {})[c] = a
-        return cls(list(R.values()), A.shape[1])
+        A = np.asarray(A, dtype=np.int64).reshape(len(A), n_cols)
+        rows: List[Dict[int, int]] = [{} for _ in range(len(A))]
+        at = A.nonzero()
+        for i, c, a in zip(*(x.tolist() for x in at), A[at].tolist()):
+            rows[i][c] = a
+        return cls(rows, n_cols)
 
 
 def _smith_kernel(A: DictRows, q: int, e: int) -> List[Tuple[Dict[int, int], int]]:
@@ -144,14 +115,20 @@ def _smith_kernel(A: DictRows, q: int, e: int) -> List[Tuple[Dict[int, int], int
     each pivot with v_i > 0 in pivot order, and then each column that never
     holds a pivot (v_i = e) generates a part of order M, in column order.
     Vectors are {coordinate: entry}, entries in [0, M), absent ones 0.
-    ``A`` is not modified."""
+    ``A`` is not modified: the copy the elimination works on holds each
+    entry reduced modulo M, and no zero and no empty row."""
     M = q**e
-    R: Dict[int, Dict[int, int]] = {}  # row index -> {column: entry}
+    R: Dict[int, Dict[int, int]] = {}  # live row index -> {column: entry}
     holders: List[Set[int]] = [set() for _ in range(A.n_cols)]
     for i, row in enumerate(A.rows):
-        R[i] = dict(row)
-        for c in row:
-            holders[c].add(i)
+        live = {}
+        for c, a in row.items():
+            a %= M
+            if a:
+                live[c] = a
+                holders[c].add(i)
+        if live:
+            R[i] = live
     V = {c: {c: 1} for c in range(A.n_cols)}  # columns of V not yet pivots
     gens: List[Tuple[Dict[int, int], int]] = []
     for v in range(e):
@@ -199,7 +176,7 @@ def _smith_kernel(A: DictRows, q: int, e: int) -> List[Tuple[Dict[int, int], int
     return gens + [(V[c], M) for c in sorted(V)]
 
 
-def gf_nullspace(rows: Union[DictRows, SparseRows, np.ndarray], q: int) -> np.ndarray:
+def gf_nullspace(rows: Union[DictRows, np.ndarray], q: int) -> np.ndarray:
     """Basis of {u : rows @ u == 0 mod q} for prime q; shape (dim, N).
 
     Basis vector i is 1 at the i-th free column f of the reduced row echelon
@@ -212,14 +189,15 @@ def gf_nullspace(rows: Union[DictRows, SparseRows, np.ndarray], q: int) -> np.nd
     # int64, and its users multiply its entries modulo q in int64.
     if (q - 1) * q > 2**62:
         raise OverflowError(f"modulus {q} is too wide for int64 elimination")
-    gens = _smith_kernel(DictRows.of(rows, rows.shape[1], q), q, 1)
-    basis = np.zeros((len(gens), rows.shape[1]), dtype=np.int64)
-    for b, (vec, _) in enumerate(gens):
-        basis[b, list(vec)] = list(vec.values())
-    return basis
+    n = rows.shape[1]
+    gens = [vec for vec, _ in _smith_kernel(DictRows.of(rows, n), q, 1)]
+    basis = np.zeros(len(gens) * n, dtype=np.int64)
+    basis[[b * n + x for b, vec in enumerate(gens) for x in vec]] = [
+        y for vec in gens for y in vec.values()]
+    return basis.reshape(len(gens), n)
 
 
-def kernel_mod(rows: Union[DictRows, SparseRows, Sequence[Sequence[int]]], modulus: int,
+def kernel_mod(rows: Union[DictRows, Sequence[Sequence[int]]], modulus: int,
                n_cols: int) -> List[Tuple[List[int], int]]:
     """Generators of {u in Z_M^n : rows @ u == 0 mod M} for a prime power
     M = q^e; any other modulus raises ``ValueError``.
@@ -234,7 +212,7 @@ def kernel_mod(rows: Union[DictRows, SparseRows, Sequence[Sequence[int]]], modul
         raise ValueError(f"modulus {modulus} is not a prime power")
     (q, e), = factors.items()
     return [([vec.get(x, 0) for x in range(n_cols)], order)
-            for vec, order in _smith_kernel(DictRows.of(rows, n_cols, modulus), q, e)]
+            for vec, order in _smith_kernel(DictRows.of(rows, n_cols), q, e)]
 
 
 def enumerate_group(gens: Sequence[Tuple[Sequence[int], int]],
@@ -263,7 +241,7 @@ def kernel(rows, row_mods: Sequence[int], col_mods: Sequence[int]
     Every kernel element is a unique combination sum c_g * g with 0 <= c_g <
     order_g, so the kernel has prod(order_g) elements.  Each row must be well
     defined on the group: rows[r, s] * col_mods[s] == 0 mod row_mods[r].
-    ``rows`` is a SparseRows or a dense system.
+    ``rows`` is a DictRows or a dense system.
 
     The group is the direct sum of its q-parts.  On the q-part, coordinate s
     is Z_{q^v_s} and row r is an equation modulo q^w_r; with e the largest
@@ -273,19 +251,17 @@ def kernel(rows, row_mods: Sequence[int], col_mods: Sequence[int]
     0 cut the embedded subgroup out.  Where e = 1 every v_s and w_r is 1:
     the rows are the q-part's, and there is no relation.
 
-    Each prime takes one pass over the entries, in Python ints: it keeps
-    the entries on the q-part's columns, reduces each modulo q^w_r, drops
-    the zeros and scales the rest by q^(v_s - w_r), writing the part's
-    live rows, in order, as the DictRows the elimination reads.  The
-    generators are lifted back by the Chinese remainder theorem in Python
-    ints too, and each prime's come out as one int64 array.
+    Each prime takes one pass over the rows, in Python ints: it keeps the
+    entries on the q-part's columns, reduces each modulo q^w_r, drops the
+    zeros and scales the rest by q^(v_s - w_r), writing the part's live
+    rows, in order, as the DictRows the elimination reads.  The generators
+    are lifted back by the Chinese remainder theorem in Python ints too,
+    and each prime's come out as one int64 array.
     """
     col_mods = [int(d) for d in col_mods]
-    A = SparseRows.from_dense(rows, len(col_mods))
-    row_mods = np.asarray(row_mods, dtype=np.int64)
-    entries = list(zip(A.rows.tolist(), A.cols.tolist(), A.vals.tolist(),
-                       row_mods[A.rows].tolist()))  # (row, column, entry, row modulus)
-    powers = {d: factorize(d) for d in set(col_mods).union(row_mods.tolist())}
+    A = DictRows.of(rows, len(col_mods))
+    row_mods = np.asarray(row_mods).tolist()
+    powers = {d: factorize(d) for d in set(col_mods).union(row_mods)}
     gens: List[Tuple[np.ndarray, int]] = []
     for q in sorted({q for d in set(col_mods) for q in powers[d]}):
         cols = [s for s, d in enumerate(col_mods) if d % q == 0]
@@ -295,22 +271,26 @@ def kernel(rows, row_mods: Sequence[int], col_mods: Sequence[int]
         qv = [q ** powers[col_mods[s]][q] for s in cols]
         qw = {m: q ** f.get(q, 0) for m, f in powers.items()}  # modulus -> its q-part
         M = max(qv)  # q^e: e is the largest v_s, or w_r of a kept entry if larger
-        part: Dict[int, Dict[int, int]] = {}
-        for r, s, a, m in entries:
-            j = at[s]
-            if j is None:
+        live: List[Dict[int, int]] = []
+        for row, m in zip(A.rows, row_mods):
+            if not row:
                 continue
-            m = qw[m]
-            a %= m
-            if a:
-                if m > M:
-                    M = m
-                if m != qv[j]:  # times q^v_s / q^w_r, which must be exact
-                    a, rest = divmod(a * qv[j], m)
-                    if rest:
-                        raise ValueError("a row is not well defined on the coordinate group")
-                part.setdefault(r, {})[j] = a
-        live = list(part.values())
+            m, part = qw[m], {}
+            for s, a in row.items():
+                j = at[s]
+                if j is None:
+                    continue
+                a %= m
+                if a:
+                    if m > M:
+                        M = m
+                    if m != qv[j]:  # times q^v_s / q^w_r, which must be exact
+                        a, rest = divmod(a * qv[j], m)
+                        if rest:
+                            raise ValueError("a row is not well defined on the coordinate group")
+                    part[j] = a
+            if part:
+                live.append(part)
         if M > q:  # over Z_{q^e}: a row q^v_s * u_s == 0 for each v_s < e
             live += [{j: x} for j, x in enumerate(qv) if x < M]
             pairs = kernel_mod(DictRows(live, len(cols)), M, len(cols))

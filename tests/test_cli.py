@@ -471,3 +471,39 @@ def test_ring_refuses_a_report_integer_too_long_to_print_with_exit_3():
     assert proc.stdout == "" and "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: the report holds an integer of more than")
     assert proc.stderr.count("\n") == 1
+
+
+def test_prove_refuses_a_script_that_is_not_utf8_with_exit_3(tmp_path):
+    path = tmp_path / "script.steps"
+    path.write_bytes(b"budget 2\nstep a assume => T[x]*y\xff\ngoal a\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "mnjordan.cli", "prove", str(path)],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == cli.EXIT_ERROR, proc.stdout + proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("cannot read script: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("claim", ["(" * 300 + "x" + ")" * 300, "T[" * 300 + "x" + "]" * 300],
+                         ids=["parentheses", "maps"])
+def test_prove_refuses_a_claim_nested_too_deeply_with_exit_3(tmp_path, claim):
+    proc = prove_in_subprocess(tmp_path, f"budget 2\nstep a assume => {claim}\ngoal a\n")
+    assert proc.returncode == cli.EXIT_ERROR, proc.stdout + proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: maximum recursion depth exceeded")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_ring_refuses_a_spec_nested_too_deeply_with_exit_3(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text("[" * 1000 + "]" * 1000)
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mnjordan.cli", "ring", "--spec", str(path), "--n", "2",
+         "--law", "centralizer", "--m", "1"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=30)
+    assert proc.returncode == cli.EXIT_ERROR, proc.stdout + proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: maximum recursion depth exceeded")
+    assert proc.stderr.count("\n") == 1

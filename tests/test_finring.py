@@ -23,7 +23,7 @@ from tests.util import (
     all_x_is_prime,
     all_x_is_semiprime,
     all_x_torsion_free,
-    check_sparse_form,
+    check_dict_form,
     dense_hom_rows,
     dense_separability_rows,
     densify,
@@ -352,7 +352,8 @@ def test_rows_and_conclusions_match_the_product_operators():
             for m, n in [(1, 2), (2, 3), (3, 1)]:
                 spec = fr.LawSpec(law, m, n)
                 sparse, mods = fr._law_row_blocks(R, spec)
-                check_sparse_form(sparse)
+                check_dict_form(sparse)
+                assert all(type(d) is int for d in mods)
                 rows = densify(sparse)
                 want_rows, want_mods = operator_law_rows(R, spec)
                 assert np.array_equal(rows, want_rows), (R.name, law, m, n)
@@ -387,14 +388,15 @@ def test_hom_and_separability_rows_match_the_dense_builders(monkeypatch):
     for R in OPERATOR_RINGS:
         for n_maps in (1, 2):
             sparse, mods = fr._hom_rows(R, n_maps)
-            check_sparse_form(sparse)
+            check_dict_form(sparse)
+            assert all(type(d) is int for d in mods)
             rows, want_mods = dense_hom_rows(R, n_maps)
             assert np.array_equal(densify(sparse), rows), (R.name, n_maps)
             assert np.array_equal(mods, want_mods), (R.name, n_maps)
         for p, c in [(2, R.constants)] + (fr._prime_parts(R) or []):
             systems.clear()
             fr._is_separable(c, p)
-            check_sparse_form(systems[0])
+            check_dict_form(systems[0])
             assert np.array_equal(densify(systems[0]), dense_separability_rows(c)), R.name
 
 

@@ -8,17 +8,8 @@ import pytest
 from mnjordan import finring as fr
 from mnjordan import intsolve
 from mnjordan.laws import TABLE
-from tests.util import (check_dict_form, check_sparse_form, dense_kernel_mod, densify,
-                        eager_gf_nullspace, euclid_kernel_mod, numpy_kernel)
-
-
-def check_row_form(rows, modulus):
-    """A system in one of the two sparse row formats, with its invariant."""
-    assert isinstance(rows, (intsolve.SparseRows, intsolve.DictRows)), type(rows)
-    if isinstance(rows, intsolve.DictRows):
-        check_dict_form(rows, modulus)
-    else:
-        check_sparse_form(rows)
+from tests.util import (check_dict_form, dense_kernel_mod, densify, eager_gf_nullspace,
+                        euclid_kernel_mod, numpy_kernel)
 
 
 def brute_kernel(rows, modulus, n_cols):
@@ -184,10 +175,10 @@ def _record_gf_nullspace(monkeypatch):
     solve = intsolve.gf_nullspace
 
     def recording(rows, q):
-        # the benchmark's tracer reads rows.shape[0], the live rows handed
-        # over, so every caller passes its system in a sparse row format:
-        # kernel one prime's part as DictRows, _is_separable a SparseRows
-        check_row_form(rows, q)
+        # the benchmark's tracer reads rows.shape[0], the rows handed over,
+        # so every caller passes its system as DictRows: kernel one prime's
+        # live rows, _is_separable every row of its system
+        check_dict_form(rows)
         before = densify(rows)
         basis = solve(rows, q)
         assert np.array_equal(densify(rows), before)  # the system is not modified
@@ -326,9 +317,11 @@ def test_kernel_mod_matches_the_oracle_on_every_theorem_system(monkeypatch, ring
     solve = intsolve.kernel_mod
 
     def recording(rows, modulus, n_cols):
-        check_row_form(rows, modulus)
+        check_dict_form(rows, modulus)  # kernel is its one caller
+        before = densify(rows)
         gens = solve(rows, modulus, n_cols)
-        calls.append((densify(rows).tolist(), modulus, n_cols, gens))
+        assert np.array_equal(densify(rows), before)  # the system is not modified
+        calls.append((before.tolist(), modulus, n_cols, gens))
         return gens
 
     monkeypatch.setattr(intsolve, "kernel_mod", recording)
@@ -341,6 +334,42 @@ def test_kernel_mod_matches_the_oracle_on_every_theorem_system(monkeypatch, ring
         assert math.prod(o for _, o in gens) == math.prod(o for _, o in expected)
         _check_generators(rows, modulus, n_cols, gens)
         assert gens == dense_kernel_mod(rows, modulus, n_cols)
+
+
+def _unreduced_dict_rows(rng, modulus, n_cols):
+    """Random DictRows over Z_modulus whose entries are any integers:
+    multiples of the modulus (0 among them), negative and unreduced
+    entries, with empty rows mixed in; and the reduced dense system they
+    stand for."""
+    (q, _), = intsolve.factorize(modulus).items()
+    rows = []
+    for _ in range(rng.randint(0, 10)):
+        cols = rng.sample(range(n_cols), rng.randint(0, n_cols))
+        rows.append({c: rng.choice([modulus, -modulus, 0, q, -q, rng.randrange(modulus)])
+                     + modulus * rng.randint(-3, 3) for c in cols})
+    dense = np.array([[row.get(c, 0) % modulus for c in range(n_cols)] for row in rows],
+                     dtype=np.int64).reshape(len(rows), n_cols)
+    return intsolve.DictRows(rows, n_cols), dense
+
+
+@pytest.mark.parametrize("modulus", [2, 3, 5, 7, 4, 8, 9, 25])
+def test_dict_rows_with_unreduced_entries_give_the_reduced_systems_generators(modulus):
+    """The elimination reduces every entry modulo q^e in its copy of the
+    rows, so an entry that is 0 mod q^e, such as q^e itself, is never a
+    pivot, and an empty row is no equation."""
+    rng = random.Random(3000 + modulus)
+    (q, e), = intsolve.factorize(modulus).items()
+    for _ in range(40):
+        n_cols = rng.randint(1, 6)
+        A, dense = _unreduced_dict_rows(rng, modulus, n_cols)
+        before = densify(A)
+        if e == 1:
+            assert np.array_equal(intsolve.gf_nullspace(A, q), eager_gf_nullspace(dense, q)), A
+        assert intsolve.kernel_mod(A, modulus, n_cols) == dense_kernel_mod(dense, modulus, n_cols)
+        row_mods, col_mods = [modulus] * len(A.rows), [modulus] * n_cols
+        assert_same_generators(intsolve.kernel(A, row_mods, col_mods),
+                               numpy_kernel(dense, row_mods, col_mods))
+        assert np.array_equal(densify(A), before)  # the rows are not modified
 
 
 def test_enumerate_group_is_duplicate_free():
@@ -397,18 +426,27 @@ def _zn_sum(*mods):
 def test_kernel_matches_the_numpy_oracle_on_every_theorem_system(monkeypatch, ring):
     """Every kernel call check_theorem makes, under all four laws at four
     weights: the one pass per prime gives the generators of the former
-    array set-up, in order.  Z12+Z18 and Z4+Z6+Z9 have two primes with
-    e > 1 in one system."""
-    calls = []
-    solve = intsolve.kernel
+    array set-up, in order, and each GF(q) part it hands to gf_nullspace
+    holds only live rows with entries in [1, q).  Z12+Z18 and Z4+Z6+Z9
+    have two primes with e > 1 in one system."""
+    calls, handed = [], []
+    solve, nullspace = intsolve.kernel, intsolve.gf_nullspace
+
+    def handing(rows, q):
+        handed.append((rows, q))
+        return nullspace(rows, q)
 
     def recording(rows, row_mods, col_mods):
+        handed.clear()
         gens = solve(rows, row_mods, col_mods)
+        for part, q in handed:  # each GF(q) part this call wrote
+            check_dict_form(part, q)
         assert_same_generators(gens, numpy_kernel(rows, row_mods, col_mods))
         calls.append(len(gens))
         return gens
 
     monkeypatch.setattr(intsolve, "kernel", recording)
+    monkeypatch.setattr(intsolve, "gf_nullspace", handing)
     for law in TABLE:
         for m, n in [(1, 2), (2, 1), (2, 3), (3, 2)]:
             fr.check_theorem(ring, fr.LawSpec(law, m, n))

@@ -546,15 +546,19 @@ def dense_kernel_mod(rows, modulus, n_cols):
 
 def numpy_kernel(rows, row_mods, col_mods):
     """intsolve.kernel before the one pass per prime: each prime's part is
-    selected, reduced and scaled with array operations on the SparseRows
-    entries, and the generators are lifted by CRT in int64 (which wraps
-    where a column modulus d has d * q >= 2^63).  The production kernel
+    selected, reduced and scaled with array operations on the system's
+    nonzero entries, and the generators are lifted by CRT in int64 (which
+    wraps where a column modulus d has d * q >= 2^63).  The part goes to
+    gf_nullspace or kernel_mod as a dense array.  The production kernel
     must give these generators, in order, on every system the oracle lifts
     exactly."""
     col_mods = [int(d) for d in col_mods]
-    A = intsolve.SparseRows.from_dense(rows, len(col_mods))
+    A = densify(rows) if isinstance(rows, intsolve.DictRows) else np.asarray(rows, dtype=np.int64)
+    A = A.reshape(len(A), len(col_mods))
+    A_rows, A_cols = A.nonzero()
+    A_vals = A[A_rows, A_cols]
     distinct = sorted(set(np.asarray(row_mods).tolist()))  # a few values: ring moduli
-    row_at = np.asarray(distinct, dtype=np.int64).searchsorted(row_mods)[A.rows]  # per entry
+    row_at = np.asarray(distinct, dtype=np.int64).searchsorted(row_mods)[A_rows]  # per entry
     powers = {d: intsolve.factorize(d) for d in set(col_mods).union(distinct)}
     gens = []
     for q in sorted({q for d in set(col_mods) for q in powers[d]}):
@@ -564,21 +568,23 @@ def numpy_kernel(rows, row_mods, col_mods):
         # the q-part: the entries on its columns, each reduced modulo q^w_r
         # (to 0 where w_r = 0); the rows that keep one stay, in order
         w = np.array([powers[d].get(q, 0) for d in distinct], dtype=np.int64)[row_at]
-        a = A.vals % q**w * inq[A.cols]
+        a = A_vals % q**w * inq[A_cols]
         keep = a.nonzero()[0]
-        r, w, j = A.rows[keep], w[keep], cols.searchsorted(A.cols[keep])  # column j of the part
+        r, w, j = A_rows[keep], w[keep], cols.searchsorted(A_cols[keep])  # column j of the part
         opens = np.concatenate([[True], r[1:] != r[:-1]])[:len(r)]  # each live row's first entry
-        part = intsolve.SparseRows((int(opens.sum()), len(cols)), opens.cumsum() - 1, j, a[keep])
+        part, live = np.zeros((int(opens.sum()), len(cols)), dtype=np.int64), opens.cumsum() - 1
+        part[live, j] = a[keep]
         e = max(v + w.tolist())
         if e > 1:  # over Z_{q^e}: the entries times q^v_s / q^w_r, and the relations
             qv = q ** np.array(v, dtype=np.int64)
-            vals, rest = np.divmod(part.vals * qv[part.cols], q**w)
+            vals, rest = np.divmod(a[keep] * qv[j], q**w)
             if rest.any():
                 raise ValueError("a row is not well defined on the coordinate group")
+            part[live, j] = vals
             short = np.flatnonzero(qv < q**e)  # a row q^v_s * u_s == 0 for each v_s < e
-            part = intsolve.SparseRows(part.shape, part.rows, part.cols, vals).above(
-                intsolve.SparseRows((len(short), len(v)), np.arange(len(short)), short, qv[short]))
-            pairs = intsolve.kernel_mod(part, q**e, len(v))
+            relations = np.zeros((len(short), len(v)), dtype=np.int64)
+            relations[np.arange(len(short)), short] = qv[short]
+            pairs = intsolve.kernel_mod(np.vstack([part, relations]), q**e, len(v))
             local = np.array([vec for vec, _ in pairs], dtype=np.int64).reshape(len(pairs), len(v))
             local, orders = local // (q**e // qv), [order for _, order in pairs]
         else:
@@ -597,34 +603,24 @@ def numpy_kernel(rows, row_mods, col_mods):
 # -- the dense systems the sparse builders replaced ------------------------------
 
 
-def check_sparse_form(rows):
-    """The SparseRows invariant: three int64 arrays of one length, entries
-    inside the shape, row by row in ascending order, each cell at most
-    once, none zero."""
-    n_rows, n_cols = rows.shape
-    assert all(x.dtype == np.int64 and x.shape == rows.rows.shape for x in rows[1:])
-    assert ((0 <= rows.rows) & (rows.rows < n_rows) & (0 <= rows.cols) & (rows.cols < n_cols)).all()
-    cells = rows.rows * n_cols + rows.cols
-    assert (np.diff(rows.rows) >= 0).all() and len(np.unique(cells)) == len(cells)
-    assert rows.vals.all()
-
-
-def check_dict_form(rows, modulus):
-    """The DictRows invariant: every row holds an entry, each column inside
-    the shape, each entry in [1, modulus)."""
-    assert all(row for row in rows.rows)
-    assert all(0 <= c < rows.n_cols and 0 < a < modulus for row in rows.rows for c, a in row.items())
-    assert all(type(c) is int and type(a) is int for row in rows.rows for c, a in row.items())
+def check_dict_form(rows, modulus=None):
+    """The DictRows invariant: a list of dict rows, each column inside the
+    shape, every column and entry an int.  With a modulus, also the form
+    of the prime's part that intsolve.kernel writes: every row holds an
+    entry, and each entry is in [1, modulus)."""
+    assert isinstance(rows, intsolve.DictRows) and isinstance(rows.rows, list), type(rows)
+    assert all(type(c) is int and 0 <= c < rows.n_cols and type(a) is int
+               for row in rows.rows for c, a in row.items())
+    if modulus is not None:
+        assert all(row for row in rows.rows)
+        assert all(0 < a < modulus for row in rows.rows for a in row.values())
 
 
 def densify(rows):
-    """A SparseRows or a DictRows as the dense int64 array it stands for."""
+    """A DictRows as the dense int64 array it stands for."""
     A = np.zeros(rows.shape, dtype=np.int64)
-    if isinstance(rows, intsolve.DictRows):
-        for i, row in enumerate(rows.rows):
-            A[i, list(row)] = list(row.values())
-    else:
-        A[rows.rows, rows.cols] = rows.vals
+    for i, row in enumerate(rows.rows):
+        A[i, list(row)] = list(row.values())
     return A
 
 
