@@ -8,9 +8,9 @@ Subcommands::
     mnjordan search --family zn|mat2|products ... --law ... --m ... --n ...
 
 Exit codes: 0 verified (or hypotheses unmet, reported); 1 failed replay or a
-hypothesis-satisfying counterexample; 2 verified with assumptions; 3 bad
-input (usage errors included), I/O trouble, a size bound, or a ring too
-large for the memory at hand.
+hypothesis-satisfying counterexample (in any row of ``search``); 2 verified
+with assumptions; 3 bad input (usage errors included, and a family with no
+ring), I/O trouble, a size bound, or a ring too large for the memory at hand.
 
 Only ``ring`` and ``search`` import :mod:`mnjordan.finring` (and numpy with
 it), so ``prove`` starts without them.
@@ -114,9 +114,7 @@ def cmd_ring(args) -> int:
         return EXIT_ERROR
     if not _print_rendered(lambda: _ring_lines(report, args.format)):
         return EXIT_ERROR
-    if report.applicable and report.violation_count:
-        return EXIT_FAILED
-    return EXIT_OK
+    return _verdict_code([report])
 
 
 def cmd_search(args) -> int:
@@ -131,6 +129,8 @@ def cmd_search(args) -> int:
             rings = finring.family_mat2(primes)
         else:  # "products": argparse admits only the three families
             rings = finring.family_products(args.max_n)
+        if not rings:
+            raise ValueError(f"--family {args.family} has no ring at --max-n {args.max_n}")
         spec = finring.LawSpec(args.law, args.m, args.n)
         rows = finring.search_family(rings, spec)
     except ValueError as exc:
@@ -141,7 +141,13 @@ def cmd_search(args) -> int:
         return EXIT_ERROR
     if not _print_rendered(lambda: _search_lines(rows, args.format)):
         return EXIT_ERROR
-    return EXIT_OK
+    return _verdict_code(rows)
+
+
+def _verdict_code(reports) -> int:
+    """EXIT_FAILED when some report meets its hypotheses and breaks the
+    conclusion (a counterexample), else EXIT_OK."""
+    return EXIT_FAILED if any(r.applicable and r.violation_count for r in reports) else EXIT_OK
 
 
 def _ring_lines(report, fmt: str) -> list:

@@ -85,7 +85,6 @@ class FinRing:
         self._mods = np.array(self.moduli, dtype=np.int64)
         self.constants %= self._mods
         self.name = name or f"ring{self.moduli}"
-        self._elements: Optional[np.ndarray] = None
         self._pairs: Optional["PairEvaluator"] = None
 
     # -- construction checks -------------------------------------------------
@@ -137,16 +136,6 @@ class FinRing:
         a_times = np.tensordot(np.array(a, dtype=np.int64), self.constants, 1) % self._mods
         acc = np.array(b, dtype=np.int64) @ a_times % self._mods
         return tuple(int(v) for v in acc)
-
-    def elements(self) -> List[Element]:
-        return [tuple(int(v) for v in row) for row in self.element_array()]
-
-    def element_array(self) -> np.ndarray:
-        if self._elements is None:
-            ranges = [np.arange(d, dtype=np.int64) for d in self.moduli]
-            grids = np.meshgrid(*ranges, indexing="ij")
-            self._elements = np.stack([g.ravel() for g in grids], axis=1)
-        return self._elements
 
     def pair_evaluator(self) -> "PairEvaluator":
         """The ring's PairEvaluator, built on first use."""
@@ -493,67 +482,66 @@ def _law_row_blocks(R: FinRing, spec: LawSpec) -> Tuple[intsolve.DictRows, List[
     At point x, row t and slot (a, b), the coefficient of M[a, b] is
     delta_ta (x^2)_b in M(x^2), with x^2 reduced mod d_b, x_b (e_a x)_t in
     M(x)x and x_b (x e_a)_t in xM(x).  x_b is 1 on the one or two
-    coordinates of x and 0 elsewhere, so row (x, t) is nonzero only at 3k
-    places, and the rows are read back from those, never formed over all
-    slots.  A generalized law's top rows are the law on (M, M0), its M
-    places and its M0 places read into the same rows, the latter at the
-    second map's slots; its bottom rows are the plain law on M0 alone.
+    coordinates y of x and 0 elsewhere, and (e_a x)_t and (x e_a)_t are
+    sums of the C[a, y, t] and the C[y, a, t].  So each row's dict is
+    written from the nonzero structure constants, indexed by their left
+    and by their right factor, in Python ints.  Every coefficient and
+    constant is in [0, d), so a term is 0 only when a factor is, and such
+    a term is never written: no entry is 0.  A generalized law's top rows
+    are the law on (M, M0), its xM0(x) terms at the second map's slots;
+    its bottom rows are the plain law on M0 alone.
 
     Returns (rows, row_mods): rows has shape (Q, n_maps*k*k) with slot
-    ordering (map, i, j); row r states sum_s rows[r, s]*u_s == 0 modulo
-    row_mods[r], a Python int.
+    ordering (map, i, j), the rows (x, t) of the e_i and then of the
+    e_i + e_j for i < j, in row-major order; row r states sum_s rows[r,
+    s]*u_s == 0 modulo row_mods[r], a Python int.
     """
-    k, C = R.k, R.constants
-    X, off, two, at_x, at_t = _polarization(k)
-    xe = (X @ C.reshape(k, k * k)).reshape(-1, k, k)  # [x, a, t]: (x e_a)_t
-    ex = (X @ C.transpose(1, 0, 2).reshape(k, k * k)).reshape(-1, k, k)  # (e_a x)_t
-    x2 = np.einsum("xa,xat->xt", X, xe) % R._mods
-
+    k, mods, C = R.k, R.moduli, R.constants
     # row (x, t) is read modulo d_t, so each coefficient is reduced there in
     # Python ints first: exact at any weight, and below d_t like the entries
-    a, b, c = np.array([[v % d for d in R.moduli] for v in spec.rule.coefficients(spec.m, spec.n)],
-                       dtype=np.int64)
+    a, b, c = ([v % d for d in mods] for v in spec.rule.coefficients(spec.m, spec.n))
+    # the nonzero C[p, q, t], as sq[p]: (q, t, C[p, q, t]), and as the terms
+    # ex[q]: (t, p k, b_t C[p, q, t]) and xe[p]: (t, q k, c_t C[p, q, t])
+    sq, ex, xe = ([[] for _ in range(k)] for _ in range(3))
+    for (p, q, t), v in zip(np.argwhere(C).tolist(), C[C != 0].tolist()):
+        sq[p].append((q, t, v))
+        if b[t]:
+            ex[q].append((t, p * k, b[t] * v))
+        if c[t]:
+            xe[p].append((t, q * k, c[t] * v))
+    at_sq = [(t, t * k, a_t) for t, a_t in enumerate(a) if a_t]
 
-    def places(Y, A):
-        """Rows (x, t) at 3k places (see ``_polarization``): Y[x, a, t] x_b
-        at slot (a, b), and A[x, t, b] at slot (t, b), where Y[x, t, t] x_b
-        goes too."""
-        Yt, diag = Y.transpose(0, 2, 1) * off, Y.diagonal(0, 1, 2)[:, :, None] * X[:, None, :]
-        return np.concatenate([Yt, Yt * two, A + diag], axis=2).reshape(-1, 3 * k)
-
-    def read(P, shift, rows=None):
-        """The rows of the places P, each a dict {slot + shift: entry}, or
-        ``rows`` with those entries written in."""
-        if rows is None:
-            rows = [{} for _ in range(len(P))]
-        r, l = P.nonzero()
-        slots = (at_x[r // k % len(X), l] + at_t[r % k, l] + shift).tolist()
-        for i, s, v in zip(r.tolist(), slots, P[r, l].tolist()):
-            rows[i][s] = v
+    def point_rows(ys, main, base):
+        """The k rows (x, t) at the point x with coordinates ys: the M(x^2)
+        and M(x)x terms at their slots plus main, the xM0(x) terms plus
+        base."""
+        rows: List[Dict[int, int]] = [{} for _ in range(k)]
+        for terms, shift in ((ex, main), (xe, base)):
+            for y in ys:
+                for t, fk, w in terms[y]:  # b_t (e_f x)_t or c_t (x e_f)_t at slot (f, z)
+                    row = rows[t]
+                    for z in ys:
+                        s = shift + fk + z
+                        row[s] = row.get(s, 0) + w
+        x2: Dict[int, int] = {}
+        for p in ys:
+            for q, u, v in sq[p]:
+                if q in ys:
+                    x2[u] = x2.get(u, 0) + v
+        for u, v in x2.items():  # a_t (x^2)_u at slot (t, u)
+            v %= mods[u]
+            if v:
+                for t, tk, a_t in at_sq:
+                    row, s = rows[t], main + tk + u
+                    row[s] = row.get(s, 0) + a_t * v
         return rows
 
-    if spec.pair:  # the law on (M, M0), and the plain law on M0 alone; a_t (x^2)_b is at (t, b)
-        m, m0 = places(b * ex, a[:, None] * x2[:, None, :]), places(c * xe, 0)  # on M and on M0
-        rows = read(m0, k * k, read(m, 0)) + read(m + m0, k * k)
-    else:
-        rows = read(places(b * ex + c * xe, a[:, None] * x2[:, None, :]), 0)
-    n_maps = 2 if spec.pair else 1
-    return intsolve.DictRows(rows, n_maps * k * k), list(R.moduli) * (len(rows) // k)
-
-
-@functools.lru_cache(maxsize=16)
-def _polarization(k: int) -> Tuple[np.ndarray, ...]:
-    """What the law rows of every ring on k generators share: the points
-    X, the e_i and then the e_i + e_j for i < j in row-major order; the
-    masks a != t and x != e_i; and the slot at_x[x, l] + at_t[t, l] of
-    place l of row (x, t).  Place s*k + a is slot (a, b_s) for the
-    coordinates b_0 < b_1 of x (b_0 alone for e_i), and place 2k + b is
-    slot (t, b).  No caller writes to them."""
-    eye, ak = np.eye(k, dtype=np.int64), np.arange(k) * k
-    b = np.array([(i, i) for i in range(k)] + list(itertools.combinations(range(k), 2)))
-    at_x = np.pad(np.concatenate([ak + b[:, :1], ak + b[:, 1:]], axis=1), ((0, 0), (0, k)))
-    at_t = np.pad(ak[:, None] + np.arange(k), ((0, 0), (2 * k, 0)))
-    return eye[b[:, 0]] | eye[b[:, 1]], eye == 0, (b[:, :1] != b[:, 1:])[:, :, None], at_x, at_t
+    points = [(i,) for i in range(k)] + list(itertools.combinations(range(k), 2))
+    base = k * k if spec.pair else 0  # a generalized law's xM0(x) terms are on M0
+    rows = [r for ys in points for r in point_rows(ys, 0, base)]
+    if spec.pair:  # the plain law on M0 alone
+        rows += [r for ys in points for r in point_rows(ys, base, base)]
+    return intsolve.DictRows(rows, k * k + base), list(mods) * (len(rows) // k)
 
 
 def _hom_rows(R: FinRing, n_maps: int) -> Tuple[intsolve.DictRows, List[int]]:

@@ -170,6 +170,26 @@ def test_ring_decides_mat6_z2_gen_centralizer_within_1_gib():
     assert payload["verdict"] == "hypotheses-not-met; conclusion fails"
 
 
+def test_law_rows_of_mat8_z2_gen_centralizer_within_384_mib():
+    # the rows held a (2080, 64, 64) int64 array per block on their way
+    # out, and the child ran out of memory at 256, 384 and 512 MiB
+    resource = pytest.importorskip("resource")
+    limit = 384 * 2**20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("from mnjordan import finring as fr; "
+             "rows, mods = fr._law_row_blocks(fr.MatRing(8, 2), fr.LawSpec('gen-centralizer', 1, 2)); "
+             "print(len(rows.rows), len(mods), sum(map(len, rows.rows)))")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1"),
+                          preexec_fn=cap_memory, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["266240", "266240", "249216"]
+
+
 def test_ring_counts_violations_without_enumerating(capsys):
     path = Path(__file__).resolve().parents[1] / "src" / "mnjordan" / "rings" / "z2z2_zero.json"
     code, out, _ = run(
@@ -322,6 +342,36 @@ def test_search_rejects_a_malformed_prime_list(capsys, primes):
     )
     assert code == cli.EXIT_ERROR
     assert out == "" and err.startswith("error: ")
+
+
+def test_ring_and_search_exit_1_on_a_counterexample_row(capsys, monkeypatch):
+    # search exited 0 whatever its rows said
+    from mnjordan import finring as fr
+
+    def counterexample(R, spec):
+        return fr.TheoremReport(ring=R.name, law=spec.law, m=spec.m, n=spec.n,
+                                hypotheses={"semiprime": True, "torsion_free": True},
+                                applicable=True, solution_count=2, violation_count=1,
+                                violations=[], verdict="COUNTEREXAMPLE")
+
+    monkeypatch.setattr(fr, "check_theorem", counterexample)
+    code, out, _ = run(capsys, "ring", "--kind", "Mat", "--p", "5", "--law", "centralizer",
+                       "--m", "1", "--n", "2")
+    assert code == cli.EXIT_FAILED and "COUNTEREXAMPLE" in out
+    code, out, _ = run(capsys, "search", "--family", "mat2", "--primes", "5,7",
+                       "--law", "centralizer", "--m", "1", "--n", "2")
+    assert code == cli.EXIT_FAILED
+    assert out.count("COUNTEREXAMPLE") == 2
+
+
+@pytest.mark.parametrize("family", ["zn", "products"])
+@pytest.mark.parametrize("max_n", ["1", "-5"])
+def test_search_of_an_empty_family_exits_3(capsys, family, max_n):
+    # it checked no ring, printed nothing and exited 0
+    code, out, err = run(capsys, "search", "--family", family, "--max-n", max_n,
+                         "--law", "centralizer", "--m", "1", "--n", "2")
+    assert code == cli.EXIT_ERROR
+    assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_exit_codes_depend_only_on_the_verdict(capsys, tmp_path):

@@ -228,14 +228,14 @@ def test_size_bounds_raise():
     R = fr.MatRing(2, 11)  # 14 641 elements, none of them enumerated
     T = fr.AddMap.scalar(R, 3)
     assert fr.cross_check_lemma(R, fr.LawSpec("gen-centralizer", 1, 1), (T, T))
-    assert R._elements is None
+    assert all(len(P) < R.order for P in R.pair_evaluator()._point_sets.values())
     # x-degree 6 and y-degree 1 on 16 generators: 74 613 * 17 * 16 cells
     R = fr.MatRing(4, 3)
     claim = parse_poly("x^2*T[x]*y*x*T[x]*x - x*T[x]*x*y*x^2*T[x]")
     ev = fr.PairEvaluator(R)
     with pytest.raises(fr.RingSizeError, match=f"above the pair bound {fr.PAIR_CELLS}$"):
         ev.first_violation(claim, {"T": fr.AddMap.identity(R)}, 1, 1)
-    assert not ev._point_sets and R._elements is None  # refused before any point
+    assert not ev._point_sets  # refused before any point
     # every additive map of the zero ring on Z2^5 is a centralizer: 2^25
     zero = fr.FromTable([2] * 5, np.zeros((5, 5, 5)), name="zero")
     sols = fr.solve_identity(zero, fr.LawSpec("centralizer", 1, 2))
@@ -343,16 +343,19 @@ OPERATOR_RINGS = [
 
 def test_rows_and_conclusions_match_the_product_operators():
     # the law rows are array-equal to the former operator sums, so the
-    # kernel generators cannot move; each conclusion value is the former
-    # row applied to the map
+    # kernel generators cannot move, and they hold no zero entry; each
+    # conclusion value is the former row applied to the map.  None of
+    # (7, 5)'s coefficients 12, -7, -5 (-14, -10 for derivations) lies in
+    # [0, d) for a modulus d here, and 12 vanishes on Z12.
     rng = random.Random(17)
     rings = OPERATOR_RINGS
     for R in rings:
         for law in fr.LAWS:
-            for m, n in [(1, 2), (2, 3), (3, 1)]:
+            for m, n in [(1, 2), (2, 3), (3, 1), (7, 5)]:
                 spec = fr.LawSpec(law, m, n)
                 sparse, mods = fr._law_row_blocks(R, spec)
                 check_dict_form(sparse)
+                assert all(a for row in sparse.rows for a in row.values()), (R.name, law, m, n)
                 assert all(type(d) is int for d in mods)
                 rows = densify(sparse)
                 want_rows, want_mods = operator_law_rows(R, spec)

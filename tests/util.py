@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import weakref
 from importlib import resources
 from typing import Dict, List, Tuple
 
@@ -654,13 +655,30 @@ def dense_separability_rows(c):
 
 # -- all-element oracles for the finite-ring solver and scans ------------------
 
+_ELEMENT_ARRAYS: "weakref.WeakKeyDictionary[fr.FinRing, np.ndarray]" = weakref.WeakKeyDictionary()
+
+
+def element_array(R) -> np.ndarray:
+    """Every element of R, one row of residues each, in lexicographic
+    order; built once per ring, and kept while the ring lives."""
+    if R not in _ELEMENT_ARRAYS:
+        grids = np.meshgrid(*(np.arange(d, dtype=np.int64) for d in R.moduli), indexing="ij")
+        _ELEMENT_ARRAYS[R] = np.stack([g.ravel() for g in grids], axis=1)
+    return _ELEMENT_ARRAYS[R]
+
+
+def elements(R) -> List[Tuple[int, ...]]:
+    """Every element of R as a tuple of residues, in lexicographic order."""
+    return [tuple(int(v) for v in row) for row in element_array(R)]
+
+
 
 def all_element_law_rows(R, spec):
     """The law's equation rows imposed at every ring element, not only at the
     polarization points the solver uses; same layout as
     ``finring._law_row_blocks``."""
     k = R.k
-    X = R.element_array()
+    X = element_array(R)
     C = R.constants
     eye = np.eye(k, dtype=np.int64)
     X2 = np.einsum("ri,rj,ijt->rt", X, X, C) % R._mods
@@ -695,7 +713,7 @@ def all_element_residual(R, spec, maps) -> bool:
 
 def all_x_is_semiprime(R) -> bool:
     """No nonzero a with a*x*a == 0, x running over every element."""
-    E = R.element_array()
+    E = element_array(R)
     cand = E[1:]
     for x in E:
         if cand.shape[0] == 0:
@@ -708,7 +726,7 @@ def all_x_is_semiprime(R) -> bool:
 
 def all_x_is_prime(R) -> bool:
     """No nonzero a, b with a*x*b == 0, x running over every element."""
-    E = R.element_array()
+    E = element_array(R)
     for a in E[1:]:
         cand = E[1:]
         for x in E:
@@ -725,7 +743,7 @@ def all_x_is_prime(R) -> bool:
 def all_x_center(R):
     """Every z with z*e_i == e_i*z for each basis element, scanning every
     element of R; in element (lexicographic) order."""
-    E = R.element_array()
+    E = element_array(R)
     mask = np.ones(E.shape[0], dtype=bool)
     for i in range(R.k):  # one basis element at a time keeps memory at |R|*k
         ze = (E @ R.constants[:, i, :]) % R._mods  # z * e_i
@@ -736,25 +754,25 @@ def all_x_center(R):
 
 def all_x_torsion_free(R, t) -> bool:
     """No nonzero element killed by t, scanning every element."""
-    E = R.element_array()
+    E = element_array(R)
     return not np.any(np.all((t * E) % R._mods == 0, axis=1)[1:])
 
 
 def all_pairs_two_sided(R, T) -> bool:
     """T(xy) = T(x)y = xT(y), checked at every pair of elements."""
-    E = R.elements()
+    E = elements(R)
     return all(T(R.mul(x, y)) == R.mul(T(x), y) == R.mul(x, T(y)) for x in E for y in E)
 
 
 def all_pairs_derivation(R, D) -> bool:
     """D(xy) = D(x)y + xD(y), checked at every pair of elements."""
-    E = R.elements()
+    E = elements(R)
     return all(D(R.mul(x, y)) == R.add(R.mul(D(x), y), R.mul(x, D(y))) for x in E for y in E)
 
 
 def all_pairs_central(R, D) -> bool:
     """D(x)y = yD(x), checked at every pair of elements."""
-    E = R.element_array()
+    E = element_array(R)
     V = D.apply_rows(E)
     vy = np.einsum("xi,yj,ijt->xyt", V, E, R.constants) % R._mods
     yv = np.einsum("yi,xj,ijt->xyt", E, V, R.constants) % R._mods
@@ -779,7 +797,7 @@ def upper_triangular(p):
 
 def all_pairs_mul_table(R):
     """Index table of every product a*b, built one einsum row per a."""
-    E = R.element_array()
+    E = element_array(R)
     num = E.shape[0]
     radix = np.array([math.prod(R.moduli[i + 1 :]) for i in range(R.k)], dtype=np.int64)
     mul_table = np.empty((num, num), dtype=np.int64)
@@ -791,7 +809,7 @@ def all_pairs_mul_table(R):
 
 def all_pairs_first_violation(R, poly, maps, m, n, mul_table=None):
     """PairEvaluator.first_violation evaluated at all |R|^2 pairs at once."""
-    E = R.element_array()
+    E = element_array(R)
     num = E.shape[0]
     radix = np.array([math.prod(R.moduli[i + 1 :]) for i in range(R.k)], dtype=np.int64)
     if mul_table is None:
