@@ -13,6 +13,15 @@ with MAP one of T, T0, D, F, Fc.  Multiplication is always written with
 are kept apart while evaluating; adding a nonzero scalar to a ring element
 is an error because the algebra has no unit monomial.
 
+A text is scanned once into its tokens (one ``findall``, plus one search for
+a character that starts no token).  A product of one word is read as a
+monomial (coefficient, word): the coefficient is a dict {(i, j): c} for the
+sum of c*m^i*n^j, with no zero c, and the word a tuple of atoms, () for a
+scalar; a zero keeps its word, so ``0*x`` is still ring-valued.  Factors
+multiply as coefficients and join as words, and each sum adds its terms in
+place into one dict {word: coefficient}.  Only a citation or a value of
+several words becomes a ``_Val`` and is multiplied by ``_Parser.mul``.
+
 The last primary, a citation, is read only by :func:`parse_combination`,
 which evaluates the witness list of a proof-script ``combine`` step, e.g.
 ``(m+n)*[b1] - m*x*[b2 | x -> x*y]*y``.  A citation stands for the cited
@@ -26,11 +35,12 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import freealg
-from .freealg import GENERATORS, MAP_KINDS, App, Gen, NCPoly
-from .scalars import ONE, ScalarPoly, _term_text
+from .freealg import GENERATORS, MAP_KINDS, App, Gen, NCPoly, _wrap
+from .scalars import ONE, ScalarPoly, _term_text, mul_terms
 
 
 class ParseError(ValueError):
@@ -54,11 +64,11 @@ does not bound an expansion (``((x+y)^4)^5`` has 2^20 words);
 """
 
 
-# One scan per text: group 1 is a token, group 2 a character that starts no
-# token.  A token's column is where it starts, after the blanks before it.
-_SCAN_RE = re.compile(
-    r"\s*(?:(\d+|[A-Za-z_][A-Za-z0-9_]*|->|[-+*^()\[\];|,])|(\S))"
-)
+# Every token of a text, in order, with the blanks between them skipped.
+_TOKEN_RE = re.compile(r"[+*^()\[\];|,]|->|-|[A-Za-z_][A-Za-z0-9_]*|\d+")
+# A character that starts no token: one outside the token alphabet, or a '>'
+# that does not end '->'.
+_BAD_RE = re.compile(r"[^\s\dA-Za-z_+*^()\[\];|,-](?<!->)")
 
 # the token after the last one; equal to no token the scan makes
 _END = ""
@@ -66,32 +76,27 @@ _END = ""
 
 def tokenize(text: str) -> List[Tuple[str, str, int]]:
     """(kind, token, column) of every token, kind one of int, name and op."""
+    bad = _BAD_RE.search(text)
+    if bad:
+        raise ParseError(f"unexpected character {bad[0]!r}", bad.start())
     tokens = []
-    for m in _SCAN_RE.finditer(text):
-        tok, bad = m.groups()
-        if bad:
-            raise ParseError(f"unexpected character {bad!r}", m.start(2))
+    for m in _TOKEN_RE.finditer(text):
+        tok = m[0]
         kind = "int" if tok.isdigit() else "name" if tok.isidentifier() else "op"
-        tokens.append((kind, tok, m.start(1)))
+        tokens.append((kind, tok, m.start()))
     return tokens
 
 
 def _scan(text: str) -> Tuple[str, ...]:
     """The tokens of text followed by ``_END``; columns are left to
     :func:`tokenize`, which only an error needs."""
-    pairs = _SCAN_RE.findall(text)
-    if not pairs:
-        return (_END,)
-    toks, bad = zip(*pairs)
-    if any(bad):
+    if _BAD_RE.search(text):
         tokenize(text)  # raises at the first character that starts no token
-    return toks + (_END,)
+    return (*_TOKEN_RE.findall(text), _END)
 
 
 # A value during evaluation: exactly one of scalar / poly is set.  A cited
 # value is a ring polynomial that contains exactly one citation per term.
-# Values are never mutated, so the parser shares one value per constant
-# primary.
 @dataclass(slots=True)
 class _Val:
     scalar: Optional[ScalarPoly] = None
@@ -99,15 +104,49 @@ class _Val:
     cited: bool = False
 
 
-_CONSTANTS = {g: _Val(poly=freealg.gen(g)) for g in GENERATORS}
-_CONSTANTS.update({v: _Val(scalar=ScalarPoly.var(v)) for v in "mn"})
-_CONSTANTS["1"] = _Val(scalar=ONE)
+# The monomials of the constant primaries.  Only a dict that a sum made for
+# itself is ever changed, so these are shared.
+_UNIT = {(0, 0): 1}
+_CONSTANTS = {g: (_UNIT, (Gen(g),)) for g in GENERATORS}
+_CONSTANTS.update(m=({(1, 0): 1}, ()), n=({(0, 1): 1}, ()))
+_CONSTANTS["1"] = (_UNIT, ())
 
 
-def _neg_val(a: _Val) -> _Val:
-    if a.scalar is not None:
-        return _Val(scalar=-a.scalar)
-    return _Val(poly=-a.poly, cited=a.cited)
+def _add_into(acc: dict, val, sign: int) -> bool:
+    """acc += sign * val in place; whether val is ring-valued.  acc maps each
+    word to a coefficient that it owns."""
+    pairs = (val,) if type(val) is tuple else [(k.terms, w) for w, k in val.poly.terms.items()]
+    for c, w in pairs:
+        s = acc.get(w)
+        if s is None:
+            if c:
+                acc[w] = {e: sign * k for e, k in c.items()}
+            continue
+        for e, k in c.items():
+            k = s.get(e, 0) + sign * k
+            if k:
+                s[e] = k
+            else:
+                del s[e]
+        if not s:
+            del acc[w]
+    return type(val) is _Val or bool(val[1])
+
+
+def _scalar(c: dict) -> ScalarPoly:
+    """The ScalarPoly of coefficient c, which it shares; the unit is ``ONE``."""
+    if len(c) == 1 and c.get((0, 0)) == 1:
+        return ONE
+    s = ScalarPoly.__new__(ScalarPoly)
+    s.terms, s._hash = c, None
+    return s
+
+
+def _as_val(v) -> _Val:
+    if type(v) is _Val:
+        return v
+    c, w = v
+    return _Val(poly=_wrap({w: _scalar(c)} if c else {})) if w else _Val(scalar=_scalar(c))
 
 
 # cite(label, substitution) -> the cited identity with the substitution applied
@@ -118,7 +157,8 @@ class _Parser:
     """Recursive descent over the token tuple of one text.  ``i`` indexes
     the next token; reading at the end gives ``_END``, which no rule
     accepts.  An error names a token by its index, and its column is found
-    only then."""
+    only then.  A rule returns a monomial (a tuple) or, for a citation or
+    a value of several words, a ``_Val``."""
 
     __slots__ = ("text", "toks", "i", "cite")
 
@@ -147,33 +187,78 @@ class _Parser:
 
     # -- expression grammar ------------------------------------------------
 
-    def parse_expr(self) -> _Val:
+    def parse_expr(self):
+        """A sum.  Its terms add in place into one dict {word: coefficient}.
+        At each operator, a citation in one term but not in the other is an
+        error first, then a nonzero scalar against a ring value."""
         toks = self.toks
         val = self.parse_term()
         tok = toks[self.i]
+        if tok != "+" and tok != "-":
+            return val
+        acc: Dict[Tuple, dict] = {}
+        cited = type(val) is _Val and val.cited
+        ring = _add_into(acc, val, 1)
         while tok == "+" or tok == "-":
             i = self.i
             self.i = i + 1
             rhs = self.parse_term()
-            val = self.add(val, _neg_val(rhs) if tok == "-" else rhs, i)
+            if (type(rhs) is _Val and rhs.cited) != cited:
+                raise self.error("a witness list mixes terms with and without a citation", i)
+            rhs_ring = type(rhs) is _Val or bool(rhs[1])
+            # a zero scalar adds to a value of either kind
+            if rhs_ring != ring and (acc if rhs_ring else rhs[0]):
+                raise self.error("cannot add a scalar to a ring polynomial (no unit element)", i)
+            ring = _add_into(acc, rhs, 1 if tok == "+" else -1) or ring
             tok = toks[self.i]
-        return val
+        if len(acc) == 1 and not cited:
+            ((w, c),) = acc.items()
+            return c, w
+        if not ring:
+            return {}, ()
+        return _Val(poly=_wrap({w: _scalar(c) for w, c in acc.items()}), cited=cited)
 
-    def parse_term(self) -> _Val:
+    def parse_term(self):
+        """A product.  Its signs are counted and applied last; monomial factors
+        multiply as coefficients and words, and a citation or a value of
+        several words goes through ``mul``."""
         toks = self.toks
-        val = self.parse_factor()
-        while toks[self.i] == "*":
+        c, w = _UNIT, ()
+        val = None  # the product so far, once it is a _Val
+        neg = False
+        star = None  # the '*' before the factor
+        while True:
             i = self.i
-            self.i = i + 1
-            val = self.mul(val, self.parse_factor(), i)
-        return val
+            tok = toks[i]
+            while tok == "-":
+                neg = not neg
+                i += 1
+                tok = toks[i]
+            f = _CONSTANTS.get(tok)
+            if f is None or toks[i + 1] == "^":
+                self.i = i
+                f = self.parse_factor()
+            else:
+                self.i = i + 1
+            if type(f) is tuple and val is None:
+                if f[0] is not _UNIT:
+                    c = f[0] if c is _UNIT else mul_terms(c, f[0])
+                w += f[1]
+            elif star is None:
+                val = f
+            else:
+                val = self.mul(_as_val((c, w)) if val is None else val, _as_val(f), star)
+            star = self.i
+            if toks[star] != "*":
+                break
+            self.i = star + 1
+        if val is not None:
+            return _Val(poly=-val.poly, cited=val.cited) if neg else val
+        return ({e: -k for e, k in c.items()} if neg else c), w
 
-    def parse_factor(self) -> _Val:
-        """A factor with its optional signs: ['-'] factor | primary ('^' INT)*."""
+    def parse_factor(self):
+        """primary ('^' INT)*"""
         toks = self.toks
-        if toks[self.i] == "-":
-            self.i += 1
-            return _neg_val(self.parse_factor())
         val = self.parse_primary()
         while toks[self.i] == "^":
             i = self.i
@@ -188,18 +273,17 @@ class _Parser:
                     f"exponent {k} at column {self.column(i + 1) + 1} is above "
                     f"the bound {MAX_EXPONENT} on powers"
                 )
-            if val.scalar is not None:
-                val = _Val(scalar=val.scalar**k)
+            if k < 1 and (type(val) is _Val or val[1]):
+                raise self.error("ring polynomials cannot be raised to power 0", i + 1)
+            if type(val) is _Val:
+                val = _Val(poly=reduce(freealg.mul, [val.poly] * k))
+            elif val[0] is _UNIT:
+                val = _UNIT, val[1] * k
             else:
-                if k < 1:
-                    raise self.error("ring polynomials cannot be raised to power 0", i + 1)
-                acc = val.poly
-                for _ in range(k - 1):
-                    acc = freealg.mul(acc, val.poly)
-                val = _Val(poly=acc)
+                val = reduce(mul_terms, [val[0]] * k, _UNIT), val[1] * k
         return val
 
-    def parse_primary(self) -> _Val:
+    def parse_primary(self):
         i = self.i
         tok = self.toks[i]
         self.i = i + 1
@@ -210,17 +294,20 @@ class _Parser:
             self.expect("[")
             arg = self.uncited(self.parse_expr(), "inside a map argument", i)
             self.expect("]")
-            if arg.poly is None:
+            if type(arg) is _Val:
+                return _Val(poly=freealg.app(tok, arg.poly))
+            if not arg[1]:
                 raise self.error(f"{tok}[...] needs a ring-valued argument", i)
-            return _Val(poly=freealg.app(tok, arg.poly))
+            return arg[0], (App(tok, arg[1]),)
         if tok.isdigit():
             try:
-                return _Val(scalar=ScalarPoly.const(int(tok)))
+                k = int(tok)
             except ValueError:  # more digits than sys.get_int_max_str_digits()
                 raise freealg.PowerSizeError(
                     f"an integer of {len(tok)} digits at column {self.column(i) + 1} is "
                     f"above the limit of {sys.get_int_max_str_digits()} digits"
                 ) from None
+            return {(0, 0): k} if k else {}, ()
         if tok == "(":
             inner = self.uncited(self.parse_expr(), "inside parentheses", i)
             self.expect(")")
@@ -248,7 +335,7 @@ class _Parser:
                     raise self.error("substitution target must be a generator", g)
                 self.i = g + 1
                 self.expect("->")
-                body = self.uncited(self.parse_expr(), "inside a substitution body", g)
+                body = _as_val(self.uncited(self.parse_expr(), "inside a substitution body", g))
                 if body.poly is None:
                     raise self.error("substitution body must be ring-valued", g)
                 subst[target] = body.poly
@@ -260,11 +347,10 @@ class _Parser:
             raise self.error(f"expected ']', found {sep!r}", self.i - 1)
         return _Val(poly=self.cite(label, subst), cited=True)
 
-    # -- the value rules, each failing at token i ------------------------------
+    # -- the product rule for a citation or a value of several words ----------
 
     def mul(self, a: _Val, b: _Val, i: int) -> _Val:
-        if a.scalar is not None and b.scalar is not None:
-            return _Val(scalar=a.scalar * b.scalar)
+        """a*b, where a or b is ring-valued."""
         if a.cited or b.cited:
             if a.cited and b.cited:
                 raise self.error("a term cites more than one identity", i)
@@ -280,21 +366,8 @@ class _Parser:
             poly = freealg.mul(a.poly, b.poly)
         return _Val(poly=poly, cited=a.cited or b.cited)
 
-    def add(self, a: _Val, b: _Val, i: int) -> _Val:
-        if a.cited != b.cited:
-            raise self.error("a witness list mixes terms with and without a citation", i)
-        if a.scalar is not None and b.scalar is not None:
-            return _Val(scalar=a.scalar + b.scalar)
-        if a.scalar is not None and a.scalar.is_zero():
-            return b
-        if b.scalar is not None and b.scalar.is_zero():
-            return a
-        if a.poly is not None and b.poly is not None:
-            return _Val(poly=a.poly + b.poly, cited=a.cited)
-        raise self.error("cannot add a scalar to a ring polynomial (no unit element)", i)
-
-    def uncited(self, val: _Val, where: str, i: int) -> _Val:
-        if val.cited:
+    def uncited(self, val, where: str, i: int):
+        if type(val) is _Val and val.cited:
             raise self.error(f"a citation cannot stand {where}", i)
         return val
 
@@ -305,7 +378,7 @@ def parse_value(text: str, cite: Optional[Cite] = None) -> _Val:
     tok = p.toks[p.i]
     if tok != _END:
         raise p.error(f"trailing input {tok!r}", p.i)
-    return val
+    return _as_val(val)
 
 
 def parse_poly(text: str) -> NCPoly:

@@ -65,6 +65,7 @@ coefficient of a result), are size limits, not failed steps: their
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import time
@@ -237,14 +238,17 @@ class AuditReport:
 _KEY_RE = re.compile(r"(\w[\w-]*)=")
 
 
-def _split_args(rest: str) -> Dict[str, str]:
-    """Split ``key=value key=value`` where values run to the next key."""
+def _split_args(rest: str, line: int) -> Dict[str, str]:
+    """Split ``key=value key=value`` where values run to the next key; a key
+    given twice is a ScriptError at that line."""
     out: Dict[str, str] = {}
     matches = list(_KEY_RE.finditer(rest))
     head = rest[: matches[0].start()].strip() if matches else rest.strip()
     if head:
         out[""] = head
     for i, m in enumerate(matches):
+        if m.group(1) in out:
+            raise ScriptError(f"step argument {m.group(1)!r} given twice", line)
         end = matches[i + 1].start() if i + 1 < len(matches) else len(rest)
         out[m.group(1)] = rest[m.end() : end].strip()
     return out
@@ -253,6 +257,7 @@ def _split_args(rest: str) -> Dict[str, str]:
 def parse_script(text: str, name: str = "<script>") -> ProofScript:
     theorem = name
     budget: List[ScalarPoly] = []
+    budget_line = None
     steps: List[Step] = []
     goals: List[str] = []
     labels = set()
@@ -265,6 +270,10 @@ def parse_script(text: str, name: str = "<script>") -> ProofScript:
         if head == "theorem":
             theorem = rest or theorem
         elif head == "budget":
+            if budget_line is not None:
+                raise ScriptError(f"a second 'budget' line; the first is line {budget_line}",
+                                  line_no)
+            budget_line = line_no
             try:
                 budget = [parse_scalar(tok) for tok in rest.split()]
             except ParseError as exc:
@@ -287,7 +296,7 @@ def parse_script(text: str, name: str = "<script>") -> ProofScript:
             if label in labels:
                 raise ScriptError(f"duplicate label {label!r}", line_no)
             labels.add(label)
-            steps.append(Step(label, kind, _split_args(argtext), claimed.strip(), line_no))
+            steps.append(Step(label, kind, _split_args(argtext, line_no), claimed.strip(), line_no))
         else:
             raise ScriptError(f"unknown directive {head!r}", line_no)
     script = ProofScript(theorem, budget, steps, goals)
@@ -356,11 +365,10 @@ def _budget_factor_check(factor: ScalarPoly, budget: List[ScalarPoly]) -> None:
         for b in budget:
             if b.is_unit():
                 continue
-            try:
-                rem = rem.exact_div(b)
+            q = rem.quotient(b)
+            if q is not None:
+                rem = q
                 break
-            except ExactDivisionError:
-                continue
         else:
             raise CheckError(
                 f"factor {factor} does not lie in the multiplicative closure "
@@ -552,8 +560,14 @@ def _define_body(env: _Env, args: Dict[str, str]) -> Tuple[NCPoly, Optional[Tupl
         main = base = args.get("map", "").strip()
     if main not in MAP_KINDS or base not in MAP_KINDS:
         raise CheckError(f"unknown map symbol in {args!r}")
-    text = LAW_TEMPLATES[law].format(M=main, M0=base)
-    return freealg.normalize(parse_poly(text), env.rules), (law, main)
+    return freealg.normalize(_law_poly(law, main, base), env.rules), (law, main)
+
+
+@functools.lru_cache(maxsize=None)
+def _law_poly(law: str, main: str, base: str) -> NCPoly:
+    """The parsed template of a law on the maps main and base, parsed once
+    per law and pair of map symbols (at most 4 x 25)."""
+    return parse_poly(LAW_TEMPLATES[law].format(M=main, M0=base))
 
 
 def _require_license_input(env: _Env, args: Dict[str, str], law: str, kind: str) -> None:

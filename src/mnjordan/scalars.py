@@ -128,17 +128,8 @@ class ScalarPoly:
             return other
         if len(t2) == 1 and t2.get((0, 0)) == 1:
             return self
-        out: Dict[Exponent, int] = {}
-        for (i1, j1), c1 in t1.items():
-            for (i2, j2), c2 in t2.items():
-                e = (i1 + i2, j1 + j2)
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
         res = ScalarPoly.__new__(ScalarPoly)
-        res.terms = out
+        res.terms = mul_terms(t1, t2)
         res._hash = None
         return res
 
@@ -158,13 +149,10 @@ class ScalarPoly:
         e = max(self.terms, key=_deglex_key)
         return e, self.terms[e]
 
-    def exact_div(self, d: "ScalarPoly") -> "ScalarPoly":
-        """Quotient self / d when d divides self exactly in Z[m, n].
-
-        Monomial-ordered long division; any nonzero remainder (including a
-        leading term whose integer coefficient is not divisible) raises
-        ExactDivisionError.
-        """
+    def _divide(self, d: "ScalarPoly") -> Tuple[Dict[Exponent, int], Tuple[Exponent, int] | None]:
+        """Monomial-ordered long division by d: (quotient terms, None) when d
+        divides self exactly in Z[m, n], else (partial quotient, the leading
+        term of the remainder, which d's leading term does not divide)."""
         if d.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         (fe, fc) = d.leading()
@@ -173,21 +161,34 @@ class ScalarPoly:
         while not rem.is_zero():
             (e, c) = rem.leading()
             if e[0] < fe[0] or e[1] < fe[1] or c % fc != 0:
-                raise ExactDivisionError(
-                    f"{self} is not divisible by {d} (stuck at term {_term_text(e, c)})"
-                )
+                return quo, (e, c)
             qe = (e[0] - fe[0], e[1] - fe[1])
             qc = c // fc
             quo[qe] = quo.get(qe, 0) + qc
             rem = rem - ScalarPoly({qe: qc}) * d
+        return quo, None
+
+    def exact_div(self, d: "ScalarPoly") -> "ScalarPoly":
+        """Quotient self / d when d divides self exactly in Z[m, n].
+
+        Any nonzero remainder (including a leading term whose integer
+        coefficient is not divisible) raises ExactDivisionError.
+        """
+        quo, stuck = self._divide(d)
+        if stuck is not None:
+            raise ExactDivisionError(
+                f"{self} is not divisible by {d} (stuck at term {_term_text(*stuck)})"
+            )
         return ScalarPoly(quo)
 
+    def quotient(self, d: "ScalarPoly") -> "ScalarPoly | None":
+        """self / d when d divides self exactly in Z[m, n], else None; unlike
+        :meth:`exact_div` it formats no message."""
+        quo, stuck = self._divide(d)
+        return None if stuck is not None else ScalarPoly(quo)
+
     def divides(self, other: "ScalarPoly") -> bool:
-        try:
-            other.exact_div(self)
-            return True
-        except ExactDivisionError:
-            return False
+        return other.quotient(self) is not None
 
     # -- evaluation ----------------------------------------------------------
 
@@ -214,6 +215,20 @@ class ScalarPoly:
 
     def __repr__(self) -> str:
         return f"ScalarPoly({self.to_text()})"
+
+
+def mul_terms(t1: Dict[Exponent, int], t2: Dict[Exponent, int]) -> Dict[Exponent, int]:
+    """The terms of the product of two polynomials given by their terms."""
+    out: Dict[Exponent, int] = {}
+    for (i1, j1), c1 in t1.items():
+        for (i2, j2), c2 in t2.items():
+            e = (i1 + i2, j1 + j2)
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
 
 
 def _term_text(e: Exponent, c: int) -> str:

@@ -29,6 +29,21 @@ def test_prove_shipped_scripts(capsys, tmp_path):
         assert "VERIFIED-WITH-ASSUMPTIONS" in out
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("step lin_sub substitute use=law ", "step lin_sub substitute use=nosuch use=law ",
+     "parse error: line 16: step argument 'use' given twice"),
+    ("budget 2 m n m+n m+2*n\n", "budget 2 m n m+n m+2*n\nbudget 7\n",
+     "parse error: line 8: a second 'budget' line; the first is line 7"),
+], ids=["step-argument", "budget"])
+def test_prove_refuses_a_repeated_argument_or_budget_with_exit_3(capsys, tmp_path, old, new,
+                                                                  message):
+    text = shipped_script("theorem_centralizer.steps")
+    assert text.count(old) == 1
+    code, out, err = run(capsys, "prove", script_on_disk(tmp_path, "c.steps", text.replace(old, new)))
+    assert code == cli.EXIT_ERROR and out == ""
+    assert err == message + "\n"
+
+
 def test_prove_missing_file(capsys):
     code, _, err = run(capsys, "prove", "no_such_file.steps")
     assert code == cli.EXIT_ERROR

@@ -15,6 +15,8 @@ from mnjordan.parsing import (
     parse_monomial,
     parse_poly,
     parse_scalar,
+    _END,
+    _scan,
     parse_value,
     tokenize,
 )
@@ -198,17 +200,38 @@ def _tokens_or_error(tokenizer, text):
         return ("error", str(exc), exc.pos)
 
 
-@pytest.mark.parametrize("script", ["theorem_centralizer.steps", "theorem_derivation.steps"])
-def test_tokenizer_matches_the_group_by_group_oracle(script):
-    malformed = ["x $ y", "T[x] @", "x*y @", "", "   ", "x ->y;", "  12 -> m_1|[,]"]
-    texts = list(malformed)
+def _tokenizer_corpus(script):
+    """Malformed texts, arrows and near-arrows, a Unicode digit and space,
+    and every line of a shipped script with its two sides."""
+    texts = ["x $ y", "T[x] @", "x*y @", "", "   ", "x ->y;", "  12 -> m_1|[,]",
+             "x->y", "x- >y", "x>y", "x->>y", "-->", "2*x*\u0663", "x\u2003+ y", "é", "x²"]
     for line in shipped_script(script).splitlines():
         # a whole line stops at '=>'; its two sides tokenize in full
         head, _, claim = line.split("#", 1)[0].partition("=>")
         texts += [line, head, claim]
-    for text in texts:
+    return texts
+
+
+@pytest.mark.parametrize("script", ["theorem_centralizer.steps", "theorem_derivation.steps"])
+def test_tokenizer_matches_the_group_by_group_oracle(script):
+    for text in _tokenizer_corpus(script):
         assert _tokens_or_error(tokenize, text) == _tokens_or_error(group_by_group_tokenize, text)
     assert _tokens_or_error(tokenize, "x $ y") == ("error", "unexpected character '$' (at column 3)", 2)
+
+
+@pytest.mark.parametrize("script", ["theorem_centralizer.steps", "theorem_derivation.steps"])
+def test_scan_is_tokenize_without_columns(script):
+    for text in _tokenizer_corpus(script):
+        tokens = _tokens_or_error(tokenize, text)
+        if isinstance(tokens, tuple):  # the error
+            assert _tokens_or_error(_scan, text) == tokens, text
+        else:
+            assert _scan(text) == (*(tok for _, tok, _ in tokens), _END), text
+    # a '>' starts no token unless it ends '->'
+    assert _scan("x->y") == ("x", "->", "y", _END)
+    assert _scan("-->") == ("-", "->", _END)
+    for text, column in [("x- >y", 4), ("x>y", 2), ("x->>y", 4), ("x²", 2)]:
+        assert _tokens_or_error(_scan, text)[2] == column - 1, text
 
 
 # -- the one-scan parser against the parser that peeked at each token -------------
@@ -302,12 +325,53 @@ def test_one_scan_parser_matches_on_corrupted_script_texts(script):
     assert len(texts) > 100 and errors > 100
 
 
+# text -> its value (scalar, or ring polynomial) or the start of its error,
+# with a cite callback; without one, a citation is an unexpected '['.
+TERM_READER_TABLE = {
+    "0*x + 1": "cannot add a scalar to a ring polynomial",
+    "m - m + x": "x",
+    "x - x + 1": "cannot add a scalar to a ring polynomial",
+    "--x": "x",
+    "x*-y": "-x*y",
+    "-(m+n)*x": "(-m - n)*x",
+    "(2*m*n^2)^3*x": "8*m^3*n^6*x",
+    "(m+n)^2*T[x]": "(m^2 + 2*m*n + n^2)*T[x]",
+    "0^0": "1",
+    "2^0*x": "x",
+    "(x)^0": "ring polynomials cannot be raised to power 0",
+    "T[0*x]": "0",
+    "T[(m+n)*x*y]": "(m + n)*T[x*y]",
+    "[a] + x": "a witness list mixes terms with and without a citation",
+    "x + [a]": "a witness list mixes terms with and without a citation",
+    "m*[a]*x - (m+n)*y*[a | x -> x*y]":
+        "-m*x*T0[y]*x + (-m - n)*y*T[x*y]*y + m*T[x]*y*x + (m + n)*y*x*y*T0[y]",
+}
+
+
+@pytest.mark.parametrize("text", TERM_READER_TABLE)
+def test_term_reader_matches_the_peeking_parser(text):
+    for cite in (None, _cite([])):
+        got = _assert_same_parse(text, cite)
+        expected = TERM_READER_TABLE[text]
+        if cite is None and "[a" in text:
+            expected = "unexpected token '['"
+        if isinstance(got[0], str):
+            assert got[1].startswith(expected), got
+        else:
+            scalar, poly, _ = got
+            assert (scalar.to_text() if poly is None else poly.to_text()) == expected
+
+
 def test_the_literal_one_and_one_term_products_keep_the_unit_object():
     assert parse_scalar("1") is ONE
     ((_, c),) = parse_poly("x*1*y").terms.items()
     assert c is ONE
     ((_, c),) = fa.mul(parse_poly("T[x]"), parse_poly("y*x")).terms.items()
     assert c is ONE
+    for text in ("x*y + 2*T[x]", "--x - y", "1*x^2", "(m - m + 1)*x", "T[x]^2 - 3*y",
+                 "(x - y + y)*T[y]"):
+        units = [c for c in parse_poly(text).terms.values() if c == ONE]
+        assert units and all(c is ONE for c in units), text
     two_x = parse_poly("2*x")
     assert fa.scale(ONE, two_x) is two_x
     ((_, c),) = fa.scale(ScalarPoly.const(3), parse_poly("y")).terms.items()

@@ -29,6 +29,24 @@ def test_exact_division_and_failure():
         S("m + n").exact_div(S("m - n"))
     with pytest.raises(ExactDivisionError):
         S("4*m").exact_div(S("3"))
+    with pytest.raises(ExactDivisionError) as exc:
+        S("m^2 + 1").exact_div(S("m - n"))
+    assert str(exc.value) == "m^2 + 1 is not divisible by m - n (stuck at term n^2)"
+
+
+@pytest.mark.parametrize("num, den", [
+    ("n*(2*m+n)*m", "n*(2*m+n)"), ("m^2 - n^2", "m-n"), ("m + n", "m - n"), ("4*m", "3"),
+    ("6*m*n", "2*n"), ("m^2 + 1", "m - n"), ("0", "m"), ("(m+n)^5", "(m+n)^3"), ("m", "-1"),
+])
+def test_quotient_is_exact_div_without_raising(num, den):
+    try:
+        expected = S(num).exact_div(S(den))
+    except ExactDivisionError:
+        expected = None
+    assert S(num).quotient(S(den)) == expected
+    assert S(den).divides(S(num)) == (expected is not None)
+    with pytest.raises(ZeroDivisionError):
+        S(num).quotient(S("0"))
 
 
 def test_evaluate():
